@@ -30,6 +30,7 @@ and the first accepted timestamp must strictly exceed the initial timestamp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -41,6 +42,7 @@ from .faultnet import ScheduleRealization, classify_deliveries
 from .graph import Topology, arc_label
 
 CONTRACTION_DPS = 80
+STRUCTURE_CHUNK = 64   # slot matrices per batch of the structure checks
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,27 @@ def build_delivery_indicators(schedule: ScheduleRealization,
 # Augmented system and per-slot matrices.
 
 @dataclass(frozen=True)
+class _MatrixTemplate:
+    """Slot-independent parts of a layout's mass-flow matrices.
+
+    Real-column entries are ordered by a sort key column * size + row, which
+    is their canonical CSC position. A sleeping node's column holds only its
+    diagonal; a waking node's column holds the diagonal and one entry per
+    out-arc. Transit and excess columns hold exactly one entry each.
+    """
+
+    share: np.ndarray         # (n,) 1 / (out-degree + 1)
+    excess_rows: np.ndarray   # (m,) excess row of each arc
+    level_shift: np.ndarray   # (L_d,) [l - 1]: excess row -> level-l row
+    arc_keys: np.ndarray      # (m,) key of each arc's entry if it is excess
+    diag_keys: np.ndarray     # (n,) key of each diagonal entry
+    column_ends: np.ndarray   # (n,) first key past each real column
+    unit_ptr: np.ndarray      # (L_d*m + m,) indptr offsets of unit columns
+    transit_rows: np.ndarray  # (L_d*m,) fixed row of each transit column
+    index_dtype: type
+
+
+@dataclass(frozen=True)
 class AugmentedLayout:
     topology: Topology
     max_effective_delay: int
@@ -110,6 +133,27 @@ class AugmentedLayout:
         lo = self.excess_index(0)
         return slice(lo, lo + self.topology.m)
 
+    @cached_property
+    def _template(self) -> _MatrixTemplate:
+        topo = self.topology
+        n, m, l_d, size = topo.n, topo.m, self.max_effective_delay, self.size
+        excess_rows = n + l_d * m + np.arange(m)
+        # level 1 pours into the destination, upper levels slide down
+        transit_rows = np.concatenate((topo.dst, n + np.arange((l_d - 1) * m)))
+        nodes = np.arange(n)
+        return _MatrixTemplate(
+            share=1.0 / (topo.out_degree() + 1.0),
+            excess_rows=excess_rows,
+            level_shift=(np.arange(l_d) - l_d) * m,
+            arc_keys=topo.src * size + excess_rows,
+            diag_keys=nodes * (size + 1),
+            column_ends=(nodes + 1) * size,
+            unit_ptr=np.arange(1, (l_d + 1) * m + 1),
+            transit_rows=transit_rows,
+            # the index dtype scipy picks for this shape, so the constructor
+            # takes the index arrays without scanning them
+            index_dtype=sp.get_index_dtype(maxval=size))
+
 
 def build_mass_matrix(layout: AugmentedLayout, wake_k: np.ndarray,
                       tau_k: np.ndarray) -> sp.csc_matrix:
@@ -117,55 +161,45 @@ def build_mass_matrix(layout: AugmentedLayout, wake_k: np.ndarray,
 
     wake_k is (n,) bool; tau_k is (m, L_d) bool with at most one level set
     per arc (two set levels violate the single-delivery structure and raise).
+
+    A waking node keeps one share and sends one per out-arc: into the arc's
+    accepted transit level, or into its excess. A sleeping node keeps all
+    its mass. Transit mass slides one level down per slot (level 1 pours
+    into the destination); the excess rides into the accepted level or
+    stays put.
     """
     topo = layout.topology
-    n, m = topo.n, topo.m
-    l_d = layout.max_effective_delay
+    m, l_d, size = topo.m, layout.max_effective_delay, layout.size
     if tau_k.shape != (m, l_d):
         raise ConfigurationError(f"tau slice shape {tau_k.shape} != "
                                  f"({m}, {l_d})")
-    per_arc = tau_k.sum(axis=1)
-    if np.any(per_arc > 1):
-        a = int(np.argmax(per_arc > 1))
+    t = layout._template
+    # each arc's outflow row: its accepted transit level, else its excess;
+    # the shift is nonzero exactly when a level is set, so a second level
+    # on one arc shows up as more set levels than shifted arcs
+    shift = tau_k @ t.level_shift
+    if np.count_nonzero(tau_k) > np.count_nonzero(shift):
+        a = int(np.argmax(tau_k.sum(axis=1) > 1))
         raise InconsistentScheduleError(
             f"arc {arc_label(int(topo.src[a]), int(topo.dst[a]))}: "
             "two delivery levels in one slot")
-    deg = topo.out_degree()
-    rows, cols, vals = [], [], []
+    dest = t.excess_rows + shift
 
-    def put(r: int, c: int, v: float) -> None:
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    level_of = (tau_k * np.arange(1, l_d + 1)[None, :]).sum(axis=1)
-    for i in range(n):
-        if not wake_k[i]:
-            put(i, i, 1.0)
-            continue
-        share = 1.0 / (deg[i] + 1.0)
-        put(i, i, share)
-        for a in np.flatnonzero(topo.src == i):
-            lvl = level_of[a]
-            if lvl > 0:
-                put(layout.transit_index(a, int(lvl)), i, share)
-            else:
-                put(layout.excess_index(a), i, share)
-    for a in range(m):
-        # transit chain: level 1 pours into the destination, upper levels
-        # slide down; excess rides into the accepted level or stays put.
-        put(topo.dst[a], layout.transit_index(a, 1), 1.0)
-        for lvl in range(2, l_d + 1):
-            put(layout.transit_index(a, lvl - 1),
-                layout.transit_index(a, lvl), 1.0)
-        lvl = level_of[a]
-        if lvl > 0:
-            put(layout.transit_index(a, int(lvl)),
-                layout.excess_index(a), 1.0)
-        else:
-            put(layout.excess_index(a), layout.excess_index(a), 1.0)
-    size = layout.size
-    return sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    # real columns: the diagonal, plus the out-arc entries of waking nodes
+    wake_k = np.asarray(wake_k, dtype=bool)
+    keys = np.sort(np.concatenate((t.diag_keys,
+                                   (t.arc_keys + shift)[wake_k[topo.src]])))
+    col = keys // size
+    idx = t.index_dtype
+    indptr = np.concatenate(([0], np.searchsorted(keys, t.column_ends),
+                             keys.size + t.unit_ptr)).astype(idx)
+    # unit columns: transit slides down; the excess rides into the accepted
+    # level or stays put, i.e. into the arc's outflow row
+    indices = np.concatenate((keys - col * size, t.transit_rows,
+                              dest)).astype(idx)
+    data = np.concatenate((np.where(wake_k, t.share, 1.0)[col],
+                           np.ones((l_d + 1) * m)))
+    return sp.csc_matrix((data, indices, indptr), shape=(size, size))
 
 
 def step_augmented(matrix: sp.csc_matrix, chi: np.ndarray,
@@ -339,30 +373,8 @@ def cross_validate(trace, audit: AuditTrace, x0: np.ndarray,
 
     # Matrix structure: column sums, entry lower bound, real diagonals.
     entry_floor = 1.0 / (topo.out_degree().max(initial=0) + 1.0)
-    col_res, entry_res, diag_res = 0.0, 0.0, 0.0
-    col_bad = entry_bad = diag_bad = None
-    for k, mat in enumerate(audit.matrices):
-        sums = np.asarray(mat.sum(axis=0)).ravel()
-        r = float(np.abs(sums - 1.0).max())
-        col_res = max(col_res, r)
-        if r > 1e-15 and col_bad is None:
-            col_bad = k
-        data = mat.data[mat.data != 0.0]
-        short = float(np.maximum(entry_floor - data, 0.0).max(initial=0.0))
-        entry_res = max(entry_res, short)
-        if short > 1e-15 and entry_bad is None:
-            entry_bad = k
-        diag = mat.diagonal()[:n]
-        if np.any(diag <= 0.0):
-            diag_res = 1.0
-            if diag_bad is None:
-                diag_bad = k
-    report.checks.append(IdentityCheck("matrix-column-sums", col_res,
-                                       col_bad))
-    report.checks.append(IdentityCheck("matrix-entry-floor", entry_res,
-                                       entry_bad))
-    report.checks.append(IdentityCheck("matrix-real-diagonal-positive",
-                                       diag_res, diag_bad))
+    report.checks.extend(_matrix_structure_checks(audit.matrices, n,
+                                                  entry_floor))
 
     # Delivery-indicator exclusions and empty-above-level structure.
     report.checks.append(_check("single-delivery-level",
@@ -386,6 +398,57 @@ def cross_validate(trace, audit: AuditTrace, x0: np.ndarray,
     return report
 
 
+def _matrix_structure_checks(matrices: list, n: int,
+                             entry_floor: float) -> list[IdentityCheck]:
+    """Column sums equal to one, nonzero entries at or above the floor, and
+    positive real diagonals, batched over STRUCTURE_CHUNK slot matrices."""
+    per_slot = np.hstack([np.zeros((3, 0))] + [
+        _structure_residuals(matrices[i:i + STRUCTURE_CHUNK], n, entry_floor)
+        for i in range(0, len(matrices), STRUCTURE_CHUNK)])
+    checks = []
+    for name, res, tol in zip(("matrix-column-sums", "matrix-entry-floor",
+                               "matrix-real-diagonal-positive"),
+                              per_slot, (1e-15, 1e-15, 0.0)):
+        bad = np.flatnonzero(res > tol)
+        checks.append(IdentityCheck(name, float(res.max(initial=0.0)),
+                                    int(bad[0]) if bad.size else None))
+    return checks
+
+
+def _structure_residuals(matrices: list, n: int,
+                         entry_floor: float) -> np.ndarray:
+    """(3, K) per-slot residuals: column-sum error, entry-floor shortfall,
+    and 1.0 where a real diagonal is not positive.
+
+    The CSC matrices' stored entries are concatenated; column sums are
+    add.reduceat over each non-empty column's entries, as scipy computes
+    them, so every residual equals the per-matrix scipy result bit for bit.
+    """
+    K, size = len(matrices), matrices[0].shape[1]
+    nnz = np.array([mat.nnz for mat in matrices])
+    offsets = np.concatenate(([0], np.cumsum(nnz)))
+    data = np.concatenate([mat.data for mat in matrices])
+    indices = np.concatenate([mat.indices for mat in matrices])
+    col_ptr = np.concatenate([mat.indptr[:-1] + off for mat, off
+                              in zip(matrices, offsets)] + [offsets[-1:]])
+    counts = np.diff(col_ptr)                          # (K * size,)
+    slot = np.repeat(np.arange(K), nnz)
+    col = np.repeat(np.tile(np.arange(size), K), counts)
+
+    out = np.zeros((3, K))
+    sums = np.zeros(K * size)                          # empty columns sum to 0
+    filled = counts > 0
+    sums[filled] = np.add.reduceat(data, col_ptr[:-1][filled])
+    out[0] = np.abs(sums - 1.0).reshape(K, size).max(axis=1)
+    np.maximum.at(out[1], slot,
+                  np.where(data != 0.0, entry_floor - data, 0.0))
+    on_diag = (indices == col) & (col < n)
+    diag = np.zeros((K, n))
+    np.add.at(diag, (slot[on_diag], col[on_diag]), data[on_diag])
+    out[2] = np.any(diag <= 0.0, axis=1)
+    return out
+
+
 def _exclusion_windows(ind: DeliveryIndicators) -> tuple[float, int | None]:
     """No two accepted sends on one arc may share a processing slot, and
     processing order must follow send order. Returns (violations, slot)."""
@@ -404,21 +467,24 @@ def _exclusion_windows(ind: DeliveryIndicators) -> tuple[float, int | None]:
 
 
 def _levels_above_accepted(audit: AuditTrace) -> np.ndarray:
-    """Transit mass strictly above an accepted send's level, per slot."""
+    """Transit mass strictly above an accepted send's level, per slot.
+
+    The largest |entry| over every transit block above an accepted level;
+    a block holding NaN never raises the maximum.
+    """
     layout = audit.layout
+    n, m = layout.topology.n, layout.topology.m
     K = audit.chi.shape[0] - 1
     l_d = layout.max_effective_delay
-    out = np.zeros((K, 1))
     level = audit.indicators.accepted_level                 # (K, m)
-    for k in range(K):
-        arcs = np.flatnonzero(level[k])
-        worst = 0.0
-        for a in arcs:
-            for lvl in range(int(level[k, a]) + 1, l_d + 1):
-                idx = layout.transit_index(int(a), lvl)
-                worst = max(worst, float(np.abs(audit.chi[k, idx]).max()))
-        out[k, 0] = worst
-    return out
+    transit = audit.chi[:K, n:n + l_d * m, :].reshape(K, l_d, m, -1)
+    k_idx, l_idx, a_idx = np.nonzero(
+        (level[:, None, :] > 0)
+        & (np.arange(1, l_d + 1)[None, :, None] > level[:, None, :]))
+    block = np.abs(transit[k_idx, l_idx, a_idx]).max(axis=1)
+    worst = np.zeros(K)
+    np.maximum.at(worst, k_idx, np.where(block > 0.0, block, 0.0))
+    return worst[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,17 @@ def _cmd_raps(args) -> int:
         span = min(config.horizon, AUDIT_SPAN_CAP)
         report = verify_run(topo, config.faults, x0, span,
                             config.master_seed, run=0)
-        (outdir / "verify.txt").write_text(report.to_text())
-        for line in report.lines():
-            print(line)
+        _emit_verify(outdir, config, span, report)
     return 0
+
+
+def _emit_verify(outdir: Path, config: ExperimentConfig, span: int,
+                 report) -> None:
+    """Write verify.txt and print it; the first line states the span."""
+    text = f"audited slots 0-{span - 1} of {config.horizon}\n" \
+        + report.to_text()
+    (outdir / "verify.txt").write_text(text)
+    print(text, end="")
 
 
 def _cmd_rasgp(args) -> int:
@@ -132,20 +139,18 @@ def _cmd_rasgp(args) -> int:
           f"R={config.runs} final E_dist {last.e_dist[-1]:.3e} "
           f"E_c {last.e_c[-1]:.3e}")
     if args.verify:
-        report = _audit_optimizer_run(config)
-        (outdir / "verify.txt").write_text(report.to_text())
-        for line in report.lines():
-            print(line)
+        span = min(config.horizon, AUDIT_SPAN_CAP)
+        _emit_verify(outdir, config, span,
+                     _audit_optimizer_run(config, span))
     return 0
 
 
-def _audit_optimizer_run(config: ExperimentConfig):
-    """Rebuild run 0 of the experiment over a capped span and cross-check."""
+def _audit_optimizer_run(config: ExperimentConfig, span: int):
+    """Rebuild the first span slots of run 0 and cross-check them."""
     from .audit import cross_validate, run_linear_audit
     from .optimizer import (OPTIMIZER_INIT_TIMESTAMP, StepSizeLedger,
                             run_gradient_push)
 
-    span = min(config.horizon, AUDIT_SPAN_CAP)
     problem = build_problem(config)
     ledger = StepSizeLedger(numerator=problem.topology.n,
                             mu=problem.objective.mu_total,

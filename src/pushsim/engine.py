@@ -210,7 +210,8 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                     b_i, n_i = np.argwhere(bad)[0]
                     raise ProtocolViolationError(
                         f"non-finite gradient at node {n_i} slot {k} "
-                        f"(run index {runs[b_i]})")
+                        f"(run index {runs[b_i]})",
+                        run=int(runs[b_i]), slot=k, node=int(n_i))
                 beta = ledger.compensated_step_batch(kappa, k)  # (B, n)
                 delta = -beta[:, :, None] * ghat
                 x = np.where(wake_col, x + delta, x)
@@ -271,7 +272,8 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                 b_i, n_i = np.argwhere(y <= 0.0)[0]
                 raise ProtocolViolationError(
                     f"non-positive push-sum weight at node {n_i} slot {k} "
-                    f"(run index {runs[b_i]})")
+                    f"(run index {runs[b_i]})",
+                    run=int(runs[b_i]), slot=k, node=int(n_i))
             z = np.where(wake_col, x / y[:, :, None], z)
 
             if trace is not None:

@@ -14,7 +14,16 @@ class InvalidTopologyError(ConfigurationError):
 
 
 class ProtocolViolationError(PushsimError):
-    """A protocol invariant (e.g. positive weights) was violated at runtime."""
+    """A protocol invariant (e.g. positive weights) was violated at runtime.
+
+    run (run index), slot and node (0-based) locate the violation; each is
+    None when the raiser does not know it.
+    """
+
+    def __init__(self, message: str, run: int | None = None,
+                 slot: int | None = None, node: int | None = None):
+        super().__init__(message)
+        self.run, self.slot, self.node = run, slot, node
 
 
 class InconsistentScheduleError(PushsimError):

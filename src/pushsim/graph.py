@@ -29,12 +29,16 @@ class Topology:
     arcs : tuple of (int, int)
         Directed arcs (src, dst), lexicographically sorted, no self-loops,
         no duplicates.
+    src, dst : read-only int64 arrays
+        Source and destination node of each arc, in arc order.
     """
 
     n: int
     arcs: tuple[tuple[int, int], ...]
     _arc_index: dict[tuple[int, int], int] = field(init=False, repr=False,
                                                    compare=False)
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,6 +56,11 @@ class Topology:
         object.__setattr__(self, "arcs", arcs_sorted)
         object.__setattr__(self, "_arc_index",
                            {a: i for i, a in enumerate(arcs_sorted)})
+        # Per-arc endpoint arrays in arc order, shared read-only by callers.
+        ends = np.array(arcs_sorted, dtype=np.int64).reshape(-1, 2).T.copy()
+        ends.setflags(write=False)
+        object.__setattr__(self, "src", ends[0])
+        object.__setattr__(self, "dst", ends[1])
 
     @property
     def m(self) -> int:
@@ -59,14 +68,6 @@ class Topology:
 
     def arc_index(self, src: int, dst: int) -> int:
         return self._arc_index[(src, dst)]
-
-    @property
-    def src(self) -> np.ndarray:
-        return np.array([a[0] for a in self.arcs], dtype=np.int64)
-
-    @property
-    def dst(self) -> np.ndarray:
-        return np.array([a[1] for a in self.arcs], dtype=np.int64)
 
     def out_degree(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=np.int64)

@@ -524,7 +524,7 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
     Artifacts: manifest.json (config echo + status), per-run raw CSVs
     (optional), errors.csv, k_errors.csv, dataset/optimum files for svm,
     optional errors.svg. On failure the manifest records the failing run
-    index for replay before the error propagates.
+    index, slot and node for replay before the error propagates.
     """
     from . import __version__
 
@@ -555,7 +555,8 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
     except PushsimError as exc:
         manifest["status"] = "failed"
         manifest["error"] = str(exc)
-        manifest["failing_run"] = getattr(exc, "run", None)
+        for key in ("run", "slot", "node"):
+            manifest[f"failing_{key}"] = getattr(exc, key, None)
         _write_manifest(outdir, manifest)
         raise
     e_dist_raw = result.e_dist
@@ -593,11 +594,12 @@ def _write_manifest(outdir: Path, manifest: dict) -> None:
 
 
 def replay(outdir: str | Path, target: str | Path | None = None) -> bool:
-    """Re-run a recorded experiment and byte-compare the raw CSVs.
+    """Re-run a recorded experiment and byte-compare its artifacts.
 
     Reads manifest.json from outdir, re-executes into target (default
-    outdir/replay), and returns True when every persisted raw file matches
-    byte for byte.
+    outdir/replay), and returns True when every persisted raw file,
+    errors.csv and k_errors.csv, and dataset.csv and optimum.csv where
+    either run has them, match byte for byte.
     """
     outdir = Path(outdir)
     manifest_path = outdir / MANIFEST_NAME
@@ -611,10 +613,14 @@ def replay(outdir: str | Path, target: str | Path | None = None) -> bool:
             f"{manifest_path}: no persisted raw files to replay against")
     target = Path(target) if target is not None else outdir / "replay"
     run_experiment(config, target, persist_raw=True)
-    for name in raw_files:
-        if (outdir / name).read_bytes() != (target / name).read_bytes():
-            return False
-    return True
+    names = list(raw_files) + ["errors.csv", "k_errors.csv"]
+    names += [name for name in ("dataset.csv", "optimum.csv")
+              if (outdir / name).exists() or (target / name).exists()]
+    return all(_same_bytes(outdir / name, target / name) for name in names)
+
+
+def _same_bytes(a: Path, b: Path) -> bool:
+    return a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_a1_simulator_matches_linear_audit(campaign):
                     named["psi-real-equals-y"].max_residual / tol)
     ok = not bad and elapsed <= 60.0
     _report("A1", ok,
-            f"20 instances match the exact-arithmetic rebuild "
+            f"20 instances match the float64 sparse-matrix rebuild "
             f"(worst residual at {worst:.1e} of tolerance) in {elapsed:.1f}s")
 
 

@@ -1,24 +1,31 @@
 """Linear audit: augmented matrices, identity checks, bounds, diagnostics."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from mpmath import mp
 
-from pushsim.audit import (AugmentedLayout, build_delivery_indicators,
-                           build_mass_matrix, contraction_bound,
-                           cross_validate, envelope_check, run_linear_audit,
-                           tracking_bound_series, verify_run, wbar_diagnostic,
+from pushsim.audit import (AugmentedLayout, _levels_above_accepted,
+                           build_delivery_indicators, build_mass_matrix,
+                           contraction_bound, cross_validate, envelope_check,
+                           run_linear_audit, tracking_bound_series,
+                           verify_run, wbar_diagnostic,
                            window_positivity_check)
 from pushsim.errors import (ConfigurationError, InconsistentScheduleError,
                             VerificationError)
 from pushsim.engine import run_protocol
 from pushsim.faultnet import FaultBounds, classify_deliveries, realize_schedule
 from pushsim.graph import build_cycle, build_random_strongly_connected
+from pushsim.harness import ExperimentConfig
 from pushsim.objectives import NoiseModel, generate_quadratic
 from pushsim.optimizer import StepSizeLedger, run_gradient_push
 from pushsim.pushsum import run_averaging
 from pushsim.rng import Role, stream
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SYNC = FaultBounds(1, 0, 1)
 ASYNC = FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3)
 
@@ -64,9 +71,13 @@ def test_mass_matrix_rejects_two_levels_per_arc():
     lay = AugmentedLayout(topo, 3)
     wake = np.ones(2, dtype=bool)
     tau = np.zeros((2, 3), dtype=bool)
-    tau[0, 0] = tau[0, 2] = True         # two simultaneous accepted levels
-    with pytest.raises(InconsistentScheduleError):
+    tau[1, 0] = tau[1, 2] = True         # two simultaneous accepted levels
+    with pytest.raises(InconsistentScheduleError,
+                       match=r"^arc 2->1: two delivery levels in one slot$"):
         build_mass_matrix(lay, wake, tau)
+    with pytest.raises(ConfigurationError,
+                       match=r"tau slice shape \(2, 2\) != \(2, 3\)"):
+        build_mass_matrix(lay, wake, tau[:, :2])
 
 
 def test_matrix_columns_are_stochastic_under_faults():
@@ -251,3 +262,182 @@ def test_wbar_consistent_under_faults():
     series = wbar_diagnostic(res.trace, obj, led, res.aug_mean[0])
     assert series.deviation[-1].max() < 0.05
     assert np.linalg.norm(series.wbar[-1] - obj.optimum()) < 0.05
+
+
+# ------------------------------------------- array builders vs references
+
+def reference_mass_matrix(layout, wake_k, tau_k):
+    """Entry-by-entry construction of one slot's matrix, the form the
+    array-based build_mass_matrix must reproduce exactly."""
+    topo = layout.topology
+    n, m = topo.n, topo.m
+    l_d = layout.max_effective_delay
+    deg = topo.out_degree()
+    rows, cols, vals = [], [], []
+
+    def put(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    level_of = (tau_k * np.arange(1, l_d + 1)[None, :]).sum(axis=1)
+    for i in range(n):
+        if not wake_k[i]:
+            put(i, i, 1.0)
+            continue
+        share = 1.0 / (deg[i] + 1.0)
+        put(i, i, share)
+        for a in np.flatnonzero(topo.src == i):
+            lvl = level_of[a]
+            if lvl > 0:
+                put(layout.transit_index(a, int(lvl)), i, share)
+            else:
+                put(layout.excess_index(a), i, share)
+    for a in range(m):
+        put(topo.dst[a], layout.transit_index(a, 1), 1.0)
+        for lvl in range(2, l_d + 1):
+            put(layout.transit_index(a, lvl - 1),
+                layout.transit_index(a, lvl), 1.0)
+        lvl = level_of[a]
+        if lvl > 0:
+            put(layout.transit_index(a, int(lvl)),
+                layout.excess_index(a), 1.0)
+        else:
+            put(layout.excess_index(a), layout.excess_index(a), 1.0)
+    size = layout.size
+    return sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+def reference_levels_above(audit):
+    layout = audit.layout
+    K = audit.chi.shape[0] - 1
+    out = np.zeros((K, 1))
+    level = audit.indicators.accepted_level
+    for k in range(K):
+        worst = 0.0
+        for a in np.flatnonzero(level[k]):
+            for lvl in range(int(level[k, a]) + 1,
+                             layout.max_effective_delay + 1):
+                idx = layout.transit_index(int(a), lvl)
+                worst = max(worst, float(np.abs(audit.chi[k, idx]).max()))
+        out[k, 0] = worst
+    return out
+
+
+def reference_structure(matrices, n, entry_floor):
+    """Per-matrix column sums, entry floor and real diagonals via scipy."""
+    col_res = entry_res = diag_res = 0.0
+    col_bad = entry_bad = diag_bad = None
+    for k, mat in enumerate(matrices):
+        r = float(np.abs(np.asarray(mat.sum(axis=0)).ravel() - 1.0).max())
+        col_res = max(col_res, r)
+        if r > 1e-15 and col_bad is None:
+            col_bad = k
+        data = mat.data[mat.data != 0.0]
+        short = float(np.maximum(entry_floor - data, 0.0).max(initial=0.0))
+        entry_res = max(entry_res, short)
+        if short > 1e-15 and entry_bad is None:
+            entry_bad = k
+        if np.any(mat.diagonal()[:n] <= 0.0):
+            diag_res = 1.0
+            if diag_bad is None:
+                diag_bad = k
+    return [("matrix-column-sums", col_res, col_bad),
+            ("matrix-entry-floor", entry_res, entry_bad),
+            ("matrix-real-diagonal-positive", diag_res, diag_bad)]
+
+
+def reference_schedules():
+    """(schedule, init timestamp, mask) for the schedules the audit meets:
+    the verify_faulty_small instance, the A1 campaign bounds over n = 2..6,
+    and a lossless schedule under an arc mask."""
+    cfg = ExperimentConfig.from_file(CONFIGS / "verify_faulty_small.json")
+    topo = cfg.topology.build(cfg.master_seed)
+    for run in (0, 1):
+        yield realize_schedule(topo, cfg.faults, 200, cfg.master_seed,
+                               run), 0, None
+    for n in range(2, 7):
+        for seed in (11, 19):
+            topo = build_random_strongly_connected(
+                n, 0.5, stream(seed, role=Role.TOPOLOGY))
+            yield realize_schedule(topo, ASYNC, 150, seed, 0), -1 + n % 2, \
+                None
+    topo = build_cycle(5, bidirectional=True)
+    bounds = FaultBounds(3, 0, 3, wake_prob=0.5)
+    mask = np.random.default_rng(0).random((160, topo.m)) < 0.7
+    mask[::3] = True
+    yield realize_schedule(topo, bounds, 150, 33, 0, mask=mask), 0, mask
+
+
+def test_mass_matrices_match_entrywise_reference():
+    slots = 0
+    for sched, init_ts, _ in reference_schedules():
+        ind = build_delivery_indicators(sched, init_ts)
+        lay = AugmentedLayout(sched.topology,
+                              sched.bounds.max_effective_delay)
+        for k in range(sched.horizon):
+            got = build_mass_matrix(lay, ind.wake[k], ind.tau[k])
+            want = reference_mass_matrix(lay, ind.wake[k], ind.tau[k])
+            assert got.nnz == want.nnz
+            assert np.array_equal(got.toarray(), want.toarray())
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            slots += 1
+    assert slots == 2 * 200 + 10 * 150 + 150
+
+
+def test_structure_checks_and_levels_above_match_references():
+    for sched, init_ts, mask in reference_schedules():
+        topo = sched.topology
+        x0 = np.linspace(-2.0, 3.0, 2 * topo.n).reshape(topo.n, 2)
+        res = run_protocol(topo, sched.bounds, x0, sched.horizon, 0,
+                           init_timestamp=init_ts, mask=mask,
+                           record_trace=True)
+        audit = run_linear_audit(sched, x0, init_ts)
+        assert np.array_equal(_levels_above_accepted(audit),
+                              reference_levels_above(audit))
+        floor = 1.0 / (topo.out_degree().max() + 1.0)
+        report = cross_validate(res.trace, audit, x0)
+        got = [(c.name, c.max_residual, c.first_bad_slot)
+               for c in report.checks if c.name.startswith("matrix-")]
+        assert got == reference_structure(audit.matrices, topo.n, floor)
+
+
+def test_structure_checks_flag_broken_matrices_like_reference():
+    topo, x0 = small_faulty_case()
+    sched = realize_schedule(topo, ASYNC, 60, 19, 0)
+    res = run_protocol(topo, ASYNC, x0, 60, 19, record_trace=True)
+    audit = run_linear_audit(sched, x0, 0)
+    mats = [mat.copy() for mat in audit.matrices]
+    mats[7].data[0] *= 0.5                   # column sum and floor break
+    mats[9].data[mats[9].indptr[1]] = 0.0    # node 1's diagonal stored as 0
+    mats[12].data[-1] = 0.0                  # last column left empty
+    mats[12].eliminate_zeros()
+    broken = dataclasses.replace(audit, matrices=mats)
+    report = cross_validate(res.trace, broken, x0)
+    got = [(c.name, c.max_residual, c.first_bad_slot)
+           for c in report.checks if c.name.startswith("matrix-")]
+    floor = 1.0 / (topo.out_degree().max() + 1.0)
+    want = reference_structure(mats, topo.n, floor)
+    assert got == want
+    assert [bad for _, _, bad in want] == [7, 7, 9]
+
+
+def test_levels_above_accepted_sees_misplaced_transit_mass():
+    topo, x0 = small_faulty_case()
+    sched = realize_schedule(topo, ASYNC, 80, 19, 0)
+    audit = run_linear_audit(sched, x0, 0)
+    lay = audit.layout
+    level = audit.indicators.accepted_level
+    hits = np.argwhere((level > 0) & (level < lay.max_effective_delay))
+    chi = audit.chi.copy()
+    (k1, a1), (k2, a2) = hits[0], hits[-1]
+    chi[k1, lay.transit_index(int(a1), lay.max_effective_delay), 1] = -2.5
+    chi[k2, lay.transit_index(int(a2), int(level[k2, a2]) + 1), 0] = 0.75
+    # mass at or below the accepted level, or on a quiet arc, is allowed
+    chi[k2, lay.transit_index(int(a2), int(level[k2, a2])), 0] = 9.0
+    planted = dataclasses.replace(audit, chi=chi)
+    got = _levels_above_accepted(planted)
+    assert np.array_equal(got, reference_levels_above(planted))
+    assert got[k1, 0] == 2.5 and got[k2, 0] == 0.75
+    assert np.count_nonzero(got) == 2

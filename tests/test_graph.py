@@ -39,6 +39,17 @@ def test_arcs_sorted_lexicographically():
     assert topo.arc_index(0, 2) == 1
 
 
+def test_arc_endpoint_arrays_are_read_only():
+    topo = Topology(3, ((2, 0), (0, 1), (1, 2), (0, 2)))
+    assert topo.src.tolist() == [a[0] for a in topo.arcs]
+    assert topo.dst.tolist() == [a[1] for a in topo.arcs]
+    for ends in (topo.src, topo.dst):
+        assert ends.dtype == np.int64 and not ends.flags.writeable
+        with pytest.raises(ValueError):
+            ends[0] = 1
+    assert Topology.singleton().src.shape == (0,)
+
+
 def test_rejects_self_loops_duplicates_and_range():
     with pytest.raises(InvalidTopologyError):
         Topology(3, ((0, 0), (0, 1), (1, 2), (2, 0)))

@@ -1,13 +1,16 @@
 """Experiment harness: config parsing, aggregation, persistence, replay."""
 
+import dataclasses
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from pushsim import harness
 from pushsim.cli import main as cli_main
-from pushsim.errors import ConfigurationError
+from pushsim.errors import ConfigurationError, ProtocolViolationError
+from pushsim.faultnet import realize_schedule
 from pushsim.harness import (ExperimentConfig, aggregate_series,
                              batch_window_means, build_problem,
                              centralized_baseline, ratio_study, read_raw,
@@ -191,7 +194,48 @@ def test_replay_reproduces_and_detects_tampering(tiny_run, tmp_path):
                                    text.splitlines()[5] + "1"))
     assert replay(outdir, target=tmp_path / "replayed2") is False
     victim.write_text(text)
+    errors = outdir / "errors.csv"
+    text = errors.read_text()
+    errors.write_text(text.replace(",", ",0", 1))
+    assert replay(outdir, target=tmp_path / "replayed3") is False
+    errors.write_text(text)
     assert replay(outdir) is True
+
+
+def test_failing_run_located_in_manifest(tmp_path, monkeypatch):
+    # run 2's gradients turn non-finite; the manifest must say where
+    real_build = harness.build_problem
+
+    class NanForRunTwo:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+        def batch_local_gradients(self, z):
+            g = self.inner.batch_local_gradients(z)
+            g[2] = np.nan
+            return g
+
+    def build(cfg):
+        problem = real_build(cfg)
+        return dataclasses.replace(problem,
+                                   objective=NanForRunTwo(problem.objective))
+
+    monkeypatch.setattr(harness, "build_problem", build)
+    cfg = ExperimentConfig.from_mapping(BASE)
+    outdir = tmp_path / "failed"
+    with pytest.raises(ProtocolViolationError):
+        run_experiment(cfg, outdir)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    topo = cfg.topology.build(cfg.master_seed)
+    wake = realize_schedule(topo, cfg.faults, cfg.horizon, cfg.master_seed,
+                            2).wake
+    slot, node = (int(v) for v in np.argwhere(wake)[0])
+    assert (manifest["failing_run"], manifest["failing_slot"],
+            manifest["failing_node"]) == (2, slot, node)
 
 
 def test_baseline_updates_on_gap_and_is_deterministic(tiny_run):
@@ -245,6 +289,18 @@ def test_cli_exit_codes(tmp_path):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
     assert cli_main(["rasgp", "--config", str(bad_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["raps", "rasgp"])
+def test_cli_verify_states_audited_span(command, tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(BASE, runs=2, batch_size=1)))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out),
+                     "--horizon", "1200", "--verify"]) == 0
+    first = (out / "verify.txt").read_text().splitlines()[0]
+    assert first == "audited slots 0-999 of 1200"
+    assert first in capsys.readouterr().out.splitlines()
 
 
 def test_cli_replay_subcommand(tmp_path):

@@ -9,7 +9,8 @@ from pushsim.errors import ConfigurationError, ProtocolViolationError
 from pushsim.faultnet import FaultBounds
 from pushsim.graph import build_cycle
 from pushsim.objectives import (NoiseModel, QuadraticObjective,
-                                box_noise_model, generate_quadratic)
+                                SvmObjective, box_noise_model,
+                                generate_quadratic, generate_svm_dataset)
 from pushsim.optimizer import (OPTIMIZER_INIT_TIMESTAMP, StepSizeLedger,
                                run_gradient_push)
 from pushsim.engine import run_protocol
@@ -184,6 +185,30 @@ def test_nonfinite_gradient_is_reported_with_location():
 
     topo = build_cycle(2, bidirectional=True)
     led = StepSizeLedger(numerator=1.0, mu=1.0, horizon=50)
-    with pytest.raises(ProtocolViolationError, match=r"node|slot"):
+    with pytest.raises(ProtocolViolationError, match=r"node|slot") as info:
         run_gradient_push(topo, SYNC, BadObjective(), NoiseModel(0.0, 1),
                           led, 50, 1, x0=np.array([[4.0], [4.0]]))
+    # both nodes wake at slot 0 under SYNC; the first bad one is node 0
+    assert (info.value.run, info.value.slot, info.value.node) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "svm"])
+def test_runs_are_bit_identical_whatever_batch_they_run_in(kind):
+    topo = build_cycle(4, bidirectional=True)
+    if kind == "quadratic":
+        obj = generate_quadratic(4, 2, master_seed=8)
+        z_star = obj.optimum()
+    else:
+        features, labels = generate_svm_dataset(4, 8, points_per_node=10)
+        obj = SvmObjective(features, labels)
+        z_star = np.zeros(obj.dim)
+    noise = box_noise_model(4.0, obj.dim)
+    led = StepSizeLedger(numerator=4.0, mu=obj.mu_total, horizon=300)
+    runs = (5, 0, 3, 11)
+    batch = run_gradient_push(topo, ASYNC, obj, noise, led, 300, 21,
+                              runs=runs, z_star=z_star)
+    for i, r in enumerate(runs):
+        alone = run_gradient_push(topo, ASYNC, obj, noise, led, 300, 21,
+                                  runs=(r,), z_star=z_star)
+        assert np.array_equal(batch.e_dist[i], alone.e_dist[0])
+        assert np.array_equal(batch.z_final[i], alone.z_final[0])
