@@ -291,13 +291,14 @@ class AuditReport:
 
 
 def _check(name: str, residual: np.ndarray, tol: float) -> IdentityCheck:
-    """residual has slot as leading axis; reduce the rest."""
+    """residual has slot as leading axis; reduce the rest. A NaN residual
+    fails."""
     flat = residual.reshape(residual.shape[0], -1)
     if flat.shape[1] == 0:
         return IdentityCheck(name, 0.0, None)
     per_slot = np.max(np.abs(flat), axis=1)
     worst = float(per_slot.max(initial=0.0))
-    bad = np.flatnonzero(per_slot > tol)
+    bad = np.flatnonzero(~(per_slot <= tol))
     return IdentityCheck(name, worst, int(bad[0]) if bad.size else None)
 
 

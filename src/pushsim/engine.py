@@ -4,29 +4,38 @@ One engine runs both the pure averaging protocol and the optimizer on top of
 it. State lives in numpy arrays with a leading run axis (B runs advance
 together); every operation is elementwise or a fixed-order per-run reduction,
 so each run's trajectory is bit-identical whatever batch it executes in.
+Value and weight share one mass array, ``(B, n, d+1)`` with the weight in
+the last column, and so do the sent and absorbed running totals.
 
-Within one slot the order is:
+Slots are processed in chunks. Each chunk starts with one vectorized pass
+over its realized schedule, which depends on wakes, losses and delays but
+never on the iterates:
 
-1. wake decisions (from the realized schedule);
-2. messages whose arrival slot is now are merged into the per-arc
-   "latest arrived" payload (receivers may still be asleep; the payload
-   waits there);
+1. each node's last wake before and after every slot. The slot before
+   gives the optimizer's sleep-compensated steps for the whole chunk in one
+   ledger call; the gradient noise is mapped in one call too;
+2. the acceptance schedule. Per arc and slot, ``newest`` is the send slot
+   of the newest message that has arrived: arrivals on an arc are FIFO, so
+   it is a running max over messages placed by arrival slot, and messages
+   still in flight carry into the next chunk. An arc accepts at slot k when
+   its receiver wakes and ``newest`` exceeds its value at the receiver's
+   previous wake. An accepted message is at most ``L_d`` slots old.
+
+The slot loop keeps only the data flow. Within one slot:
+
 3. waking nodes apply their value update (optimizer move or external
-   perturbation), stamp the slot, and push: the outgoing share is credited
-   to the running sent-mass counters and the local value shrinks to its own
-   share;
-4. sends scheduled to deliver are written into per-arc ring buffers keyed
-   by arrival slot (delays are at most the transmission bound, so live
-   messages never collide in the buffer);
-5. waking nodes absorb their inbox: per in-arc, the latest arrived payload
-   is applied only if its timestamp strictly exceeds the arc's receive
-   timestamp, and the applied increment is the running-sum difference, so
-   lost or superseded messages are recovered automatically;
-6. waking nodes refresh their estimate z = x / y.
+   perturbation) and push: the outgoing share is credited to the running
+   sent totals, and the local mass shrinks to its own share. The post-push
+   totals go into a history keyed by send slot, ``L_d + 1`` slots deep;
+4. arcs that accept read their message's totals from that history with one
+   flat ``take``. The applied increment is the running-sum difference
+   against what the arc absorbed before, summed over in-arcs in dst-sorted
+   arc order, so lost or superseded messages are recovered automatically;
+5. waking nodes refresh their estimate z = x / y.
 
-Messages consist of running sums, so keeping only the latest arrived payload
-per arc is equivalent to keeping the whole inbox: any older unprocessed
-message is dominated by the newest one.
+Messages consist of running sums, so accepting only the newest arrived
+message per arc is equivalent to processing the whole inbox: any older
+unprocessed message is dominated by the newest one.
 """
 
 from __future__ import annotations
@@ -35,27 +44,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolViolationError
-from .faultnet import (DEFAULT_CHUNK, FaultBounds, RealizerState,
+from .errors import (ConfigurationError, InconsistentScheduleError,
+                     ProtocolViolationError)
+from .faultnet import (DEFAULT_CHUNK, NOT_SENT, FaultBounds, RealizerState,
                        ScheduleDraws, realize_chunk, validate_mask)
 from .graph import Topology
 from . import rng as rngmod
 
+# Send slot standing for "no message" in the acceptance pass.
+_NO_MESSAGE = np.iinfo(np.int64).min
+# numpy sums this many terms or more of a reduction pairwise, fewer left to
+# right.
+_PAIRWISE_MIN = 8
+
 
 @dataclass
 class Trace:
-    """Full per-slot state for one run (trace index = slot boundary)."""
+    """Full per-slot state for one run (trace index = slot boundary).
 
-    x: np.ndarray        # (K+1, n, d)
-    y: np.ndarray        # (K+1, n)
+    Value and weight share one array, and so do the running totals;
+    ``x``/``y``, ``phi_x``/``phi_y`` and ``rho_x``/``rho_y`` are views.
+    """
+
+    mass: np.ndarray     # (K+1, n, d+1)  x, then y in the last column
     z: np.ndarray        # (K+1, n, d)
-    phi_x: np.ndarray    # (K+1, n, d)
-    phi_y: np.ndarray    # (K+1, n)
-    rho_x: np.ndarray    # (K+1, m, d)  indexed by canonical arc order
-    rho_y: np.ndarray    # (K+1, m)
+    phi: np.ndarray      # (K+1, n, d+1)  sent totals
+    rho: np.ndarray      # (K+1, m, d+1)  absorbed totals, canonical arc order
     kappa: np.ndarray    # (K+1, n)
     wake: np.ndarray     # (K, n)
     applied: np.ndarray  # (K, n, d) value deltas applied at wake
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.mass[..., :-1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.mass[..., -1]
+
+    @property
+    def phi_x(self) -> np.ndarray:
+        return self.phi[..., :-1]
+
+    @property
+    def phi_y(self) -> np.ndarray:
+        return self.phi[..., -1]
+
+    @property
+    def rho_x(self) -> np.ndarray:
+        return self.rho[..., :-1]
+
+    @property
+    def rho_y(self) -> np.ndarray:
+        return self.rho[..., -1]
 
 
 @dataclass
@@ -65,6 +106,119 @@ class RunResult:
     zbar: np.ndarray | None        # (B, K+1, d)
     aug_mean: np.ndarray | None    # (B, K+1, d) true mass mean per slot
     trace: Trace | None
+
+
+class _InArcs:
+    """Every receiver's in-arcs in dst-sorted arc order, as a
+    (width, receivers) table of arc ids; short columns are padded with m.
+
+    Per-arc arrays laid out as (width, B, receivers, ...) sum over in-arcs
+    with one elementwise add per table row.
+    """
+
+    def __init__(self, topology: Topology):
+        m = topology.m
+        self.receivers, degree = np.unique(topology.dst, return_counts=True)
+        self.all_nodes = self.receivers.size == topology.n
+        self.width = int(degree.max(initial=0))
+        self.starts = np.cumsum(degree) - degree
+        order = np.lexsort((topology.src, topology.dst))
+        # table position of each dst-sorted arc, and of each arc
+        self.row = np.arange(m) - np.repeat(self.starts, degree)
+        self.col = np.repeat(np.arange(self.receivers.size), degree)
+        self.table = np.full((self.width, self.receivers.size), m)
+        self.table[self.row, self.col] = order
+        self.row_of = np.empty(m, dtype=np.int64)
+        self.col_of = np.empty(m, dtype=np.int64)
+        self.row_of[order], self.col_of[order] = self.row, self.col
+
+    def lay_out(self, per_arc: np.ndarray, pad) -> np.ndarray:
+        """(B, C, m) -> contiguous (C, width, B, receivers)."""
+        fill = np.full(per_arc.shape[:2] + (1,), pad, dtype=per_arc.dtype)
+        padded = np.concatenate([per_arc, fill], axis=2)[:, :, self.table]
+        return np.ascontiguousarray(padded.transpose(1, 2, 0, 3))
+
+    def total(self, inc: np.ndarray) -> np.ndarray:
+        """Per-receiver sums of (width, B, receivers, ...) increments whose
+        padding holds -0.0, the exact identity of addition.
+
+        Bit for bit what ``np.add.reduceat`` over the dst-sorted arcs
+        gives: the first in-arc plus numpy's pairwise sum of the others,
+        which runs left to right below eight terms.
+        """
+        if self.width - 1 >= _PAIRWISE_MIN:
+            return np.add.reduceat(inc[self.row, :, self.col], self.starts,
+                                   axis=0).swapaxes(0, 1)
+        if self.width == 1:
+            return inc[0]
+        rest = inc[1]
+        for j in range(2, self.width):
+            rest = rest + inc[j]
+        return inc[0] + rest
+
+
+class _Acceptance:
+    """Which arc accepts which message at which slot, chunk by chunk, in
+    the in-arc layout.
+
+    Per arc, ``newest`` is the send slot of the newest arrived message and
+    ``seen`` its value at the receiver's last wake; both start at the
+    initial timestamp. ``in_flight`` holds the send slots of messages
+    arriving in the next ``L_del`` slots, by arrival slot.
+    """
+
+    def __init__(self, topology: Topology, in_arcs: _InArcs,
+                 bounds: FaultBounds, batch: int, init_timestamp: int):
+        self.topology, self.in_arcs = topology, in_arcs
+        self.max_age = bounds.max_effective_delay
+        self.span = bounds.max_transmission_delay
+        shape = (in_arcs.width, batch, in_arcs.receivers.size)
+        self.newest = np.full(shape, init_timestamp, dtype=np.int64)
+        self.seen = self.newest.copy()
+        self.in_flight = np.full((self.span,) + shape, _NO_MESSAGE,
+                                 dtype=np.int64)
+
+    def advance(self, first_slot: int, wake: np.ndarray, arrival: np.ndarray,
+                runs) -> tuple[np.ndarray, np.ndarray]:
+        """(accept, newest), both (C, width, B, receivers), for one realized
+        chunk: wake (B, C, n) and arrival (B, C, m)."""
+        arrival = self.in_arcs.lay_out(arrival, NOT_SENT)
+        steps, cell = arrival.shape[0], arrival[0].size
+        # send slots placed by arrival slot
+        arriving = np.full((steps + self.span,) + arrival.shape[1:],
+                           _NO_MESSAGE, dtype=np.int64)
+        arriving[:self.span] = self.in_flight
+        sends = np.flatnonzero(arrival >= 0)
+        sent = first_slot + sends // cell
+        arriving.reshape(-1)[sends + (arrival.reshape(-1)[sends] - sent)
+                             * cell] = sent
+        self.in_flight = arriving[steps:].copy()
+        arriving[0] = np.maximum(arriving[0], self.newest)
+        newest = np.maximum.accumulate(arriving[:steps], axis=0)
+        wake_dst = wake.swapaxes(0, 1)[:, None][..., self.in_arcs.receivers]
+        seen = np.where(wake_dst, newest, _NO_MESSAGE)
+        seen[0] = np.maximum(seen[0], self.seen)
+        seen = np.maximum.accumulate(seen, axis=0)
+        accept = wake_dst & (newest > np.concatenate([self.seen[None],
+                                                      seen[:-1]]))
+        self.newest, self.seen = newest[-1], seen[-1]
+        slots = np.arange(first_slot, first_slot + steps)[:, None, None, None]
+        stale = accept & (newest < slots - self.max_age)
+        if stale.any():
+            c, j, b, r = np.argwhere(stale)[0]
+            arc = self.in_arcs.table[j, r]
+            raise InconsistentScheduleError(
+                f"arc {self.topology.src[arc]}->{self.topology.dst[arc]}: "
+                f"message sent at slot {newest[c, j, b, r]} accepted at "
+                f"slot {first_slot + c}, more than L_d = {self.max_age} "
+                f"slots later (run index {runs[b]})")
+        return accept, newest
+
+
+def _per_slot(a: np.ndarray, cols: int) -> np.ndarray:
+    """(B, C, ...) -> (C, B, ..., cols) with the new last axis repeated, so
+    that each slot's mask or factor is one contiguous block."""
+    return np.repeat(np.moveaxis(a, 1, 0)[..., None], cols, axis=-1)
 
 
 def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
@@ -103,33 +257,34 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     if record_aug_mean is None:
         record_aug_mean = perturbation is not None
 
-    src_idx, dst_idx = topology.src, topology.dst
-    denom = (topology.out_degree() + 1).astype(float)
-    if m:
-        arc_order = np.lexsort((src_idx, dst_idx))
-        sorted_dst = dst_idx[arc_order]
-        group_nodes, group_starts = np.unique(sorted_dst, return_index=True)
+    denom = (topology.out_degree() + 1).astype(float)[None, :, None]
+    depth = bounds.max_effective_delay + 1
+    in_arcs = _InArcs(topology)
 
-    # Protocol state.
-    x = x0.copy()
-    y = np.ones((batch, n))
+    # Protocol state: mass = (x, y) and z per node; the absorbed totals per
+    # in-arc, laid out (width, B, receivers, d+1).
+    mass = np.empty((batch, n, dim + 1))
+    mass[..., :dim] = x0
+    mass[..., dim] = 1.0
+    x, y, y_col = mass[..., :dim], mass[..., dim], mass[..., dim:]
     z = x0.copy()
-    phi_x = np.zeros((batch, n, dim))
-    phi_y = np.zeros((batch, n))
-    kappa = np.full((batch, n), init_timestamp, dtype=np.int64)
-    rho_x = np.zeros((batch, m, dim))
-    rho_y = np.zeros((batch, m))
-    kappa_in = np.full((batch, m), init_timestamp, dtype=np.int64)
-    # Latest arrived (but possibly unprocessed) payload per arc.
-    arr_phi_x = np.zeros((batch, m, dim))
-    arr_phi_y = np.zeros((batch, m))
-    arr_kappa = np.full((batch, m), init_timestamp, dtype=np.int64)
-    # In-flight ring buffers keyed by arrival slot modulo (L_del + 1).
-    span = bounds.max_transmission_delay + 1
-    buf_tag = np.full((batch, m, span), -1, dtype=np.int64)
-    buf_kappa = np.zeros((batch, m, span), dtype=np.int64)
-    buf_phi_x = np.zeros((batch, m, span, dim))
-    buf_phi_y = np.zeros((batch, m, span))
+    rho = np.zeros((in_arcs.width, batch, in_arcs.receivers.size, dim + 1))
+    no_increment = np.zeros_like(rho)
+    pad_row, pad_col = np.nonzero(in_arcs.table == m)
+    no_increment[pad_row, :, pad_col] = -0.0
+    # Post-push running totals keyed by send slot modulo depth; the cell of
+    # slot -1 holds the initial zeros. Row (cell * B + b) * n + i of the
+    # flat view holds node i of run b.
+    history = np.zeros((depth, batch, n, dim + 1))
+    flat_history = history.reshape(-1, dim + 1)
+    src_rows = (np.arange(batch)[:, None] * n
+                + np.append(topology.src, 0)[in_arcs.table][:, None])
+    last_kappa = np.full((batch, n), init_timestamp, dtype=np.int64)
+    acceptance = _Acceptance(topology, in_arcs, bounds, batch,
+                             init_timestamp)
+    if _corrupt_rho is not None:
+        corrupt_at = (in_arcs.row_of[_corrupt_rho[0]], slice(None),
+                      in_arcs.col_of[_corrupt_rho[0]])
 
     schedule_draws = [ScheduleDraws(master_seed, r, n, m) for r in runs]
     realizer = RealizerState.initial(batch, n, m)
@@ -141,30 +296,33 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     e_dist = np.empty((batch, horizon + 1)) if z_star is not None else None
     zbar_out = np.empty((batch, horizon + 1, dim)) if record_zbar else None
     aug_mean = np.empty((batch, horizon + 1, dim)) if record_aug_mean else None
+    track_zbar = z_star is not None or record_zbar
     trace = None
     if record_trace:
         K = horizon
-        trace = Trace(np.empty((K + 1, n, dim)), np.empty((K + 1, n)),
-                      np.empty((K + 1, n, dim)), np.empty((K + 1, n, dim)),
-                      np.empty((K + 1, n)), np.empty((K + 1, m, dim)),
-                      np.empty((K + 1, m)), np.empty((K + 1, n),
-                                                     dtype=np.int64),
+        trace = Trace(np.empty((K + 1, n, dim + 1)),
+                      np.empty((K + 1, n, dim)),
+                      np.empty((K + 1, n, dim + 1)),
+                      np.empty((K + 1, m, dim + 1)),
+                      np.empty((K + 1, n), dtype=np.int64),
                       np.empty((K, n), dtype=bool),
                       np.zeros((K, n, dim)))
+        trace.mass[0], trace.z[0], trace.phi[0] = mass[0], z[0], 0.0
+        trace.rho[0], trace.kappa[0] = 0.0, init_timestamp
 
-    def snapshot(idx: int) -> None:
+    def record_means(first: int, z_slots: np.ndarray) -> None:
+        """Node-mean of z at slot boundaries first, first + 1, ...;
+        z_slots is (slots, B, n, d)."""
+        zbar = z_slots.sum(axis=2) / n
+        span = slice(first, first + len(z_slots))
         if z_star is not None:
-            diff = z.mean(axis=1) - z_star
-            e_dist[:, idx] = np.sum(diff * diff, axis=1)
+            diff = zbar - z_star
+            e_dist[:, span] = np.sum(diff * diff, axis=2).T
         if record_zbar:
-            zbar_out[:, idx] = z.mean(axis=1)
-        if trace is not None:
-            trace.x[idx], trace.y[idx], trace.z[idx] = x[0], y[0], z[0]
-            trace.phi_x[idx], trace.phi_y[idx] = phi_x[0], phi_y[0]
-            trace.rho_x[idx], trace.rho_y[idx] = rho_x[0], rho_y[0]
-            trace.kappa[idx] = kappa[0]
+            zbar_out[:, span] = zbar.swapaxes(0, 1)
 
-    snapshot(0)
+    if track_zbar:
+        record_means(0, z[None])
     aug_sum = x0.sum(axis=1)  # (B, d): total mass over the whole system
     if record_aug_mean:
         aug_mean[:, 0] = aug_sum / n
@@ -172,115 +330,113 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     done = 0
     while done < horizon:
         steps = min(chunk, horizon - done)
-        wake_us, loss_us, delay_us = [], [], []
-        for d_ in schedule_draws:
-            wu, lu, du = d_.draw_chunk(steps)
-            wake_us.append(wu)
-            loss_us.append(lu)
-            delay_us.append(du)
+        ks = np.arange(done, done + steps)
+        draws = [d_.draw_chunk(steps) for d_ in schedule_draws]
         wake_c, arrival_c = realize_chunk(
             bounds, topology, realizer, done, horizon,
-            np.stack(wake_us), np.stack(loss_us), np.stack(delay_us), mask)
+            *(np.stack(u) for u in zip(*draws)), mask)
+        wake_mass = _per_slot(wake_c, dim + 1)         # (C, B, n, d+1)
+        wake_val = _per_slot(wake_c, dim)              # (C, B, n, d)
+
+        # Schedule-only work for the whole chunk. Last wake before and
+        # after every slot:
+        if optimizing or trace is not None:
+            stamps = np.maximum.accumulate(
+                np.where(wake_c, ks[None, :, None], -1), axis=1)
+            kappa_after = np.where(stamps >= 0, stamps, last_kappa[:, None])
+            kappa_before = np.concatenate(
+                [last_kappa[:, None], kappa_after[:, :-1]], axis=1)
+            last_kappa = kappa_after[:, -1]
+            if trace is not None:
+                trace.kappa[done + 1:done + steps + 1] = kappa_after[0]
+                trace.wake[done:done + steps] = wake_c[0]
+        # the compensated steps and the gradient noise:
         if optimizing:
-            noise_c = np.stack([g.random((steps, n, dim))
-                                for g in noise_gens])
+            neg_beta = _per_slot(-ledger.compensated_step_batch(
+                kappa_before, ks[None, :, None]), dim)
+            eps_c = noise.from_uniforms(np.stack(
+                [g.random((steps, n, dim)) for g in noise_gens]))
+        # the arcs that accept, and the history rows of their messages:
+        if m:
+            accept_c, newest_c = acceptance.advance(done, wake_c, arrival_c,
+                                                    runs)
+            accepting = accept_c.any(axis=(1, 2, 3))
+            take_rows = (newest_c % depth) * (batch * n) + src_rows
+            accept_c = np.repeat(accept_c[..., None], dim + 1, axis=-1)
+        z_slots = np.empty((steps, batch, n, dim)) if track_zbar else None
+
         for c in range(steps):
             k = done + c
-            wake = wake_c[:, c, :]                      # (B, n) bool
-            wake_col = wake[:, :, None]
-
-            if m:
-                cell = k % span
-                tag_now = buf_tag[:, :, cell] == k      # (B, m)
-                if tag_now.any():
-                    arr_kappa = np.where(tag_now, buf_kappa[:, :, cell],
-                                         arr_kappa)
-                    arr_phi_x = np.where(tag_now[:, :, None],
-                                         buf_phi_x[:, :, cell, :], arr_phi_x)
-                    arr_phi_y = np.where(tag_now, buf_phi_y[:, :, cell],
-                                         arr_phi_y)
-                    buf_tag[:, :, cell] = np.where(tag_now, -1,
-                                                   buf_tag[:, :, cell])
-
+            applied = None
             if optimizing:
-                eps = noise.from_uniforms(noise_c[:, c])
-                ghat = objective.batch_local_gradients(z) + eps
-                bad = wake & ~np.all(np.isfinite(ghat), axis=2)
-                if bad.any():
-                    b_i, n_i = np.argwhere(bad)[0]
-                    raise ProtocolViolationError(
-                        f"non-finite gradient at node {n_i} slot {k} "
-                        f"(run index {runs[b_i]})",
-                        run=int(runs[b_i]), slot=k, node=int(n_i))
-                beta = ledger.compensated_step_batch(kappa, k)  # (B, n)
-                delta = -beta[:, :, None] * ghat
-                x = np.where(wake_col, x + delta, x)
-                applied = np.where(wake_col, delta, 0.0)
-                aug_sum = aug_sum + applied.sum(axis=1)
-                if trace is not None:
-                    trace.applied[k] = applied[0]
+                ghat = objective.batch_local_gradients(z) + eps_c[:, c]
+                finite = np.isfinite(ghat)
+                if not finite.all():
+                    bad = wake_c[:, c] & ~np.all(finite, axis=2)
+                    if bad.any():
+                        b_i, n_i = np.argwhere(bad)[0]
+                        raise ProtocolViolationError(
+                            f"non-finite gradient at node {n_i} slot {k} "
+                            f"(run index {runs[b_i]})",
+                            run=int(runs[b_i]), slot=k, node=int(n_i))
+                delta = neg_beta[c] * ghat
+                # the masked add runs faster on a contiguous copy of x
+                moved = np.ascontiguousarray(x)
+                np.add(moved, delta, out=moved, where=wake_val[c])
+                x[...] = moved
+                if record_aug_mean or trace is not None:
+                    applied = np.where(wake_val[c], delta, 0.0)
             elif perturbation is not None:
                 delta = perturbation(k)
                 if delta is not None:
-                    delta = np.asarray(delta, dtype=float)
-                    applied = np.where(wake_col, delta[None], 0.0)
-                    x = x + applied
-                    aug_sum = aug_sum + applied.sum(axis=1)
-                    if trace is not None:
-                        trace.applied[k] = applied[0]
+                    applied = np.where(wake_val[c],
+                                       np.asarray(delta, dtype=float)[None],
+                                       0.0)
+                    x += applied
+            if applied is not None:
+                aug_sum = aug_sum + applied.sum(axis=1)
+                if trace is not None:
+                    trace.applied[k] = applied[0]
 
-            kappa = np.where(wake, k, kappa)
-            share_x = x / denom[None, :, None]
-            share_y = y / denom[None, :]
-            phi_x = np.where(wake_col, phi_x + share_x, phi_x)
-            phi_y = np.where(wake, phi_y + share_y, phi_y)
-            x = np.where(wake_col, share_x, x)
-            y = np.where(wake, share_y, y)
+            # Push: keep one share, add the rest to the sent totals.
+            phi = history[k % depth]
+            np.copyto(phi, history[(k - 1) % depth])
+            np.divide(mass, denom, out=mass, where=wake_mass[c])
+            np.add(phi, mass, out=phi, where=wake_mass[c])
 
-            if m:
-                arrival = arrival_c[:, c, :]            # (B, m)
-                delivered = arrival >= 0
-                if delivered.any():
-                    b_i, a_i = np.nonzero(delivered)
-                    cells = arrival[b_i, a_i] % span
-                    buf_tag[b_i, a_i, cells] = arrival[b_i, a_i]
-                    buf_kappa[b_i, a_i, cells] = k
-                    buf_phi_x[b_i, a_i, cells, :] = phi_x[b_i, src_idx[a_i], :]
-                    buf_phi_y[b_i, a_i, cells] = phi_y[b_i, src_idx[a_i]]
-
-                accept = wake[:, dst_idx] & (arr_kappa > kappa_in)
-                if _corrupt_rho is not None and _corrupt_rho[1] == k:
-                    rho_mask = accept.copy()
-                    rho_mask[:, _corrupt_rho[0]] = False
+            # Receive: difference the accepted totals against the absorbed.
+            if m and accepting[c]:
+                accept = accept_c[c]
+                payload = flat_history.take(take_rows[c], axis=0)
+                inc = np.subtract(payload, rho, out=no_increment.copy(),
+                                  where=accept)
+                if in_arcs.all_nodes:
+                    mass += in_arcs.total(inc)
                 else:
-                    rho_mask = accept
-                if accept.any():
-                    inc_x = np.where(accept[:, :, None], arr_phi_x - rho_x,
-                                     0.0)
-                    inc_y = np.where(accept, arr_phi_y - rho_y, 0.0)
-                    x_sums = np.add.reduceat(inc_x[:, arc_order, :],
-                                             group_starts, axis=1)
-                    y_sums = np.add.reduceat(inc_y[:, arc_order],
-                                             group_starts, axis=1)
-                    x[:, group_nodes, :] += x_sums
-                    y[:, group_nodes] += y_sums
-                    rho_x = np.where(rho_mask[:, :, None], arr_phi_x, rho_x)
-                    rho_y = np.where(rho_mask, arr_phi_y, rho_y)
-                    kappa_in = np.where(accept, arr_kappa, kappa_in)
+                    mass[:, in_arcs.receivers] += in_arcs.total(inc)
+                if _corrupt_rho is not None and _corrupt_rho[1] == k:
+                    accept = accept.copy()
+                    accept[corrupt_at] = False
+                np.copyto(rho, payload, where=accept)
 
-            if not np.all(y > 0.0):
-                b_i, n_i = np.argwhere(y <= 0.0)[0]
+            if not y.min() > 0.0:
+                b_i, n_i = np.argwhere(~(y > 0.0))[0]
                 raise ProtocolViolationError(
                     f"non-positive push-sum weight at node {n_i} slot {k} "
                     f"(run index {runs[b_i]})",
                     run=int(runs[b_i]), slot=k, node=int(n_i))
-            z = np.where(wake_col, x / y[:, :, None], z)
+            np.divide(x, y_col, out=z, where=wake_val[c])
 
+            if track_zbar:
+                z_slots[c] = z
             if trace is not None:
-                trace.wake[k] = wake[0]
-            snapshot(k + 1)
+                trace.mass[k + 1], trace.z[k + 1] = mass[0], z[0]
+                trace.phi[k + 1] = phi[0]
+                trace.rho[k + 1] = rho[in_arcs.row_of, 0, in_arcs.col_of]
             if record_aug_mean:
                 aug_mean[:, k + 1] = aug_sum / n
+        if track_zbar:
+            record_means(done + 1, z_slots)
         done += steps
 
     return RunResult(z_final=z, e_dist=e_dist, zbar=zbar_out,

@@ -39,7 +39,7 @@ from .graph import Topology, is_strongly_connected
 NOT_SENT = -2   # source asleep, or arc masked this slot
 LOST = -1       # send attempted and lost
 
-DEFAULT_CHUNK = 512
+DEFAULT_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -174,33 +174,35 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
     """
     batch, chunk, _ = wake_u.shape
     src_idx = topology.src
-    wake_out = np.empty((batch, chunk, topology.n), dtype=bool)
+    gap, lf = bounds.max_wake_gap, bounds.max_consecutive_losses
+    # Outcomes that depend on the draws alone, for the whole chunk; the
+    # streak recursions below stay slot by slot. Sends occur only before
+    # the horizon.
+    wake_out = wake_u < bounds.wake_prob
+    sends = max(0, min(chunk, horizon - first_slot)) if topology.m else 0
     arrival_out = np.full((batch, chunk, topology.m), NOT_SENT,
                           dtype=np.int64)
-    gap, lf = bounds.max_wake_gap, bounds.max_consecutive_losses
+    lossy = loss_u[:, :sends] < bounds.loss_prob
+    raw = (np.arange(first_slot, first_slot + sends)[None, :, None]
+           + rngmod.uniform_delay(delay_u[:, :sends],
+                                  bounds.max_transmission_delay))
     for c in range(chunk):
-        k = first_slot + c
-        forced = state.slots_asleep >= gap - 1
-        wake = forced | (wake_u[:, c, :] < bounds.wake_prob)
+        wake = wake_out[:, c, :]
+        wake |= state.slots_asleep >= gap - 1
         state.slots_asleep = np.where(wake, 0, state.slots_asleep + 1)
-        wake_out[:, c, :] = wake
-        if k >= horizon or topology.m == 0:
+        if c >= sends:
             continue
         attempted = wake[:, src_idx]
         if mask is not None:
-            attempted = attempted & mask[k]
-        forced_ok = state.fail_streak >= lf
-        lost = attempted & ~forced_ok & (loss_u[:, c, :] < bounds.loss_prob)
-        delivered = attempted & ~lost
-        raw = k + rngmod.uniform_delay(delay_u[:, c, :],
-                                       bounds.max_transmission_delay)
-        arrival = np.maximum(raw, state.last_arrival + 1)
-        state.fail_streak = np.where(delivered, 0,
-                                     np.where(lost, state.fail_streak + 1,
-                                              state.fail_streak))
+            attempted &= mask[first_slot + c].astype(bool, copy=False)
+        lost = attempted & (state.fail_streak < lf) & lossy[:, c, :]
+        delivered = attempted ^ lost
+        arrival = np.maximum(raw[:, c, :], state.last_arrival + 1)
+        state.fail_streak = np.where(delivered, 0, state.fail_streak + lost)
         state.last_arrival = np.where(delivered, arrival, state.last_arrival)
-        arrival_out[:, c, :] = np.where(delivered, arrival,
-                                        np.where(attempted, LOST, NOT_SENT))
+        out = arrival_out[:, c, :]
+        out[attempted] = LOST
+        np.copyto(out, arrival, where=delivered)
     return wake_out, arrival_out
 
 

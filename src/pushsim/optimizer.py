@@ -58,7 +58,9 @@ class StepSizeLedger:
         return float(self.prefix[k + 1] - self.prefix[last_wake + 1])
 
     def compensated_step_batch(self, last_wake: np.ndarray,
-                               k: int) -> np.ndarray:
+                               k: int | np.ndarray) -> np.ndarray:
+        """compensated_step elementwise; k broadcasts against last_wake, so
+        one call covers many slots."""
         return self.prefix[k + 1] - self.prefix[last_wake + 1]
 
 

@@ -441,3 +441,28 @@ def test_levels_above_accepted_sees_misplaced_transit_mass():
     assert np.array_equal(got, reference_levels_above(planted))
     assert got[k1, 0] == 2.5 and got[k2, 0] == 0.75
     assert np.count_nonzero(got) == 2
+
+
+def test_nan_state_fails_the_audit():
+    # a NaN injection must not pass as "ok": every identity the NaN
+    # reaches has to flag the slot
+    topo = build_cycle(3, bidirectional=True)
+    x0 = np.arange(6.0).reshape(3, 2)
+    horizon, seed = 40, 2
+    nan = np.full((3, 2), np.nan)
+    bump = lambda k: nan if k == 5 else None
+    sched = realize_schedule(topo, ASYNC, horizon, seed, 0)
+    assert sched.wake[5].any()
+    res = run_protocol(topo, ASYNC, x0, horizon, seed, perturbation=bump,
+                       record_trace=True)
+    audit = run_linear_audit(sched, x0, 0, applied=res.trace.applied)
+    report = cross_validate(res.trace, audit, x0, applied=res.trace.applied)
+    assert not report.ok
+    flagged = {c.name: c for c in report.checks
+               if c.first_bad_slot is not None}
+    for name in ("chi-real-equals-x", "excess-plus-transit-plus-absorbed",
+                 "mass-conservation"):
+        assert np.isnan(flagged[name].max_residual), name
+    assert min(c.first_bad_slot for c in flagged.values()) >= 5
+    with pytest.raises(VerificationError, match="slot"):
+        verify_run(topo, ASYNC, x0, horizon, seed, perturbation=bump)

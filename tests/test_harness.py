@@ -149,6 +149,61 @@ def test_reduce_metrics_multiplies_before_windowing():
     assert abs(series.e_dist[0] * series.k[0] - 1.0) > 3.0
 
 
+# ------------------------------------------------------- CSV writers
+
+def reference_raw(e_dist, e_c):
+    """Row-by-row f-string form the writers must reproduce byte for byte."""
+    lines = ["k,E_dist,E_c"]
+    for k in range(e_dist.shape[0]):
+        lines.append(f"{k},{e_dist[k]:.17g},{e_c[k]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_errors(series):
+    lines = ["k,E_dist,E_c,E_dist_std,E_c_std"]
+    for i, k in enumerate(series.k):
+        lines.append(f"{int(k)},{series.e_dist[i]:.17g},"
+                     f"{series.e_c[i]:.17g},{series.e_dist_std[i]:.17g},"
+                     f"{series.e_c_std[i]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_k_errors(series):
+    lines = ["k,k_E_dist,k_E_c"]
+    for i, k in enumerate(series.k):
+        lines.append(f"{int(k)},{series.k_e_dist[i]:.17g},"
+                     f"{series.k_e_c[i]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                  2.2250738585072014e-308, 1e300, -1e300, np.inf, -np.inf,
+                  np.nan, 0.1, 1.0 / 3.0, 123456789.0]
+
+
+@pytest.mark.parametrize("k_dtype", [int, float])
+def test_csv_writers_match_row_by_row_formatting(tmp_path, k_dtype):
+    rng = np.random.default_rng(5)
+    size = 3 * len(SPECIAL_VALUES)
+    cols = [np.concatenate([np.roll(SPECIAL_VALUES, j),
+                            rng.standard_normal(size - len(SPECIAL_VALUES))
+                            * 10.0 ** rng.integers(-300, 300,
+                                                   size - len(SPECIAL_VALUES))])
+            for j in range(6)]
+    path = tmp_path / "raw.csv"
+    harness._write_raw(path, cols[0], cols[1])
+    assert path.read_text() == reference_raw(cols[0], cols[1])
+    series = harness.MetricSeries(
+        (np.arange(size) * 100 + 100).astype(k_dtype), *cols[:6])
+    harness._write_errors(path, series)
+    assert path.read_text() == reference_errors(series)
+    harness._write_k_errors(path, series)
+    assert path.read_text() == reference_k_errors(series)
+    empty = np.empty(0)
+    harness._write_raw(path, empty, empty)
+    assert path.read_text() == reference_raw(empty, empty)
+
+
 # ------------------------------------------------- experiment pipeline
 
 @pytest.fixture(scope="module")

@@ -93,10 +93,10 @@ def test_engine_matches_reference_implementation_exactly():
     # vectorized engine against the object-per-node oracle, faulty async
     topo = build_cycle(4, bidirectional=True)
     x0 = np.arange(8.0).reshape(4, 2)
-    for run in (0, 1):
+    for run, chunk in ((0, 128), (1, 128), (0, 7)):
         ref = reference_averaging_run(topo, ASYNC, x0, 120, 21, run=run)
         res = run_averaging(topo, ASYNC, x0, 120, 21, runs=(run,),
-                            record_trace=True)
+                            record_trace=True, chunk=chunk)
         tr = res.trace
         for name in ("x", "y", "z", "phi_x", "phi_y", "rho_x", "rho_y",
                      "kappa", "wake"):
@@ -169,3 +169,70 @@ def test_dump_state_trace_round_trip(tmp_path):
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert first["slot"] == "0" and float(first["x0"]) == 1.0
     assert float(first["y"]) == 1.0
+
+
+CHUNKS = (1, 2, 3, 7, 128, 512)
+
+
+def test_engine_results_do_not_depend_on_chunk_size():
+    # in-flight arrivals, last wakes and accepted send slots carry across
+    # chunk boundaries; every chunking must give the same bits
+    from pushsim.objectives import box_noise_model, generate_quadratic
+    from pushsim.optimizer import StepSizeLedger, run_gradient_push
+    topo = build_cycle(4, bidirectional=True)
+    obj = generate_quadratic(4, 2, master_seed=8)
+    led = StepSizeLedger(numerator=4.0, mu=obj.mu_total, horizon=300)
+    x0 = np.arange(8.0).reshape(4, 2)
+    bump = np.full((4, 2), 0.01)
+    masked = build_cycle(5, bidirectional=True)
+    mask = np.random.default_rng(0).random((300, masked.m)) < 0.7
+    mask[::3] = True
+    lossless = FaultBounds(3, 0, 3, wake_prob=0.5)
+    assert ASYNC.max_transmission_delay == 3
+
+    def outputs(chunk):
+        opt = run_gradient_push(topo, ASYNC, obj, box_noise_model(4.0, 2),
+                                led, 300, 21, runs=(5, 0, 3),
+                                z_star=obj.optimum(), chunk=chunk)
+        pert = run_perturbed_averaging(topo, ASYNC, x0, 300, 13,
+                                       perturbation=lambda k: bump,
+                                       record_trace=True, chunk=chunk)
+        mask_run = run_averaging(masked, lossless, np.ones((5, 1)), 300, 33,
+                                 mask=mask, record_trace=True, chunk=chunk)
+        out = {"opt.e_dist": opt.e_dist, "opt.z_final": opt.z_final,
+               "pert.aug_mean": pert.aug_mean}
+        for name, res in (("pert", pert), ("mask", mask_run)):
+            for field in ("x", "y", "z", "phi_x", "phi_y", "rho_x", "rho_y",
+                          "kappa", "wake", "applied"):
+                out[f"{name}.{field}"] = getattr(res.trace, field)
+        return out
+
+    want = outputs(CHUNKS[-1])
+    for chunk in CHUNKS[:-1]:
+        got = outputs(chunk)
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), (chunk, name)
+
+
+def test_engine_rejects_acceptance_older_than_effective_delay(monkeypatch):
+    # a schedule in which both nodes sleep longer than L_u allows: the
+    # slot-0 message is still the newest when node 1 wakes at slot 4
+    from pushsim import engine, faultnet
+    from pushsim.errors import InconsistentScheduleError
+
+    def starved(bounds, topology, state, first_slot, horizon, *draws):
+        wake, arrival = faultnet.realize_chunk(bounds, topology, state,
+                                               first_slot, horizon, *draws)
+        slots = np.arange(first_slot, first_slot + wake.shape[1])
+        asleep = (slots >= 1) & (slots <= 3)
+        wake[:, asleep, :] = False
+        arrival[:, asleep, :] = faultnet.NOT_SENT
+        return wake, arrival
+
+    monkeypatch.setattr(engine, "realize_chunk", starved)
+    topo = build_cycle(2, bidirectional=True)
+    # timestamps start at -1, so the slot-0 message is acceptable
+    with pytest.raises(InconsistentScheduleError,
+                       match="slot 0 accepted at slot 4"):
+        engine.run_protocol(topo, SYNC, np.array([[0.0], [1.0]]), 10, 3,
+                            init_timestamp=-1)
