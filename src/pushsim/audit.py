@@ -526,11 +526,11 @@ def envelope_check(z: np.ndarray, x0: np.ndarray,
                    bound: ContractionBound) -> tuple[bool, int | None]:
     """Per-slot check of |z_i(k) - mean(x0)| <= delta * lam^k * l1(x0).
 
-    z is (K+1, n, d); the comparison runs per coordinate in extended
-    precision. Returns (ok, first failing slot).
+    z is (K+1, n, d); the comparison runs per coordinate at
+    CONTRACTION_DPS digits, so a bound that is vacuous in double precision
+    (its decay lies below float resolution) is still evaluated exactly.
+    Returns (ok, first failing slot).
     """
-    if bound.vacuous:
-        raise ConfigurationError("envelope check needs a non-vacuous bound")
     x0 = np.asarray(x0, dtype=float)
     mean = x0.mean(axis=0)
     err = np.abs(z - mean[None, None, :]).max(axis=1)    # (K+1, d)
@@ -597,22 +597,26 @@ def window_positivity_check(audit: AuditTrace,
 
 def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
                master_seed: int, run: int = 0, init_timestamp: int = 0,
-               perturbation=None, mask: np.ndarray | None = None,
+               update=None, mask: np.ndarray | None = None,
                check_windows: bool = False) -> AuditReport:
     """Simulate one run, rebuild it as the augmented linear system, and
-    return the identity report (raising on any failure)."""
+    return the identity report (raising on any failure).
+
+    update is the run's wake-time update (``engine.run_protocol``), such as
+    ``pushsum.Injection`` or ``optimizer.GradientStep`` built for this run;
+    the moves it applies enter the rebuild as injections.
+    """
     from .engine import run_protocol
     from .faultnet import realize_schedule
 
     x0 = np.asarray(x0, dtype=float)
     result = run_protocol(topology, bounds, x0, horizon, master_seed,
                           runs=(run,), init_timestamp=init_timestamp,
-                          perturbation=perturbation, mask=mask,
-                          record_trace=True)
+                          update=update, mask=mask, record_trace=True)
     trace = result.trace
     schedule = realize_schedule(topology, bounds, horizon, master_seed,
                                 run, mask=mask)
-    applied = trace.applied if perturbation is not None else None
+    applied = trace.applied if update is not None else None
     audit = run_linear_audit(schedule, x0, init_timestamp, applied=applied)
     report = cross_validate(trace, audit, x0, applied=applied)
     if check_windows:
@@ -633,8 +637,7 @@ class WbarSeries:
     deviation: np.ndarray     # (K+1, n) distance of each estimate from wbar
 
 
-def wbar_diagnostic(trace, objective, ledger,
-                    aug_mean: np.ndarray) -> WbarSeries:
+def wbar_diagnostic(trace, objective, ledger) -> WbarSeries:
     """Average of per-node values with pending compensated steps removed.
 
     For real nodes, w_i(k) = x_i(k) - (sum of step sizes for the slots slept
@@ -643,6 +646,7 @@ def wbar_diagnostic(trace, objective, ledger,
     centralized gradient recursion, and every estimate converges to it.
     """
     K1, n, dim = trace.x.shape
+    aug_mean = trace.aug_mean
     wbar = np.empty((K1, dim))
     dev = np.empty((K1, n))
     prefix = ledger.prefix

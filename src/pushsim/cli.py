@@ -22,9 +22,9 @@ import numpy as np
 from .audit import verify_run
 from .engine import run_protocol
 from .errors import ConfigurationError, PushsimError, VerificationError
-from .faultnet import realize_schedule
 from .harness import (ExperimentConfig, build_problem, ratio_study,
                       replay, run_experiment, write_line_plot)
+from .optimizer import OPTIMIZER_INIT_TIMESTAMP, GradientStep, StepSizeLedger
 from .pushsum import dump_state_trace
 from .rng import Role, stream, uniform_box
 
@@ -139,36 +139,21 @@ def _cmd_rasgp(args) -> int:
           f"R={config.runs} final E_dist {last.e_dist[-1]:.3e} "
           f"E_c {last.e_c[-1]:.3e}")
     if args.verify:
+        # rebuild the first span slots of run 0 and cross-check them
         span = min(config.horizon, AUDIT_SPAN_CAP)
-        _emit_verify(outdir, config, span,
-                     _audit_optimizer_run(config, span))
+        problem = build_problem(config)
+        topo, objective = problem.topology, problem.objective
+        ledger = StepSizeLedger(numerator=topo.n, mu=objective.mu_total,
+                                horizon=span, k0=config.step_offset)
+        step = GradientStep(objective, problem.noise, ledger,
+                            config.master_seed, runs=(0,))
+        report = verify_run(topo, config.faults,
+                            np.ones((topo.n, objective.dim)), span,
+                            config.master_seed, run=0,
+                            init_timestamp=OPTIMIZER_INIT_TIMESTAMP,
+                            update=step)
+        _emit_verify(outdir, config, span, report)
     return 0
-
-
-def _audit_optimizer_run(config: ExperimentConfig, span: int):
-    """Rebuild the first span slots of run 0 and cross-check them."""
-    from .audit import cross_validate, run_linear_audit
-    from .optimizer import (OPTIMIZER_INIT_TIMESTAMP, StepSizeLedger,
-                            run_gradient_push)
-
-    problem = build_problem(config)
-    ledger = StepSizeLedger(numerator=problem.topology.n,
-                            mu=problem.objective.mu_total,
-                            horizon=span, k0=config.step_offset)
-    result = run_gradient_push(problem.topology, config.faults,
-                               problem.objective, problem.noise, ledger,
-                               span, config.master_seed, runs=(0,),
-                               record_trace=True)
-    trace = result.trace
-    schedule = realize_schedule(problem.topology, config.faults, span,
-                                config.master_seed, 0)
-    audit = run_linear_audit(schedule, trace.x[0],
-                             OPTIMIZER_INIT_TIMESTAMP,
-                             applied=trace.applied)
-    report = cross_validate(trace, audit, trace.x[0],
-                            applied=trace.applied)
-    report.raise_on_failure()
-    return report
 
 
 def _cmd_verify(args) -> int:

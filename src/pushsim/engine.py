@@ -1,19 +1,38 @@
 """Batched slot-loop executor for the push-based protocols.
 
-One engine runs both the pure averaging protocol and the optimizer on top of
-it. State lives in numpy arrays with a leading run axis (B runs advance
-together); every operation is elementwise or a fixed-order per-run reduction,
-so each run's trajectory is bit-identical whatever batch it executes in.
-Value and weight share one mass array, ``(B, n, d+1)`` with the weight in
-the last column, and so do the sent and absorbed running totals.
+One engine runs plain averaging, perturbed averaging and gradient-push.
+State lives in numpy arrays with a leading run axis (B runs advance
+together); every operation is elementwise or a fixed-order per-run
+reduction, so each run's trajectory is bit-identical whatever batch it
+executes in. Value and weight share one mass array, ``(B, n, d+1)`` with
+the weight in the last column, and so do the sent and absorbed running
+totals.
+
+What sets the protocols apart is one optional wake-time ``update`` object
+with two methods:
+
+- ``update.chunk(kappa_before, slots)`` is called once per chunk, before
+  its slot loop. ``slots`` holds the chunk's slot numbers, shape ``(C,)``,
+  and ``kappa_before`` each node's last wake before every one of them,
+  shape ``(B, C, n)``. Schedule-only work goes here, such as the optimizer's
+  sleep-compensated steps and its gradient noise;
+- ``update.delta(c, k, z, wake)`` is called at slot ``k``, the ``c``-th of
+  the chunk, with the estimates ``z`` ``(B, n, d)`` and the waking nodes
+  ``wake`` ``(B, n)``. It returns the value change that waking nodes apply
+  before they push, shaped ``(B, n, d)`` or ``(n, d)``, or ``None`` for no
+  change.
+
+The engine adds the change to waking nodes only and records it, zeroed at
+sleeping nodes, in ``Trace.applied``. ``optimizer.GradientStep`` and
+``pushsum.Injection`` are the two updates; without one the engine runs
+plain averaging.
 
 Slots are processed in chunks. Each chunk starts with one vectorized pass
 over its realized schedule, which depends on wakes, losses and delays but
 never on the iterates:
 
-1. each node's last wake before and after every slot. The slot before
-   gives the optimizer's sleep-compensated steps for the whole chunk in one
-   ledger call; the gradient noise is mapped in one call too;
+1. each node's last wake before and after every slot; the slot before is
+   what ``update.chunk`` receives;
 2. the acceptance schedule. Per arc and slot, ``newest`` is the send slot
    of the newest message that has arrived: arrivals on an arc are FIFO, so
    it is a running max over messages placed by arrival slot, and messages
@@ -23,10 +42,10 @@ never on the iterates:
 
 The slot loop keeps only the data flow. Within one slot:
 
-3. waking nodes apply their value update (optimizer move or external
-   perturbation) and push: the outgoing share is credited to the running
-   sent totals, and the local mass shrinks to its own share. The post-push
-   totals go into a history keyed by send slot, ``L_d + 1`` slots deep;
+3. waking nodes apply their update and push: the outgoing share is
+   credited to the running sent totals, and the local mass shrinks to its
+   own share. The post-push totals go into a history keyed by send slot,
+   ``L_d + 1`` slots deep;
 4. arcs that accept read their message's totals from that history with one
    flat ``take``. The applied increment is the running-sum difference
    against what the arc absorbed before, summed over in-arcs in dst-sorted
@@ -49,7 +68,6 @@ from .errors import (ConfigurationError, InconsistentScheduleError,
 from .faultnet import (DEFAULT_CHUNK, NOT_SENT, FaultBounds, RealizerState,
                        ScheduleDraws, realize_chunk, validate_mask)
 from .graph import Topology
-from . import rng as rngmod
 
 # Send slot standing for "no message" in the acceptance pass.
 _NO_MESSAGE = np.iinfo(np.int64).min
@@ -73,6 +91,14 @@ class Trace:
     kappa: np.ndarray    # (K+1, n)
     wake: np.ndarray     # (K, n)
     applied: np.ndarray  # (K, n, d) value deltas applied at wake
+
+    @property
+    def aug_mean(self) -> np.ndarray:
+        """(K+1, d) mean of all mass in the system, in transit and excess
+        included: the initial mass plus every applied delta, over n."""
+        totals = np.concatenate([self.x[:1].sum(axis=1),
+                                 self.applied.sum(axis=1)])
+        return np.cumsum(totals, axis=0) / self.x.shape[1]
 
     @property
     def x(self) -> np.ndarray:
@@ -103,8 +129,6 @@ class Trace:
 class RunResult:
     z_final: np.ndarray            # (B, n, d)
     e_dist: np.ndarray | None      # (B, K+1) squared error of node-mean z
-    zbar: np.ndarray | None        # (B, K+1, d)
-    aug_mean: np.ndarray | None    # (B, K+1, d) true mass mean per slot
     trace: Trace | None
 
 
@@ -223,17 +247,13 @@ def _per_slot(a: np.ndarray, cols: int) -> np.ndarray:
 
 def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                  horizon: int, master_seed: int, runs: tuple[int, ...] = (0,),
-                 init_timestamp: int = 0,
-                 objective=None, noise=None, ledger=None,
-                 perturbation=None,
+                 init_timestamp: int = 0, update=None,
                  mask: np.ndarray | None = None,
                  z_star: np.ndarray | None = None,
                  record_trace: bool = False,
-                 record_zbar: bool = False,
-                 record_aug_mean: bool | None = None,
-                 chunk: int = DEFAULT_CHUNK,
-                 _corrupt_rho: tuple[int, int] | None = None) -> RunResult:
-    """Advance B = len(runs) runs for `horizon` slots from shared x0."""
+                 chunk: int = DEFAULT_CHUNK) -> RunResult:
+    """Advance B = len(runs) runs for `horizon` slots from shared x0,
+    applying the optional wake-time `update` (see the module docstring)."""
     n, m = topology.n, topology.m
     batch = len(runs)
     x0 = np.asarray(x0, dtype=float)
@@ -243,19 +263,10 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         raise ConfigurationError(f"x0 shape {x0.shape} incompatible with "
                                  f"(runs={batch}, n={n})")
     dim = x0.shape[2]
-    optimizing = objective is not None
-    if optimizing and (noise is None or ledger is None):
-        raise ConfigurationError("optimizer mode needs noise and ledger")
-    if optimizing and perturbation is not None:
-        raise ConfigurationError("perturbation and optimizer are exclusive")
-    if (perturbation is not None or record_trace) and batch != 1:
-        raise ConfigurationError("traces/perturbations require a single run")
-    if ledger is not None and ledger.horizon < horizon:
-        raise ConfigurationError("step-size ledger shorter than horizon")
+    if record_trace and batch != 1:
+        raise ConfigurationError("traces require a single run")
     if mask is not None:
         validate_mask(topology, bounds, mask, horizon)
-    if record_aug_mean is None:
-        record_aug_mean = perturbation is not None
 
     denom = (topology.out_degree() + 1).astype(float)[None, :, None]
     depth = bounds.max_effective_delay + 1
@@ -282,21 +293,11 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     last_kappa = np.full((batch, n), init_timestamp, dtype=np.int64)
     acceptance = _Acceptance(topology, in_arcs, bounds, batch,
                              init_timestamp)
-    if _corrupt_rho is not None:
-        corrupt_at = (in_arcs.row_of[_corrupt_rho[0]], slice(None),
-                      in_arcs.col_of[_corrupt_rho[0]])
 
     schedule_draws = [ScheduleDraws(master_seed, r, n, m) for r in runs]
     realizer = RealizerState.initial(batch, n, m)
-    noise_gens = None
-    if optimizing:
-        noise_gens = [rngmod.stream(master_seed, r, rngmod.Role.GRAD_NOISE)
-                      for r in runs]
 
     e_dist = np.empty((batch, horizon + 1)) if z_star is not None else None
-    zbar_out = np.empty((batch, horizon + 1, dim)) if record_zbar else None
-    aug_mean = np.empty((batch, horizon + 1, dim)) if record_aug_mean else None
-    track_zbar = z_star is not None or record_zbar
     trace = None
     if record_trace:
         K = horizon
@@ -310,22 +311,15 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         trace.mass[0], trace.z[0], trace.phi[0] = mass[0], z[0], 0.0
         trace.rho[0], trace.kappa[0] = 0.0, init_timestamp
 
-    def record_means(first: int, z_slots: np.ndarray) -> None:
-        """Node-mean of z at slot boundaries first, first + 1, ...;
-        z_slots is (slots, B, n, d)."""
-        zbar = z_slots.sum(axis=2) / n
-        span = slice(first, first + len(z_slots))
-        if z_star is not None:
-            diff = zbar - z_star
-            e_dist[:, span] = np.sum(diff * diff, axis=2).T
-        if record_zbar:
-            zbar_out[:, span] = zbar.swapaxes(0, 1)
+    def record_errors(first: int, z_slots: np.ndarray) -> None:
+        """Squared error of the node-mean z at slot boundaries first,
+        first + 1, ...; z_slots is (slots, B, n, d)."""
+        diff = z_slots.sum(axis=2) / n - z_star
+        e_dist[:, first:first + len(z_slots)] = np.sum(diff * diff,
+                                                       axis=2).T
 
-    if track_zbar:
-        record_means(0, z[None])
-    aug_sum = x0.sum(axis=1)  # (B, d): total mass over the whole system
-    if record_aug_mean:
-        aug_mean[:, 0] = aug_sum / n
+    if e_dist is not None:
+        record_errors(0, z[None])
 
     done = 0
     while done < horizon:
@@ -340,7 +334,7 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
 
         # Schedule-only work for the whole chunk. Last wake before and
         # after every slot:
-        if optimizing or trace is not None:
+        if update is not None or trace is not None:
             stamps = np.maximum.accumulate(
                 np.where(wake_c, ks[None, :, None], -1), axis=1)
             kappa_after = np.where(stamps >= 0, stamps, last_kappa[:, None])
@@ -350,12 +344,8 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
             if trace is not None:
                 trace.kappa[done + 1:done + steps + 1] = kappa_after[0]
                 trace.wake[done:done + steps] = wake_c[0]
-        # the compensated steps and the gradient noise:
-        if optimizing:
-            neg_beta = _per_slot(-ledger.compensated_step_batch(
-                kappa_before, ks[None, :, None]), dim)
-            eps_c = noise.from_uniforms(np.stack(
-                [g.random((steps, n, dim)) for g in noise_gens]))
+        if update is not None:
+            update.chunk(kappa_before, ks)
         # the arcs that accept, and the history rows of their messages:
         if m:
             accept_c, newest_c = acceptance.advance(done, wake_c, arrival_c,
@@ -363,40 +353,21 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
             accepting = accept_c.any(axis=(1, 2, 3))
             take_rows = (newest_c % depth) * (batch * n) + src_rows
             accept_c = np.repeat(accept_c[..., None], dim + 1, axis=-1)
-        z_slots = np.empty((steps, batch, n, dim)) if track_zbar else None
+        z_slots = np.empty((steps, batch, n, dim)) if e_dist is not None \
+            else None
 
         for c in range(steps):
             k = done + c
-            applied = None
-            if optimizing:
-                ghat = objective.batch_local_gradients(z) + eps_c[:, c]
-                finite = np.isfinite(ghat)
-                if not finite.all():
-                    bad = wake_c[:, c] & ~np.all(finite, axis=2)
-                    if bad.any():
-                        b_i, n_i = np.argwhere(bad)[0]
-                        raise ProtocolViolationError(
-                            f"non-finite gradient at node {n_i} slot {k} "
-                            f"(run index {runs[b_i]})",
-                            run=int(runs[b_i]), slot=k, node=int(n_i))
-                delta = neg_beta[c] * ghat
+            delta = None
+            if update is not None:
+                delta = update.delta(c, k, z, wake_c[:, c])
+            if delta is not None:
                 # the masked add runs faster on a contiguous copy of x
                 moved = np.ascontiguousarray(x)
                 np.add(moved, delta, out=moved, where=wake_val[c])
                 x[...] = moved
-                if record_aug_mean or trace is not None:
-                    applied = np.where(wake_val[c], delta, 0.0)
-            elif perturbation is not None:
-                delta = perturbation(k)
-                if delta is not None:
-                    applied = np.where(wake_val[c],
-                                       np.asarray(delta, dtype=float)[None],
-                                       0.0)
-                    x += applied
-            if applied is not None:
-                aug_sum = aug_sum + applied.sum(axis=1)
                 if trace is not None:
-                    trace.applied[k] = applied[0]
+                    trace.applied[k] = np.where(wake_val[c], delta, 0.0)[0]
 
             # Push: keep one share, add the rest to the sent totals.
             phi = history[k % depth]
@@ -414,9 +385,6 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                     mass += in_arcs.total(inc)
                 else:
                     mass[:, in_arcs.receivers] += in_arcs.total(inc)
-                if _corrupt_rho is not None and _corrupt_rho[1] == k:
-                    accept = accept.copy()
-                    accept[corrupt_at] = False
                 np.copyto(rho, payload, where=accept)
 
             if not y.min() > 0.0:
@@ -427,17 +395,14 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                     run=int(runs[b_i]), slot=k, node=int(n_i))
             np.divide(x, y_col, out=z, where=wake_val[c])
 
-            if track_zbar:
+            if z_slots is not None:
                 z_slots[c] = z
             if trace is not None:
                 trace.mass[k + 1], trace.z[k + 1] = mass[0], z[0]
                 trace.phi[k + 1] = phi[0]
                 trace.rho[k + 1] = rho[in_arcs.row_of, 0, in_arcs.col_of]
-            if record_aug_mean:
-                aug_mean[:, k + 1] = aug_sum / n
-        if track_zbar:
-            record_means(done + 1, z_slots)
+        if z_slots is not None:
+            record_errors(done + 1, z_slots)
         done += steps
 
-    return RunResult(z_final=z, e_dist=e_dist, zbar=zbar_out,
-                     aug_mean=aug_mean, trace=trace)
+    return RunResult(z_final=z, e_dist=e_dist, trace=trace)

@@ -286,53 +286,6 @@ def check_window_connectivity(topology: Topology, mask: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Message-level channel (reference semantics for small runs and tests).
-
-@dataclass
-class InFlightMessage:
-    arc: int
-    src: int
-    dst: int
-    send_slot: int
-    arrival_slot: int
-    timestamp: int
-    phi_x: np.ndarray
-    phi_y: float
-
-
-class Channel:
-    """Holds in-flight and queued messages.
-
-    A message becomes deliverable at its arrival slot but is only handed
-    over once its destination wakes; until then it stays queued.
-    """
-
-    def __init__(self):
-        self._pending: list[InFlightMessage] = []
-
-    def send(self, msg: InFlightMessage) -> None:
-        self._pending.append(msg)
-
-    def deliver(self, slot: int, waking: set[int]
-                ) -> dict[int, list[InFlightMessage]]:
-        """Pop messages with arrival <= slot whose destination wakes now."""
-        out: dict[int, list[InFlightMessage]] = {}
-        keep = []
-        for msg in self._pending:
-            if msg.arrival_slot <= slot and msg.dst in waking:
-                out.setdefault(msg.dst, []).append(msg)
-            else:
-                keep.append(msg)
-        self._pending = keep
-        for msgs in out.values():
-            msgs.sort(key=lambda m: (m.arrival_slot, m.send_slot))
-        return out
-
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-
-# ---------------------------------------------------------------------------
 # Delivery classification (which sends are effective, and when).
 
 @dataclass(frozen=True)

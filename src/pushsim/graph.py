@@ -81,12 +81,6 @@ class Topology:
             d[dst] += 1
         return d
 
-    def out_neighbors(self, node: int) -> list[int]:
-        return [dst for src, dst in self.arcs if src == node]
-
-    def in_neighbors(self, node: int) -> list[int]:
-        return [src for src, dst in self.arcs if dst == node]
-
     @staticmethod
     def singleton() -> "Topology":
         """Degenerate one-node network (no arcs); used for baselines/tests."""

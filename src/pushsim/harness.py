@@ -518,6 +518,24 @@ class ExperimentResult:
     mu_total: float
 
 
+def _error_series(config: ExperimentConfig, problem: ProblemInstance
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(E_dist, E_c) raw series, each (runs, horizon+1): gradient-push and
+    the centralized baseline on the same run indices."""
+    ledger = StepSizeLedger(numerator=problem.topology.n,
+                            mu=problem.objective.mu_total,
+                            horizon=config.horizon, k0=config.step_offset)
+    runs = range(config.runs)
+    result = run_gradient_push(
+        problem.topology, config.faults, problem.objective, problem.noise,
+        ledger, config.horizon, config.master_seed, runs=tuple(runs),
+        z_star=problem.z_star)
+    e_c = centralized_baseline(problem, config.horizon, config.master_seed,
+                               runs, config.faults.max_wake_gap,
+                               config.step_offset)
+    return result.e_dist, e_c
+
+
 def run_experiment(config: ExperimentConfig, outdir: str | Path,
                    persist_raw: bool = True,
                    plot: bool = False) -> ExperimentResult:
@@ -545,15 +563,8 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
         cert = solve_reference_optimum(problem.objective)
         save_optimum(cert, outdir / "optimum.csv")
 
-    ledger = StepSizeLedger(numerator=problem.topology.n,
-                            mu=problem.objective.mu_total,
-                            horizon=config.horizon, k0=config.step_offset)
-    runs = range(config.runs)
     try:
-        result = run_gradient_push(
-            problem.topology, config.faults, problem.objective,
-            problem.noise, ledger, config.horizon, config.master_seed,
-            runs=tuple(runs), z_star=problem.z_star)
+        e_dist_raw, e_c_raw = _error_series(config, problem)
     except PushsimError as exc:
         manifest["status"] = "failed"
         manifest["error"] = str(exc)
@@ -561,15 +572,10 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
             manifest[f"failing_{key}"] = getattr(exc, key, None)
         _write_manifest(outdir, manifest)
         raise
-    e_dist_raw = result.e_dist
-    e_c_raw = centralized_baseline(problem, config.horizon,
-                                   config.master_seed, runs,
-                                   config.faults.max_wake_gap,
-                                   config.step_offset)
 
     raw_files = []
     if persist_raw:
-        for r in runs:
+        for r in range(config.runs):
             name = RAW_NAME.format(r)
             _write_raw(outdir / name, e_dist_raw[r], e_c_raw[r])
             raw_files.append(name)
@@ -651,22 +657,8 @@ def ratio_study(template: ExperimentConfig, sizes, checkpoints,
     for n in sizes:
         config = replace(template, topology=replace(template.topology, n=n),
                          ratio=None)
-        problem = build_problem(config)
-        ledger = StepSizeLedger(numerator=n,
-                                mu=problem.objective.mu_total,
-                                horizon=config.horizon,
-                                k0=config.step_offset)
-        runs = tuple(range(config.runs))
-        result = run_gradient_push(
-            problem.topology, config.faults, problem.objective,
-            problem.noise, ledger, config.horizon, config.master_seed,
-            runs=runs, z_star=problem.z_star)
-        e_c = centralized_baseline(problem, config.horizon,
-                                   config.master_seed, range(config.runs),
-                                   config.faults.max_wake_gap,
-                                   config.step_offset)
-        k_grid, d_means = batch_window_means(result.e_dist,
-                                             config.batch_size)
+        e_dist, e_c = _error_series(config, build_problem(config))
+        k_grid, d_means = batch_window_means(e_dist, config.batch_size)
         _, c_means = batch_window_means(e_c, config.batch_size)
         for k in checkpoints:
             if k % AGGREGATION_WINDOW != 0:

@@ -9,12 +9,11 @@ this mode so a slot-0 broadcast is accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import engine as _engine
-from .errors import ConfigurationError
+from . import rng
+from .errors import ConfigurationError, ProtocolViolationError
 from .faultnet import FaultBounds
 from .graph import Topology
 from .objectives import NoiseModel
@@ -64,30 +63,43 @@ class StepSizeLedger:
         return self.prefix[k + 1] - self.prefix[last_wake + 1]
 
 
-@dataclass(frozen=True)
-class CompensatedStep:
-    """One wake-time optimizer move (reference semantics, see tests)."""
+class GradientStep:
+    """The optimizer's wake-time update for ``engine.run_protocol``.
 
-    step: float
-    gradient: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x - self.step * self.gradient
-
-
-def wake_opt_step(x: np.ndarray, z: np.ndarray, ledger: StepSizeLedger,
-                  last_wake: int, slot: int, gradient: np.ndarray
-                  ) -> np.ndarray:
-    """Reference single-node move: x - (sum of slept alphas) * gradient.
-
-    `gradient` is the (already noisy) local gradient evaluated at z; the
-    caller pushes afterwards. Raises on non-finite gradients.
+    A waking node moves its value by minus its compensated step times a
+    noisy local gradient at its current estimate. Per chunk, one ledger call
+    gives every compensated step and one noise-map call every gradient
+    noise; the uniforms come from each run's GRAD_NOISE stream.
     """
-    if not np.all(np.isfinite(gradient)):
-        raise ConfigurationError(
-            f"non-finite gradient at slot {slot}")
-    beta = ledger.compensated_step(last_wake, slot)
-    return x - beta * gradient
+
+    def __init__(self, objective, noise: NoiseModel,
+                 ledger: StepSizeLedger, master_seed: int, runs):
+        self.objective, self.noise, self.ledger = objective, noise, ledger
+        self.runs = tuple(runs)
+        self.streams = [rng.stream(master_seed, r, rng.Role.GRAD_NOISE)
+                        for r in self.runs]
+
+    def chunk(self, kappa_before: np.ndarray, slots: np.ndarray) -> None:
+        beta = self.ledger.compensated_step_batch(kappa_before,
+                                                  slots[None, :, None])
+        self.neg_beta = -np.moveaxis(beta, 1, 0)[..., None]  # (C, B, n, 1)
+        shape = (slots.size, kappa_before.shape[2], self.objective.dim)
+        self.eps = self.noise.from_uniforms(
+            np.stack([g.random(shape) for g in self.streams]))
+
+    def delta(self, c: int, k: int, z: np.ndarray,
+              wake: np.ndarray) -> np.ndarray:
+        ghat = self.objective.batch_local_gradients(z) + self.eps[:, c]
+        finite = np.isfinite(ghat)
+        if not finite.all():
+            bad = wake & ~np.all(finite, axis=2)
+            if bad.any():
+                b_i, n_i = np.argwhere(bad)[0]
+                run = int(self.runs[b_i])
+                raise ProtocolViolationError(
+                    f"non-finite gradient at node {n_i} slot {k} "
+                    f"(run index {run})", run=run, slot=k, node=int(n_i))
+        return self.neg_beta[c] * ghat
 
 
 def run_gradient_push(topology: Topology, bounds: FaultBounds,
@@ -97,17 +109,17 @@ def run_gradient_push(topology: Topology, bounds: FaultBounds,
                       x0: np.ndarray | None = None,
                       z_star: np.ndarray | None = None,
                       record_trace: bool = False,
-                      record_zbar: bool = False,
-                      record_aug_mean: bool | None = None,
                       mask: np.ndarray | None = None,
                       chunk: int = _engine.DEFAULT_CHUNK
                       ) -> _engine.RunResult:
     """Batched optimizer runs. x0 defaults to all-ones (shared start)."""
+    if ledger.horizon < horizon:
+        raise ConfigurationError("step-size ledger shorter than horizon")
     if x0 is None:
         x0 = np.ones((topology.n, objective.dim))
+    runs = tuple(runs)
     return _engine.run_protocol(
-        topology, bounds, x0, horizon, master_seed, runs=tuple(runs),
-        init_timestamp=OPTIMIZER_INIT_TIMESTAMP, objective=objective,
-        noise=noise, ledger=ledger, z_star=z_star,
-        record_trace=record_trace, record_zbar=record_zbar,
-        record_aug_mean=record_aug_mean, mask=mask, chunk=chunk)
+        topology, bounds, x0, horizon, master_seed, runs=runs,
+        init_timestamp=OPTIMIZER_INIT_TIMESTAMP,
+        update=GradientStep(objective, noise, ledger, master_seed, runs),
+        z_star=z_star, record_trace=record_trace, mask=mask, chunk=chunk)

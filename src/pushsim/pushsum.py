@@ -24,9 +24,49 @@ import numpy as np
 
 from . import engine as _engine
 from .errors import ProtocolViolationError
-from .faultnet import (DEFAULT_CHUNK, Channel, FaultBounds, InFlightMessage,
-                       realize_schedule)
+from .faultnet import DEFAULT_CHUNK, FaultBounds, realize_schedule
 from .graph import Topology
+
+
+@dataclass
+class InFlightMessage:
+    arc: int
+    src: int
+    dst: int
+    send_slot: int
+    arrival_slot: int
+    timestamp: int
+    phi_x: np.ndarray
+    phi_y: float
+
+
+class Channel:
+    """Holds in-flight and queued messages.
+
+    A message becomes deliverable at its arrival slot but is only handed
+    over once its destination wakes; until then it stays queued.
+    """
+
+    def __init__(self):
+        self._pending: list[InFlightMessage] = []
+
+    def send(self, msg: InFlightMessage) -> None:
+        self._pending.append(msg)
+
+    def deliver(self, slot: int, waking: set[int]
+                ) -> dict[int, list[InFlightMessage]]:
+        """Pop messages with arrival <= slot whose destination wakes now."""
+        out: dict[int, list[InFlightMessage]] = {}
+        keep = []
+        for msg in self._pending:
+            if msg.arrival_slot <= slot and msg.dst in waking:
+                out.setdefault(msg.dst, []).append(msg)
+            else:
+                keep.append(msg)
+        self._pending = keep
+        for msgs in out.values():
+            msgs.sort(key=lambda m: (m.arrival_slot, m.send_slot))
+        return out
 
 
 @dataclass
@@ -81,9 +121,8 @@ def process_inbox(state: PushSumNodeState,
                   messages: list[InFlightMessage], slot: int) -> None:
     """Absorb the newest message per in-arc, stale ones discarded.
 
-    Increments are accumulated over in-arcs in arc-id order and applied as
-    a single addition (the batched engine reduces in the same order, so the
-    two stay bit-identical, not just close).
+    Increments are accumulated left to right over in-arcs in arc-id order
+    and applied as a single addition.
     """
     by_arc: dict[int, InFlightMessage] = {}
     for msg in messages:
@@ -208,18 +247,33 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
 # ---------------------------------------------------------------------------
 # Public entry points (batched engine underneath).
 
+class Injection:
+    """Wake-time update for ``engine.run_protocol`` that adds
+    ``perturbation(k)``, an (n, d) array or None, to waking nodes' values."""
+
+    def __init__(self, perturbation):
+        self.perturbation = perturbation
+
+    def chunk(self, kappa_before: np.ndarray, slots: np.ndarray) -> None:
+        pass
+
+    def delta(self, c: int, k: int, z: np.ndarray,
+              wake: np.ndarray) -> np.ndarray | None:
+        delta = self.perturbation(k)
+        return None if delta is None else np.asarray(delta, dtype=float)
+
+
 def run_averaging(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                   horizon: int, master_seed: int, runs=(0,),
                   z_star: np.ndarray | None = None,
-                  record_trace: bool = False, record_zbar: bool = False,
+                  record_trace: bool = False,
                   mask: np.ndarray | None = None,
                   chunk: int = DEFAULT_CHUNK) -> _engine.RunResult:
     """Plain ratio-consensus averaging; converges to the mean of x0 rows."""
     return _engine.run_protocol(
         topology, bounds, np.asarray(x0, dtype=float), horizon, master_seed,
         runs=tuple(runs), init_timestamp=0, z_star=z_star,
-        record_trace=record_trace, record_zbar=record_zbar, mask=mask,
-        chunk=chunk)
+        record_trace=record_trace, mask=mask, chunk=chunk)
 
 
 def run_perturbed_averaging(topology: Topology, bounds: FaultBounds,
@@ -231,14 +285,13 @@ def run_perturbed_averaging(topology: Topology, bounds: FaultBounds,
     """Averaging with per-slot value injections.
 
     perturbation(k) returns an (n, d) array added to waking nodes' values at
-    slot k (or None for no injection). The result carries aug_mean, the true
-    running mean of all injected mass, which the estimates track.
+    slot k (or None for no injection). A recorded trace carries aug_mean,
+    the true running mean of all injected mass, which the estimates track.
     """
     return _engine.run_protocol(
         topology, bounds, np.asarray(x0, dtype=float), horizon, master_seed,
-        runs=(run,), init_timestamp=0, perturbation=perturbation,
-        record_trace=record_trace, record_aug_mean=True, mask=mask,
-        chunk=chunk)
+        runs=(run,), init_timestamp=0, update=Injection(perturbation),
+        record_trace=record_trace, mask=mask, chunk=chunk)
 
 
 def dump_state_trace(trace, path: str | Path) -> None:

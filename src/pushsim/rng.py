@@ -45,7 +45,6 @@ class Role(enum.IntEnum):
     BASELINE_NOISE = 5
     DATASET = 6
     INIT = 7
-    SALT = 8
 
 
 def stream(master_seed: int, run: int = 0, role: Role | int = 0,

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from mpmath import mp
 
+from pushsim import pushsum
 from pushsim.audit import (AugmentedLayout, _levels_above_accepted,
                            build_delivery_indicators, build_mass_matrix,
                            contraction_bound, cross_validate, envelope_check,
@@ -21,8 +22,9 @@ from pushsim.faultnet import FaultBounds, classify_deliveries, realize_schedule
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.harness import ExperimentConfig
 from pushsim.objectives import NoiseModel, generate_quadratic
-from pushsim.optimizer import StepSizeLedger, run_gradient_push
-from pushsim.pushsum import run_averaging
+from pushsim.optimizer import (OPTIMIZER_INIT_TIMESTAMP, GradientStep,
+                               StepSizeLedger, run_gradient_push)
+from pushsim.pushsum import Injection, run_averaging
 from pushsim.rng import Role, stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -106,7 +108,23 @@ def test_cross_validation_clean_on_faulty_async_runs():
         assert "ok" in text and "slot" not in text.split("ok")[0]
 
 
-def test_cross_validation_detects_skipped_receive_update():
+def skip_receive_update(monkeypatch, arc, slot):
+    """The reference simulator with one receive-total update skipped: at
+    `slot`, `arc`'s absorbed totals go back to their old values after the
+    receiver has absorbed the increment."""
+    real = pushsum.process_inbox
+
+    def process_inbox(state, messages, k):
+        before = (state.rho_x.get(arc), state.rho_y.get(arc))
+        real(state, messages, k)
+        if k == slot and arc in state.rho_x:
+            state.rho_x[arc], state.rho_y[arc] = before
+
+    monkeypatch.setattr(pushsum, "process_inbox", process_inbox)
+    return pushsum.reference_averaging_run
+
+
+def test_cross_validation_detects_skipped_receive_update(monkeypatch):
     # corrupt exactly one receive-total update and the audit must point
     # at that processing slot
     topo, x0 = small_faulty_case()
@@ -114,10 +132,10 @@ def test_cross_validation_detects_skipped_receive_update():
     deliveries = classify_deliveries(sched, 0)
     arc = next(a for a in range(topo.m) if deliveries[a].send_slots.size > 3)
     target = int(deliveries[arc].processing_slots[3])
-    res = run_protocol(topo, ASYNC, x0, 300, 19, record_trace=True,
-                       _corrupt_rho=(arc, target))
+    mutant = skip_receive_update(monkeypatch, arc, target)
+    ref = mutant(topo, ASYNC, x0, 300, 19)
     audit = run_linear_audit(sched, x0, 0)
-    report = cross_validate(res.trace, audit, x0)
+    report = cross_validate(ref, audit, x0)
     assert not report.ok
     bad = [c for c in report.checks if c.first_bad_slot is not None]
     assert min(c.first_bad_slot for c in bad) == target
@@ -129,13 +147,9 @@ def test_audit_tracks_applied_optimizer_moves():
     topo = build_cycle(3, bidirectional=True)
     obj = generate_quadratic(3, 2, master_seed=4)
     led = StepSizeLedger(numerator=3.0, mu=obj.mu_total, horizon=150)
-    res = run_gradient_push(topo, ASYNC, obj, NoiseModel(0.0, 2), led,
-                            150, 15, record_trace=True)
-    sched = realize_schedule(topo, ASYNC, 150, 15, 0)
-    audit = run_linear_audit(sched, np.ones((3, 2)), -1,
-                             applied=res.trace.applied)
-    report = cross_validate(res.trace, audit, np.ones((3, 2)),
-                            applied=res.trace.applied)
+    step = GradientStep(obj, NoiseModel(0.0, 2), led, 15, runs=(0,))
+    report = verify_run(topo, ASYNC, np.ones((3, 2)), 150, 15,
+                        init_timestamp=OPTIMIZER_INIT_TIMESTAMP, update=step)
     assert report.ok, report.to_text()
 
 
@@ -239,9 +253,8 @@ def test_wbar_matches_estimates_in_sync_noiseless_runs():
     obj = generate_quadratic(4, 2, master_seed=2)
     led = StepSizeLedger(numerator=4.0, mu=obj.mu_total, horizon=12000)
     res = run_gradient_push(topo, SYNC, obj, NoiseModel(0.0, 2), led,
-                            12000, 6, record_trace=True,
-                            record_aug_mean=True)
-    series = wbar_diagnostic(res.trace, obj, led, res.aug_mean[0])
+                            12000, 6, record_trace=True)
+    series = wbar_diagnostic(res.trace, obj, led)
     dev = series.deviation.max(axis=1)
     # log-log decay of the spread between estimates and the bar
     lo = np.flatnonzero(dev[1000:] > 0)
@@ -258,8 +271,8 @@ def test_wbar_consistent_under_faults():
     obj = generate_quadratic(3, 2, master_seed=3)
     led = StepSizeLedger(numerator=3.0, mu=obj.mu_total, horizon=2000)
     res = run_gradient_push(topo, ASYNC, obj, NoiseModel(0.0, 2), led,
-                            2000, 9, record_trace=True, record_aug_mean=True)
-    series = wbar_diagnostic(res.trace, obj, led, res.aug_mean[0])
+                            2000, 9, record_trace=True)
+    series = wbar_diagnostic(res.trace, obj, led)
     assert series.deviation[-1].max() < 0.05
     assert np.linalg.norm(series.wbar[-1] - obj.optimum()) < 0.05
 
@@ -453,8 +466,8 @@ def test_nan_state_fails_the_audit():
     bump = lambda k: nan if k == 5 else None
     sched = realize_schedule(topo, ASYNC, horizon, seed, 0)
     assert sched.wake[5].any()
-    res = run_protocol(topo, ASYNC, x0, horizon, seed, perturbation=bump,
-                       record_trace=True)
+    res = run_protocol(topo, ASYNC, x0, horizon, seed,
+                       update=Injection(bump), record_trace=True)
     audit = run_linear_audit(sched, x0, 0, applied=res.trace.applied)
     report = cross_validate(res.trace, audit, x0, applied=res.trace.applied)
     assert not report.ok
@@ -465,4 +478,4 @@ def test_nan_state_fails_the_audit():
         assert np.isnan(flagged[name].max_residual), name
     assert min(c.first_bad_slot for c in flagged.values()) >= 5
     with pytest.raises(VerificationError, match="slot"):
-        verify_run(topo, ASYNC, x0, horizon, seed, perturbation=bump)
+        verify_run(topo, ASYNC, x0, horizon, seed, update=Injection(bump))

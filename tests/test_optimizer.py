@@ -11,8 +11,8 @@ from pushsim.graph import build_cycle
 from pushsim.objectives import (NoiseModel, QuadraticObjective,
                                 SvmObjective, box_noise_model,
                                 generate_quadratic, generate_svm_dataset)
-from pushsim.optimizer import (OPTIMIZER_INIT_TIMESTAMP, StepSizeLedger,
-                               run_gradient_push)
+from pushsim.optimizer import (OPTIMIZER_INIT_TIMESTAMP, GradientStep,
+                               StepSizeLedger, run_gradient_push)
 from pushsim.engine import run_protocol
 from pushsim.pushsum import run_averaging
 
@@ -72,10 +72,10 @@ def test_zero_steps_reduce_to_plain_averaging():
     x0 = np.arange(6.0).reshape(3, 2)
     obj = generate_quadratic(3, 2, master_seed=4)
     plain = run_averaging(topo, ASYNC, x0, 80, 7, record_trace=True)
+    step = GradientStep(obj, NoiseModel(0.0, 2), ZeroStepLedger(80), 7,
+                        runs=(0,))
     opt = run_protocol(topo, ASYNC, x0, 80, 7, runs=(0,),
-                       init_timestamp=0, objective=obj,
-                       noise=NoiseModel(0.0, 2), ledger=ZeroStepLedger(80),
-                       record_trace=True)
+                       init_timestamp=0, update=step, record_trace=True)
     assert np.array_equal(plain.trace.x, opt.trace.x)
     assert np.array_equal(plain.trace.z, opt.trace.z)
 

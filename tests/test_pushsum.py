@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pushsim.faultnet import FaultBounds, InFlightMessage
+from pushsim.faultnet import FaultBounds
 from pushsim.graph import build_cycle
-from pushsim.pushsum import (dump_state_trace, init_node, process_inbox,
+from pushsim.pushsum import (InFlightMessage, dump_state_trace, init_node,
+                             process_inbox,
                              reference_averaging_run, run_averaging,
                              run_perturbed_averaging, wake_and_push)
 
@@ -145,7 +146,7 @@ def test_engine_reference_weld_with_perturbation():
     assert np.array_equal(res.trace.x, ref.x)
     assert np.array_equal(res.trace.applied, ref.applied)
     # summation order across nodes differs, so only near-exact here
-    assert np.allclose(res.aug_mean, ref.aug_mean, atol=1e-12)
+    assert np.allclose(res.trace.aug_mean, ref.aug_mean, atol=1e-12)
 
 
 def test_ratio_estimates_stay_finite_under_faults():
@@ -200,7 +201,7 @@ def test_engine_results_do_not_depend_on_chunk_size():
         mask_run = run_averaging(masked, lossless, np.ones((5, 1)), 300, 33,
                                  mask=mask, record_trace=True, chunk=chunk)
         out = {"opt.e_dist": opt.e_dist, "opt.z_final": opt.z_final,
-               "pert.aug_mean": pert.aug_mean}
+               "pert.aug_mean": pert.trace.aug_mean}
         for name, res in (("pert", pert), ("mask", mask_run)):
             for field in ("x", "y", "z", "phi_x", "phi_y", "rho_x", "rho_y",
                           "kappa", "wake", "applied"):
