@@ -71,9 +71,6 @@ from .graph import Topology
 
 # Send slot standing for "no message" in the acceptance pass.
 _NO_MESSAGE = np.iinfo(np.int64).min
-# numpy sums this many terms or more of a reduction pairwise, fewer left to
-# right.
-_PAIRWISE_MIN = 8
 
 
 @dataclass
@@ -145,16 +142,15 @@ class _InArcs:
         self.receivers, degree = np.unique(topology.dst, return_counts=True)
         self.all_nodes = self.receivers.size == topology.n
         self.width = int(degree.max(initial=0))
-        self.starts = np.cumsum(degree) - degree
         order = np.lexsort((topology.src, topology.dst))
         # table position of each dst-sorted arc, and of each arc
-        self.row = np.arange(m) - np.repeat(self.starts, degree)
-        self.col = np.repeat(np.arange(self.receivers.size), degree)
+        row = np.arange(m) - np.repeat(np.cumsum(degree) - degree, degree)
+        col = np.repeat(np.arange(self.receivers.size), degree)
         self.table = np.full((self.width, self.receivers.size), m)
-        self.table[self.row, self.col] = order
+        self.table[row, col] = order
         self.row_of = np.empty(m, dtype=np.int64)
         self.col_of = np.empty(m, dtype=np.int64)
-        self.row_of[order], self.col_of[order] = self.row, self.col
+        self.row_of[order], self.col_of[order] = row, col
 
     def lay_out(self, per_arc: np.ndarray, pad) -> np.ndarray:
         """(B, C, m) -> contiguous (C, width, B, receivers)."""
@@ -166,19 +162,13 @@ class _InArcs:
         """Per-receiver sums of (width, B, receivers, ...) increments whose
         padding holds -0.0, the exact identity of addition.
 
-        Bit for bit what ``np.add.reduceat`` over the dst-sorted arcs
-        gives: the first in-arc plus numpy's pairwise sum of the others,
-        which runs left to right below eight terms.
+        Adds left to right in dst-sorted arc order, which is arc-id order
+        within a receiver, as ``pushsum.process_inbox`` does.
         """
-        if self.width - 1 >= _PAIRWISE_MIN:
-            return np.add.reduceat(inc[self.row, :, self.col], self.starts,
-                                   axis=0).swapaxes(0, 1)
-        if self.width == 1:
-            return inc[0]
-        rest = inc[1]
-        for j in range(2, self.width):
-            rest = rest + inc[j]
-        return inc[0] + rest
+        acc = inc[0]
+        for j in range(1, self.width):
+            acc = acc + inc[j]
+        return acc
 
 
 class _Acceptance:

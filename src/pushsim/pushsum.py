@@ -122,7 +122,8 @@ def process_inbox(state: PushSumNodeState,
     """Absorb the newest message per in-arc, stale ones discarded.
 
     Increments are accumulated left to right over in-arcs in arc-id order
-    and applied as a single addition.
+    and applied as a single addition (the batched engine adds in the same
+    order, so the two stay bit-identical, not just close).
     """
     by_arc: dict[int, InFlightMessage] = {}
     for msg in messages:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from pushsim.faultnet import FaultBounds
-from pushsim.graph import build_cycle
+from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.pushsum import (InFlightMessage, dump_state_trace, init_node,
                              process_inbox,
                              reference_averaging_run, run_averaging,
                              run_perturbed_averaging, wake_and_push)
+from pushsim.rng import Role, stream
 
 SYNC = FaultBounds(1, 0, 1)
 ASYNC = FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3)
@@ -73,8 +74,6 @@ def test_two_node_consensus_reaches_mean():
 
 
 def test_faulty_consensus_on_random_strongly_connected():
-    from pushsim.graph import build_random_strongly_connected
-    from pushsim.rng import Role, stream
     topo = build_random_strongly_connected(5, 0.4, stream(6, 0, Role.TOPOLOGY, 0))
     x0 = np.linspace(-3.0, 9.0, 10).reshape(5, 2)
     res = run_averaging(topo, ASYNC, x0, 600, 6)
@@ -92,16 +91,26 @@ def test_coordinates_evolve_independently():
 
 def test_engine_matches_reference_implementation_exactly():
     # vectorized engine against the object-per-node oracle, faulty async
-    topo = build_cycle(4, bidirectional=True)
-    x0 = np.arange(8.0).reshape(4, 2)
-    for run, chunk in ((0, 128), (1, 128), (0, 7)):
-        ref = reference_averaging_run(topo, ASYNC, x0, 120, 21, run=run)
-        res = run_averaging(topo, ASYNC, x0, 120, 21, runs=(run,),
+    cycle = build_cycle(4, bidirectional=True)
+    cases = [(cycle, ASYNC, 120, 21, run, chunk)
+             for run, chunk in ((0, 128), (1, 128), (0, 7))]
+    # up to 11 in-arcs per node: both add them left to right in arc-id
+    # order (the first graph's in-degrees are 3, 1, 3, 3, 4, 3)
+    for n, p, seed in ((6, 0.4, 3), (8, 0.6, 4), (12, 0.9, 5)):
+        topo = build_random_strongly_connected(
+            n, p, stream(seed, 0, Role.TOPOLOGY))
+        cases += [(topo, bounds, 60, 14, 0, 7) for bounds in (SYNC, ASYNC)]
+    for topo, bounds, horizon, seed, run, chunk in cases:
+        x0 = np.arange(2.0 * topo.n).reshape(topo.n, 2)
+        ref = reference_averaging_run(topo, bounds, x0, horizon, seed,
+                                      run=run)
+        res = run_averaging(topo, bounds, x0, horizon, seed, runs=(run,),
                             record_trace=True, chunk=chunk)
         tr = res.trace
         for name in ("x", "y", "z", "phi_x", "phi_y", "rho_x", "rho_y",
                      "kappa", "wake"):
-            assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+            assert np.array_equal(getattr(tr, name), getattr(ref, name)), \
+                (topo.n, bounds, name)
 
 
 def test_zero_perturbation_is_plain_averaging():
