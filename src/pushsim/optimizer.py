@@ -82,8 +82,9 @@ class GradientStep:
     def chunk(self, kappa_before: np.ndarray, slots: np.ndarray) -> None:
         beta = self.ledger.compensated_step_batch(kappa_before,
                                                   slots[None, :, None])
-        self.neg_beta = -np.moveaxis(beta, 1, 0)[..., None]  # (C, B, n, 1)
-        shape = (slots.size, kappa_before.shape[2], self.objective.dim)
+        dim = self.objective.dim
+        self.neg_beta = _engine._per_slot(-beta, dim)     # (C, B, n, d)
+        shape = (slots.size, kappa_before.shape[2], dim)
         self.eps = self.noise.from_uniforms(
             np.stack([g.random(shape) for g in self.streams]))
 

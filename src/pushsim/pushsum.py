@@ -41,7 +41,7 @@ class InFlightMessage:
 
 
 class Channel:
-    """Holds in-flight and queued messages.
+    """The reference simulator's in-flight and queued messages.
 
     A message becomes deliverable at its arrival slot but is only handed
     over once its destination wakes; until then it stays queued.

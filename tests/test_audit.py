@@ -109,7 +109,7 @@ def test_cross_validation_clean_on_faulty_async_runs():
 
 
 def skip_receive_update(monkeypatch, arc, slot):
-    """The reference simulator with one receive-total update skipped: at
+    """Make the reference simulator skip one receive-total update: at
     `slot`, `arc`'s absorbed totals go back to their old values after the
     receiver has absorbed the increment."""
     real = pushsum.process_inbox
@@ -121,7 +121,6 @@ def skip_receive_update(monkeypatch, arc, slot):
             state.rho_x[arc], state.rho_y[arc] = before
 
     monkeypatch.setattr(pushsum, "process_inbox", process_inbox)
-    return pushsum.reference_averaging_run
 
 
 def test_cross_validation_detects_skipped_receive_update(monkeypatch):
@@ -132,8 +131,8 @@ def test_cross_validation_detects_skipped_receive_update(monkeypatch):
     deliveries = classify_deliveries(sched, 0)
     arc = next(a for a in range(topo.m) if deliveries[a].send_slots.size > 3)
     target = int(deliveries[arc].processing_slots[3])
-    mutant = skip_receive_update(monkeypatch, arc, target)
-    ref = mutant(topo, ASYNC, x0, 300, 19)
+    skip_receive_update(monkeypatch, arc, target)
+    ref = pushsum.reference_averaging_run(topo, ASYNC, x0, 300, 19)
     audit = run_linear_audit(sched, x0, 0)
     report = cross_validate(ref, audit, x0)
     assert not report.ok

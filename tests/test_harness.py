@@ -15,6 +15,7 @@ from pushsim.harness import (ExperimentConfig, aggregate_series,
                              batch_window_means, build_problem,
                              centralized_baseline, ratio_study, read_raw,
                              replay, run_experiment)
+from pushsim.optimizer import StepSizeLedger, run_gradient_push
 
 BASE = {
     "name": "tiny",
@@ -238,6 +239,26 @@ def test_experiment_series_matches_raw_files(tiny_run):
     k, med, _ = aggregate_series(raws, cfg.batch_size)
     assert np.array_equal(result.series.k, k)
     assert np.allclose(result.series.e_dist, med, rtol=1e-12)
+
+
+def test_experiment_series_are_the_optimizer_and_its_baseline(tiny_run):
+    # the raw series are gradient-push and the centralized baseline on the
+    # config's runs, step numerator n, offset and update gap
+    cfg, outdir, result = tiny_run
+    problem = build_problem(cfg)
+    ledger = StepSizeLedger(numerator=problem.topology.n,
+                            mu=problem.objective.mu_total,
+                            horizon=cfg.horizon, k0=cfg.step_offset)
+    push = run_gradient_push(problem.topology, cfg.faults,
+                             problem.objective, problem.noise, ledger,
+                             cfg.horizon, cfg.master_seed,
+                             runs=range(cfg.runs), z_star=problem.z_star)
+    baseline = centralized_baseline(problem, cfg.horizon, cfg.master_seed,
+                                    range(cfg.runs),
+                                    update_gap=cfg.faults.max_wake_gap,
+                                    step_offset=cfg.step_offset)
+    assert np.array_equal(result.e_dist_raw, push.e_dist)
+    assert np.array_equal(result.e_c_raw, baseline)
 
 
 def test_replay_reproduces_and_detects_tampering(tiny_run, tmp_path):
