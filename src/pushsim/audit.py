@@ -30,11 +30,9 @@ and the first accepted timestamp must strictly exceed the initial timestamp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import mpmath
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (ConfigurationError, InconsistentScheduleError,
                      VerificationError)
@@ -42,7 +40,6 @@ from .faultnet import ScheduleRealization, classify_deliveries
 from .graph import Topology, arc_label
 
 CONTRACTION_DPS = 80
-STRUCTURE_CHUNK = 64   # slot matrices per batch of the structure checks
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +82,6 @@ def build_delivery_indicators(schedule: ScheduleRealization,
 # Augmented system and per-slot matrices.
 
 @dataclass(frozen=True)
-class _MatrixTemplate:
-    """Slot-independent parts of a layout's mass-flow matrices.
-
-    Real-column entries are ordered by a sort key column * size + row, which
-    is their canonical CSC position. A sleeping node's column holds only its
-    diagonal; a waking node's column holds the diagonal and one entry per
-    out-arc. Transit and excess columns hold exactly one entry each.
-    """
-
-    share: np.ndarray         # (n,) 1 / (out-degree + 1)
-    excess_rows: np.ndarray   # (m,) excess row of each arc
-    level_shift: np.ndarray   # (L_d,) [l - 1]: excess row -> level-l row
-    arc_keys: np.ndarray      # (m,) key of each arc's entry if it is excess
-    diag_keys: np.ndarray     # (n,) key of each diagonal entry
-    column_ends: np.ndarray   # (n,) first key past each real column
-    unit_ptr: np.ndarray      # (L_d*m + m,) indptr offsets of unit columns
-    transit_rows: np.ndarray  # (L_d*m,) fixed row of each transit column
-    index_dtype: type
-
-
-@dataclass(frozen=True)
 class AugmentedLayout:
     topology: Topology
     max_effective_delay: int
@@ -133,34 +109,47 @@ class AugmentedLayout:
         lo = self.excess_index(0)
         return slice(lo, lo + self.topology.m)
 
-    @cached_property
-    def _template(self) -> _MatrixTemplate:
-        topo = self.topology
-        n, m, l_d, size = topo.n, topo.m, self.max_effective_delay, self.size
-        excess_rows = n + l_d * m + np.arange(m)
-        # level 1 pours into the destination, upper levels slide down
-        transit_rows = np.concatenate((topo.dst, n + np.arange((l_d - 1) * m)))
-        nodes = np.arange(n)
-        return _MatrixTemplate(
-            share=1.0 / (topo.out_degree() + 1.0),
-            excess_rows=excess_rows,
-            level_shift=(np.arange(l_d) - l_d) * m,
-            arc_keys=topo.src * size + excess_rows,
-            diag_keys=nodes * (size + 1),
-            column_ends=(nodes + 1) * size,
-            unit_ptr=np.arange(1, (l_d + 1) * m + 1),
-            transit_rows=transit_rows,
-            # the index dtype scipy picks for this shape, so the constructor
-            # takes the index arrays without scanning them
-            index_dtype=sp.get_index_dtype(maxval=size))
+
+@dataclass(frozen=True)
+class SlotMatrices:
+    """K slots' mass-flow matrices on one stored structure.
+
+    Entry e of every slot sits in column ``cols[e]``; ``rows[k, e]`` and
+    ``data[k, e]`` are its row and value at slot k. Columns are in
+    ascending order: real column i holds its diagonal and then one entry
+    per out-arc (arc-id order), each transit or excess column one entry.
+    A sleeping node's out-arc entries hold an explicit 0.0, so every slot
+    stores ``n + m + (L_d + 1) * m`` entries.
+
+    Stepping with the explicit zeros adds ``+0.0`` terms, which is exact
+    for finite values. With a non-finite state, ``0 * NaN`` spreads NaN
+    into a sleeping node's excess rows, so a NaN run can only fail sooner
+    or in more identities.
+    """
+
+    size: int
+    cols: np.ndarray   # (nnz,)
+    rows: np.ndarray   # (K, nnz)
+    data: np.ndarray   # (K, nnz)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries over all slots."""
+        return self.data.size
+
+    def dense(self, k: int) -> np.ndarray:
+        out = np.zeros((self.size, self.size))
+        out[self.rows[k], self.cols] = self.data[k]
+        return out
 
 
-def build_mass_matrix(layout: AugmentedLayout, wake_k: np.ndarray,
-                      tau_k: np.ndarray) -> sp.csc_matrix:
-    """One slot's column-stochastic mass-flow matrix.
+def build_mass_matrix(layout: AugmentedLayout, wake: np.ndarray,
+                      tau: np.ndarray) -> SlotMatrices:
+    """Every slot's column-stochastic mass-flow matrix.
 
-    wake_k is (n,) bool; tau_k is (m, L_d) bool with at most one level set
-    per arc (two set levels violate the single-delivery structure and raise).
+    wake is (K, n) bool; tau is (K, m, L_d) bool with at most one level set
+    per slot and arc (two set levels violate the single-delivery structure
+    and raise).
 
     A waking node keeps one share and sends one per out-arc: into the arc's
     accepted transit level, or into its excess. A sleeping node keeps all
@@ -169,45 +158,41 @@ def build_mass_matrix(layout: AugmentedLayout, wake_k: np.ndarray,
     stays put.
     """
     topo = layout.topology
-    m, l_d, size = topo.m, layout.max_effective_delay, layout.size
-    if tau_k.shape != (m, l_d):
-        raise ConfigurationError(f"tau slice shape {tau_k.shape} != "
+    n, m, l_d = topo.n, topo.m, layout.max_effective_delay
+    if tau.shape[1:] != (m, l_d):
+        raise ConfigurationError(f"tau slice shape {tau.shape[1:]} != "
                                  f"({m}, {l_d})")
-    t = layout._template
     # each arc's outflow row: its accepted transit level, else its excess;
     # the shift is nonzero exactly when a level is set, so a second level
     # on one arc shows up as more set levels than shifted arcs
-    shift = tau_k @ t.level_shift
-    if np.count_nonzero(tau_k) > np.count_nonzero(shift):
-        a = int(np.argmax(tau_k.sum(axis=1) > 1))
+    shift = tau @ ((np.arange(l_d) - l_d) * m)
+    if np.count_nonzero(tau) > np.count_nonzero(shift):
+        _, a = np.argwhere(tau.sum(axis=2) > 1)[0]
         raise InconsistentScheduleError(
             f"arc {arc_label(int(topo.src[a]), int(topo.dst[a]))}: "
             "two delivery levels in one slot")
-    dest = t.excess_rows + shift
+    dest = n + l_d * m + np.arange(m) + shift                # (K, m)
 
-    # real columns: the diagonal, plus the out-arc entries of waking nodes
-    wake_k = np.asarray(wake_k, dtype=bool)
-    keys = np.sort(np.concatenate((t.diag_keys,
-                                   (t.arc_keys + shift)[wake_k[topo.src]])))
-    col = keys // size
-    idx = t.index_dtype
-    indptr = np.concatenate(([0], np.searchsorted(keys, t.column_ends),
-                             keys.size + t.unit_ptr)).astype(idx)
-    # unit columns: transit slides down; the excess rides into the accepted
-    # level or stays put, i.e. into the arc's outflow row
-    indices = np.concatenate((keys - col * size, t.transit_rows,
-                              dest)).astype(idx)
-    data = np.concatenate((np.where(wake_k, t.share, 1.0)[col],
-                           np.ones((l_d + 1) * m)))
-    return sp.csc_matrix((data, indices, indptr), shape=(size, size))
-
-
-def step_augmented(matrix: sp.csc_matrix, chi: np.ndarray,
-                   psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one slot: both the mass vectors and the weight vector."""
-    stacked = np.hstack([chi, psi[:, None]])
-    out = matrix @ stacked
-    return np.ascontiguousarray(out[:, :-1]), np.ascontiguousarray(out[:, -1])
+    wake = np.asarray(wake, dtype=bool)
+    K = wake.shape[0]
+    # real column i: its diagonal, then its out-arcs in arc-id order
+    owner = np.concatenate((np.arange(n), topo.src))
+    order = np.argsort(owner, kind="stable")
+    cols = np.concatenate((owner[order], np.arange(n, layout.size)))
+    share = 1.0 / (topo.out_degree() + 1.0)
+    real_rows = np.concatenate((np.broadcast_to(np.arange(n), (K, n)), dest),
+                               axis=1)
+    real_data = np.concatenate((np.where(wake, share, 1.0),
+                                np.where(wake, share, 0.0)[:, topo.src]),
+                               axis=1)
+    # transit columns slide down; the excess rides into the outflow row
+    transit_rows = np.concatenate((topo.dst, n + np.arange((l_d - 1) * m)))
+    rows = np.concatenate((real_rows[:, order],
+                           np.broadcast_to(transit_rows, (K, l_d * m)),
+                           dest), axis=1)
+    data = np.concatenate((real_data[:, order],
+                           np.ones((K, (l_d + 1) * m))), axis=1)
+    return SlotMatrices(layout.size, cols, rows, data)
 
 
 @dataclass
@@ -216,9 +201,9 @@ class AuditTrace:
 
     layout: AugmentedLayout
     indicators: DeliveryIndicators
-    chi: np.ndarray    # (K+1, size, d)
-    psi: np.ndarray    # (K+1, size)
-    matrices: list     # K csc matrices
+    chi: np.ndarray          # (K+1, size, d)
+    psi: np.ndarray          # (K+1, size)
+    matrices: SlotMatrices   # K slots
 
 
 def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
@@ -229,6 +214,10 @@ def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
     applied, if given, is the (K, n, d) array of value injections actually
     applied by the simulator at wake slots (perturbations or optimizer
     moves); they are added to real coordinates before each slot's flow.
+
+    Each slot is one ``np.bincount`` over the stored entries in column
+    order, so every row adds its terms in column order, as a CSC product
+    does.
     """
     topo, bounds = schedule.topology, schedule.bounds
     K = schedule.horizon
@@ -236,20 +225,25 @@ def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
     n, dim = x0.shape
     layout = AugmentedLayout(topo, bounds.max_effective_delay)
     ind = build_delivery_indicators(schedule, init_timestamp)
-    size = layout.size
-    chi = np.zeros((K + 1, size, dim))
-    psi = np.zeros((K + 1, size))
-    chi[0, :n] = x0
-    psi[0, :n] = 1.0
-    mats = []
+    mats = build_mass_matrix(layout, ind.wake, ind.tau)
+    size, width = layout.size, dim + 1
+    # mass in the first d columns, weight in the last
+    state = np.zeros((K + 1, size, width))
+    state[0, :n, :dim] = x0
+    state[0, :n, dim] = 1.0
+    flat = (mats.rows[:, :, None] * width
+            + np.arange(width)).reshape(K, mats.cols.size * width)
     for k in range(K):
-        mat = build_mass_matrix(layout, ind.wake[k], ind.tau[k])
-        mats.append(mat)
-        cur = chi[k].copy()
+        cur = state[k]
         if applied is not None:
-            cur[:n] += applied[k]
-        chi[k + 1], psi[k + 1] = step_augmented(mat, cur, psi[k])
-    return AuditTrace(layout, ind, chi, psi, mats)
+            cur = cur.copy()
+            cur[:n, :dim] += applied[k]
+        terms = mats.data[k][:, None] * cur[mats.cols]
+        state[k + 1] = np.bincount(flat[k], terms.reshape(-1),
+                                   minlength=size * width).reshape(size,
+                                                                    width)
+    return AuditTrace(layout, ind, np.ascontiguousarray(state[..., :dim]),
+                      np.ascontiguousarray(state[..., dim]), mats)
 
 
 # ---------------------------------------------------------------------------
@@ -399,55 +393,30 @@ def cross_validate(trace, audit: AuditTrace, x0: np.ndarray,
     return report
 
 
-def _matrix_structure_checks(matrices: list, n: int,
+def _matrix_structure_checks(matrices: SlotMatrices, n: int,
                              entry_floor: float) -> list[IdentityCheck]:
     """Column sums equal to one, nonzero entries at or above the floor, and
-    positive real diagonals, batched over STRUCTURE_CHUNK slot matrices."""
-    per_slot = np.hstack([np.zeros((3, 0))] + [
-        _structure_residuals(matrices[i:i + STRUCTURE_CHUNK], n, entry_floor)
-        for i in range(0, len(matrices), STRUCTURE_CHUNK)])
+    positive real diagonals, read off the stored entries of every slot.
+
+    Column sums add each column's entries in stored order; a real column's
+    nonzero entries are all equal, so any order gives the same bits.
+    """
+    data = matrices.data
+    starts = np.flatnonzero(np.diff(matrices.cols, prepend=-1))
+    residuals = (
+        np.abs(np.add.reduceat(data, starts, axis=1) - 1.0).max(
+            axis=1, initial=0.0),
+        np.where(data != 0.0, entry_floor - data, 0.0).max(axis=1,
+                                                           initial=0.0),
+        np.any(data[:, starts[:n]] <= 0.0, axis=1).astype(float))
     checks = []
     for name, res, tol in zip(("matrix-column-sums", "matrix-entry-floor",
                                "matrix-real-diagonal-positive"),
-                              per_slot, (1e-15, 1e-15, 0.0)):
+                              residuals, (1e-15, 1e-15, 0.0)):
         bad = np.flatnonzero(res > tol)
         checks.append(IdentityCheck(name, float(res.max(initial=0.0)),
                                     int(bad[0]) if bad.size else None))
     return checks
-
-
-def _structure_residuals(matrices: list, n: int,
-                         entry_floor: float) -> np.ndarray:
-    """(3, K) per-slot residuals: column-sum error, entry-floor shortfall,
-    and 1.0 where a real diagonal is not positive.
-
-    The CSC matrices' stored entries are concatenated; column sums are
-    add.reduceat over each non-empty column's entries, as scipy computes
-    them, so every residual equals the per-matrix scipy result bit for bit.
-    """
-    K, size = len(matrices), matrices[0].shape[1]
-    nnz = np.array([mat.nnz for mat in matrices])
-    offsets = np.concatenate(([0], np.cumsum(nnz)))
-    data = np.concatenate([mat.data for mat in matrices])
-    indices = np.concatenate([mat.indices for mat in matrices])
-    col_ptr = np.concatenate([mat.indptr[:-1] + off for mat, off
-                              in zip(matrices, offsets)] + [offsets[-1:]])
-    counts = np.diff(col_ptr)                          # (K * size,)
-    slot = np.repeat(np.arange(K), nnz)
-    col = np.repeat(np.tile(np.arange(size), K), counts)
-
-    out = np.zeros((3, K))
-    sums = np.zeros(K * size)                          # empty columns sum to 0
-    filled = counts > 0
-    sums[filled] = np.add.reduceat(data, col_ptr[:-1][filled])
-    out[0] = np.abs(sums - 1.0).reshape(K, size).max(axis=1)
-    np.maximum.at(out[1], slot,
-                  np.where(data != 0.0, entry_floor - data, 0.0))
-    on_diag = (indices == col) & (col < n)
-    diag = np.zeros((K, n))
-    np.add.at(diag, (slot[on_diag], col[on_diag]), data[on_diag])
-    out[2] = np.any(diag <= 0.0, axis=1)
-    return out
 
 
 def _exclusion_windows(ind: DeliveryIndicators) -> tuple[float, int | None]:
@@ -578,11 +547,11 @@ def window_positivity_check(audit: AuditTrace,
     strictly positive first n rows. Intended for small instances."""
     n = audit.layout.topology.n
     window = n * max_receipt_gap
-    K = len(audit.matrices)
+    K = audit.matrices.data.shape[0]
     if K < window:
         raise ConfigurationError(
             f"audit span {K} shorter than one window ({window})")
-    dense = [m.toarray() for m in audit.matrices]
+    dense = [audit.matrices.dense(k) for k in range(K)]
     for start in range(K - window + 1):
         prod = dense[start]
         for k in range(start + 1, start + window):
@@ -599,25 +568,24 @@ def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
                master_seed: int, run: int = 0, init_timestamp: int = 0,
                update=None, mask: np.ndarray | None = None,
                check_windows: bool = False) -> AuditReport:
-    """Simulate one run, rebuild it as the augmented linear system, and
-    return the identity report (raising on any failure).
+    """Simulate one run, rebuild it as the augmented linear system on the
+    schedule the engine recorded, and return the identity report (raising
+    on any failure).
 
     update is the run's wake-time update (``engine.run_protocol``), such as
     ``pushsum.Injection`` or ``optimizer.GradientStep`` built for this run;
     the moves it applies enter the rebuild as injections.
     """
     from .engine import run_protocol
-    from .faultnet import realize_schedule
 
     x0 = np.asarray(x0, dtype=float)
     result = run_protocol(topology, bounds, x0, horizon, master_seed,
                           runs=(run,), init_timestamp=init_timestamp,
                           update=update, mask=mask, record_trace=True)
     trace = result.trace
-    schedule = realize_schedule(topology, bounds, horizon, master_seed,
-                                run, mask=mask)
     applied = trace.applied if update is not None else None
-    audit = run_linear_audit(schedule, x0, init_timestamp, applied=applied)
+    audit = run_linear_audit(trace.schedule, x0, init_timestamp,
+                             applied=applied)
     report = cross_validate(trace, audit, x0, applied=applied)
     if check_windows:
         ok, start = window_positivity_check(audit, bounds.max_receipt_gap)

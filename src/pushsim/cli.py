@@ -22,8 +22,8 @@ import numpy as np
 from .audit import verify_run
 from .engine import run_protocol
 from .errors import ConfigurationError, PushsimError, VerificationError
-from .harness import (ExperimentConfig, build_problem, ratio_study,
-                      replay, run_experiment, write_line_plot)
+from .harness import (ExperimentConfig, ratio_study, replay,
+                      run_experiment, write_line_plot)
 from .optimizer import OPTIMIZER_INIT_TIMESTAMP, GradientStep, StepSizeLedger
 from .pushsum import dump_state_trace
 from .rng import Role, stream, uniform_box
@@ -38,10 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simulator with a linear-system audit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="JSON experiment config")
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("raps", "averaging demo + verification"),
+        ("rasgp", "optimization experiment"),
+        ("verify", "audit campaign"),
+        ("ratio", "error-ratio study over sizes"))}
+    for p in commands.values():
+        p.add_argument("--config", required=True,
+                       help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override master seed")
         p.add_argument("--out", default=None, help="output directory")
@@ -49,15 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override Monte Carlo run count")
         p.add_argument("--horizon", type=int, default=None,
                        help="override slot horizon")
-        p.add_argument("--verify", action="store_true",
-                       help="attach the linear-system audit")
-        p.add_argument("--plot", action="store_true",
-                       help="also write an SVG line plot")
-
-    common(sub.add_parser("raps", help="averaging demo + verification"))
-    common(sub.add_parser("rasgp", help="optimization experiment"))
-    common(sub.add_parser("verify", help="audit campaign"))
-    common(sub.add_parser("ratio", help="error-ratio study over sizes"))
+    # each flag only on the subcommands that read it
+    for name in ("raps", "rasgp"):
+        commands[name].add_argument("--verify", action="store_true",
+                                    help="attach the linear-system audit")
+    for name in ("raps", "rasgp", "ratio"):
+        commands[name].add_argument("--plot", action="store_true",
+                                    help="also write an SVG line plot")
     rp = sub.add_parser("replay", help="re-run a recorded experiment")
     rp.add_argument("--out", required=True,
                     help="directory holding manifest.json and raw CSVs")
@@ -141,7 +143,7 @@ def _cmd_rasgp(args) -> int:
     if args.verify:
         # rebuild the first span slots of run 0 and cross-check them
         span = min(config.horizon, AUDIT_SPAN_CAP)
-        problem = build_problem(config)
+        problem = result.problem
         topo, objective = problem.topology, problem.objective
         ledger = StepSizeLedger(numerator=topo.n, mu=objective.mu_total,
                                 horizon=span, k0=config.step_offset)

@@ -55,6 +55,12 @@ The slot loop keeps only the data flow. Within one slot:
 Messages consist of running sums, so accepting only the newest arrived
 message per arc is equivalent to processing the whole inbox: any older
 unprocessed message is dominated by the newest one.
+
+A recorded trace also keeps the schedule the engine realized, as a
+``faultnet.ScheduleRealization``. After the slot loop the engine realizes
+``L_d`` more wake slots with the same draws and realizer state, since
+delivery classification needs that tail; the audit reads this schedule
+instead of realizing it again.
 """
 
 from __future__ import annotations
@@ -66,7 +72,8 @@ import numpy as np
 from .errors import (ConfigurationError, InconsistentScheduleError,
                      ProtocolViolationError)
 from .faultnet import (DEFAULT_CHUNK, NOT_SENT, FaultBounds, RealizerState,
-                       ScheduleDraws, realize_chunk, validate_mask)
+                       ScheduleDraws, ScheduleRealization, realize_chunk,
+                       validate_mask)
 from .graph import Topology
 
 # Send slot standing for "no message" in the acceptance pass.
@@ -86,8 +93,13 @@ class Trace:
     phi: np.ndarray      # (K+1, n, d+1)  sent totals
     rho: np.ndarray      # (K+1, m, d+1)  absorbed totals, canonical arc order
     kappa: np.ndarray    # (K+1, n)
-    wake: np.ndarray     # (K, n)
     applied: np.ndarray  # (K, n, d) value deltas applied at wake
+    schedule: ScheduleRealization   # wake (K + L_d, n), arrival (K, m)
+
+    @property
+    def wake(self) -> np.ndarray:
+        """(K, n) wakes of the protocol slots."""
+        return self.schedule.wake[:self.schedule.horizon]
 
     @property
     def aug_mean(self) -> np.ndarray:
@@ -291,13 +303,16 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     trace = None
     if record_trace:
         K = horizon
+        schedule = ScheduleRealization(
+            topology, bounds, K,
+            np.empty((K + bounds.max_effective_delay, n), dtype=bool),
+            np.empty((K, m), dtype=np.int64))
         trace = Trace(np.empty((K + 1, n, dim + 1)),
                       np.empty((K + 1, n, dim)),
                       np.empty((K + 1, n, dim + 1)),
                       np.empty((K + 1, m, dim + 1)),
                       np.empty((K + 1, n), dtype=np.int64),
-                      np.empty((K, n), dtype=bool),
-                      np.zeros((K, n, dim)))
+                      np.zeros((K, n, dim)), schedule)
         trace.mass[0], trace.z[0], trace.phi[0] = mass[0], z[0], 0.0
         trace.rho[0], trace.kappa[0] = 0.0, init_timestamp
 
@@ -311,14 +326,16 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     if e_dist is not None:
         record_errors(0, z[None])
 
+    def realize(first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        draws = [d_.draw_chunk(steps) for d_ in schedule_draws]
+        return realize_chunk(bounds, topology, realizer, first, horizon,
+                             *(np.stack(u) for u in zip(*draws)), mask)
+
     done = 0
     while done < horizon:
         steps = min(chunk, horizon - done)
         ks = np.arange(done, done + steps)
-        draws = [d_.draw_chunk(steps) for d_ in schedule_draws]
-        wake_c, arrival_c = realize_chunk(
-            bounds, topology, realizer, done, horizon,
-            *(np.stack(u) for u in zip(*draws)), mask)
+        wake_c, arrival_c = realize(done, steps)
         wake_mass = _per_slot(wake_c, dim + 1)         # (C, B, n, d+1)
         wake_val = _per_slot(wake_c, dim)              # (C, B, n, d)
 
@@ -333,7 +350,8 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
             last_kappa = kappa_after[:, -1]
             if trace is not None:
                 trace.kappa[done + 1:done + steps + 1] = kappa_after[0]
-                trace.wake[done:done + steps] = wake_c[0]
+                trace.schedule.wake[done:done + steps] = wake_c[0]
+                trace.schedule.arrival[done:done + steps] = arrival_c[0]
         if update is not None:
             update.chunk(kappa_before, ks)
         # the arcs that accept, and the history rows of their messages:
@@ -395,4 +413,8 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
             record_errors(done + 1, z_slots)
         done += steps
 
+    if trace is not None:
+        # the wake tail that delivery classification needs
+        trace.schedule.wake[horizon:] = realize(
+            horizon, bounds.max_effective_delay)[0][0]
     return RunResult(z_final=z, e_dist=e_dist, trace=trace)

@@ -24,10 +24,10 @@ import numpy as np
 from .errors import ConfigurationError, PushsimError
 from .faultnet import FaultBounds
 from .graph import Topology, build_cycle, build_random_strongly_connected
-from .objectives import (NoiseModel, SvmObjective, box_noise_model,
-                         dump_svm_dataset, generate_quadratic,
-                         generate_svm_dataset, save_optimum,
-                         solve_reference_optimum)
+from .objectives import (NoiseModel, OptimumCertificate, SvmObjective,
+                         box_noise_model, dump_svm_dataset,
+                         generate_quadratic, generate_svm_dataset,
+                         save_optimum, solve_reference_optimum)
 from .optimizer import StepSizeLedger, run_gradient_push
 from .rng import Role, stream
 
@@ -282,12 +282,13 @@ class ProblemInstance:
     baseline_noise: NoiseModel
     z_star: np.ndarray
     dataset: tuple | None      # (features, labels) for svm
+    optimum: OptimumCertificate | None   # the certified optimum, for svm
 
 
 def build_problem(config: ExperimentConfig) -> ProblemInstance:
     topo = config.topology.build(config.master_seed)
     n = topo.n
-    dataset = None
+    dataset = cert = None
     if config.objective.kind == "quadratic":
         objective = generate_quadratic(n, config.objective.dim,
                                        config.master_seed)
@@ -309,7 +310,8 @@ def build_problem(config: ExperimentConfig) -> ProblemInstance:
     # variance
     baseline = box_noise_model(config.noise_width, dim,
                                scale=float(np.sqrt(n)))
-    return ProblemInstance(topo, objective, noise, baseline, z_star, dataset)
+    return ProblemInstance(topo, objective, noise, baseline, z_star, dataset,
+                           cert)
 
 
 def centralized_baseline(problem: ProblemInstance, horizon: int,
@@ -514,8 +516,7 @@ class ExperimentResult:
     series: MetricSeries
     e_dist_raw: np.ndarray
     e_c_raw: np.ndarray
-    z_star: np.ndarray
-    mu_total: float
+    problem: ProblemInstance
 
 
 def _error_series(config: ExperimentConfig, problem: ProblemInstance
@@ -560,8 +561,7 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
     if problem.dataset is not None:
         dump_svm_dataset(problem.dataset[0], problem.dataset[1],
                          outdir / "dataset.csv")
-        cert = solve_reference_optimum(problem.objective)
-        save_optimum(cert, outdir / "optimum.csv")
+        save_optimum(problem.optimum, outdir / "optimum.csv")
 
     try:
         e_dist_raw, e_c_raw = _error_series(config, problem)
@@ -593,7 +593,7 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
     manifest["mu_total"] = float(problem.objective.mu_total)
     _write_manifest(outdir, manifest)
     return ExperimentResult(config, outdir, series, e_dist_raw, e_c_raw,
-                            problem.z_star, problem.objective.mu_total)
+                            problem)
 
 
 def _write_manifest(outdir: Path, manifest: dict) -> None:

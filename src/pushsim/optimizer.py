@@ -45,7 +45,6 @@ class StepSizeLedger:
             [[0.0], self.numerator / (self.mu * (ks + self.k0))])
         # prefix[j] = sum of alpha(t) for t < j; prefix[0] = 0
         self.prefix = np.concatenate([[0.0], np.cumsum(alphas)])
-        self._alphas = alphas
 
     def alpha(self, k: int) -> float:
         if k == 0:

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from mpmath import mp
 
 from pushsim import pushsum
@@ -57,12 +56,13 @@ def test_two_node_sync_matrix_entries_exact():
     sched = realize_schedule(topo, SYNC, 4, 1, 0)
     ind = build_delivery_indicators(sched, -1)
     lay = AugmentedLayout(topo, sched.bounds.max_effective_delay)
-    m0 = build_mass_matrix(lay, ind.wake[0], ind.tau[0]).toarray()
+    mats = build_mass_matrix(lay, ind.wake, ind.tau)
+    m0 = mats.dense(0)
     # real columns split 1/2 diagonal, 1/2 into the arc's level-1 slot
     assert m0[0, 0] == 0.5 and m0[lay.transit_index(0, 1), 0] == 0.5
     assert m0[1, 1] == 0.5 and m0[lay.transit_index(1, 1), 1] == 0.5
     assert np.allclose(m0.sum(axis=0), 1.0)
-    m1 = build_mass_matrix(lay, ind.wake[1], ind.tau[1]).toarray()
+    m1 = mats.dense(1)
     # transit columns: level-1 mass lands on the receiving node
     assert m1[1, lay.transit_index(0, 1)] == 1.0
     assert m1[0, lay.transit_index(1, 1)] == 1.0
@@ -76,10 +76,10 @@ def test_mass_matrix_rejects_two_levels_per_arc():
     tau[1, 0] = tau[1, 2] = True         # two simultaneous accepted levels
     with pytest.raises(InconsistentScheduleError,
                        match=r"^arc 2->1: two delivery levels in one slot$"):
-        build_mass_matrix(lay, wake, tau)
+        build_mass_matrix(lay, wake[None], tau[None])
     with pytest.raises(ConfigurationError,
                        match=r"tau slice shape \(2, 2\) != \(2, 3\)"):
-        build_mass_matrix(lay, wake, tau[:, :2])
+        build_mass_matrix(lay, wake[None], tau[None, :, :2])
 
 
 def test_matrix_columns_are_stochastic_under_faults():
@@ -87,8 +87,8 @@ def test_matrix_columns_are_stochastic_under_faults():
     sched = realize_schedule(topo, ASYNC, 120, 19, 0)
     audit = run_linear_audit(sched, x0, 0)
     floor = 1.0 / (topo.out_degree().max() + 1)
-    for mat in audit.matrices:
-        dense = mat.toarray()
+    for k in range(sched.horizon):
+        dense = audit.matrices.dense(k)
         assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= 1e-15
         positive = dense[dense > 0]
         assert positive.min() >= floor - 1e-15
@@ -279,7 +279,7 @@ def test_wbar_consistent_under_faults():
 # ------------------------------------------- array builders vs references
 
 def reference_mass_matrix(layout, wake_k, tau_k):
-    """Entry-by-entry construction of one slot's matrix, the form the
+    """Entry-by-entry construction of one slot's dense matrix, the form the
     array-based build_mass_matrix must reproduce exactly."""
     topo = layout.topology
     n, m = topo.n, topo.m
@@ -317,7 +317,9 @@ def reference_mass_matrix(layout, wake_k, tau_k):
         else:
             put(layout.excess_index(a), layout.excess_index(a), 1.0)
     size = layout.size
-    return sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    out = np.zeros((size, size))
+    np.add.at(out, (rows, cols), vals)
+    return out
 
 
 def reference_levels_above(audit):
@@ -337,15 +339,16 @@ def reference_levels_above(audit):
 
 
 def reference_structure(matrices, n, entry_floor):
-    """Per-matrix column sums, entry floor and real diagonals via scipy."""
+    """Per-matrix column sums, entry floor and real diagonals of dense
+    matrices."""
     col_res = entry_res = diag_res = 0.0
     col_bad = entry_bad = diag_bad = None
     for k, mat in enumerate(matrices):
-        r = float(np.abs(np.asarray(mat.sum(axis=0)).ravel() - 1.0).max())
+        r = float(np.abs(mat.sum(axis=0) - 1.0).max())
         col_res = max(col_res, r)
         if r > 1e-15 and col_bad is None:
             col_bad = k
-        data = mat.data[mat.data != 0.0]
+        data = mat[mat != 0.0]
         short = float(np.maximum(entry_floor - data, 0.0).max(initial=0.0))
         entry_res = max(entry_res, short)
         if short > 1e-15 and entry_bad is None:
@@ -385,15 +388,15 @@ def test_mass_matrices_match_entrywise_reference():
     slots = 0
     for sched, init_ts, _ in reference_schedules():
         ind = build_delivery_indicators(sched, init_ts)
-        lay = AugmentedLayout(sched.topology,
-                              sched.bounds.max_effective_delay)
+        l_d = sched.bounds.max_effective_delay
+        lay = AugmentedLayout(sched.topology, l_d)
+        got = build_mass_matrix(lay, ind.wake, ind.tau)
+        # one stored structure: every slot keeps n + m + (L_d+1)*m entries
+        n, m = sched.topology.n, sched.topology.m
+        assert got.nnz == sched.horizon * (n + m + (l_d + 1) * m)
         for k in range(sched.horizon):
-            got = build_mass_matrix(lay, ind.wake[k], ind.tau[k])
             want = reference_mass_matrix(lay, ind.wake[k], ind.tau[k])
-            assert got.nnz == want.nnz
-            assert np.array_equal(got.toarray(), want.toarray())
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.dense(k), want)
             slots += 1
     assert slots == 2 * 200 + 10 * 150 + 150
 
@@ -412,7 +415,8 @@ def test_structure_checks_and_levels_above_match_references():
         report = cross_validate(res.trace, audit, x0)
         got = [(c.name, c.max_residual, c.first_bad_slot)
                for c in report.checks if c.name.startswith("matrix-")]
-        assert got == reference_structure(audit.matrices, topo.n, floor)
+        dense = [audit.matrices.dense(k) for k in range(sched.horizon)]
+        assert got == reference_structure(dense, topo.n, floor)
 
 
 def test_structure_checks_flag_broken_matrices_like_reference():
@@ -420,19 +424,57 @@ def test_structure_checks_flag_broken_matrices_like_reference():
     sched = realize_schedule(topo, ASYNC, 60, 19, 0)
     res = run_protocol(topo, ASYNC, x0, 60, 19, record_trace=True)
     audit = run_linear_audit(sched, x0, 0)
-    mats = [mat.copy() for mat in audit.matrices]
-    mats[7].data[0] *= 0.5                   # column sum and floor break
-    mats[9].data[mats[9].indptr[1]] = 0.0    # node 1's diagonal stored as 0
-    mats[12].data[-1] = 0.0                  # last column left empty
-    mats[12].eliminate_zeros()
-    broken = dataclasses.replace(audit, matrices=mats)
+    mats = audit.matrices
+    data = mats.data.copy()
+    data[7, 0] *= 0.5                        # column sum and floor break
+    node1_diag = np.flatnonzero(mats.cols == 1)[0]
+    data[9, node1_diag] = 0.0                # node 1's diagonal stored as 0
+    data[12, -1] = 0.0                       # last column's only entry
+    broken = dataclasses.replace(
+        audit, matrices=dataclasses.replace(mats, data=data))
     report = cross_validate(res.trace, broken, x0)
     got = [(c.name, c.max_residual, c.first_bad_slot)
            for c in report.checks if c.name.startswith("matrix-")]
     floor = 1.0 / (topo.out_degree().max() + 1.0)
-    want = reference_structure(mats, topo.n, floor)
+    want = reference_structure([broken.matrices.dense(k) for k in range(60)],
+                               topo.n, floor)
     assert got == want
     assert [bad for _, _, bad in want] == [7, 7, 9]
+
+
+def reference_step(matrix, state):
+    """One slot in plain Python: each row adds its terms in column order,
+    over the matrix's nonzero entries only."""
+    out = np.zeros_like(state)
+    for col in range(matrix.shape[1]):
+        for row in np.flatnonzero(matrix[:, col]):
+            out[row] += matrix[row, col] * state[col]
+    return out
+
+
+def test_linear_audit_steps_exactly_like_a_column_order_replay():
+    # the stored explicit zeros must not change one bit of a finite state
+    schedules = list(reference_schedules())
+    applied = np.random.default_rng(5).normal(
+        size=(200, schedules[0][0].topology.n, 2))
+    cases = [(schedules[0], None), (schedules[4], None),
+             (schedules[-1], None), (schedules[0], applied)]
+    for (sched, init_ts, _), moves in cases:
+        topo = sched.topology
+        x0 = np.linspace(-2.0, 3.0, 2 * topo.n).reshape(topo.n, 2)
+        audit = run_linear_audit(sched, x0, init_ts, applied=moves)
+        ind, lay = audit.indicators, audit.layout
+        state = np.zeros((lay.size, 3))
+        state[:topo.n, :2], state[:topo.n, 2] = x0, 1.0
+        for k in range(sched.horizon):
+            assert np.array_equal(audit.chi[k], state[:, :2])
+            assert np.array_equal(audit.psi[k], state[:, 2])
+            if moves is not None:
+                state[:topo.n, :2] += moves[k]
+            state = reference_step(
+                reference_mass_matrix(lay, ind.wake[k], ind.tau[k]), state)
+        assert np.array_equal(audit.chi[-1], state[:, :2])
+        assert np.array_equal(audit.psi[-1], state[:, 2])
 
 
 def test_levels_above_accepted_sees_misplaced_transit_mass():

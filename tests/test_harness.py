@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pushsim.harness import (ExperimentConfig, aggregate_series,
                              batch_window_means, build_problem,
                              centralized_baseline, ratio_study, read_raw,
                              replay, run_experiment)
+from pushsim.objectives import save_optimum
 from pushsim.optimizer import StepSizeLedger, run_gradient_push
 
 BASE = {
@@ -314,6 +316,26 @@ def test_failing_run_located_in_manifest(tmp_path, monkeypatch):
             manifest["failing_node"]) == (2, slot, node)
 
 
+def test_svm_optimum_is_solved_once_per_experiment(tmp_path, monkeypatch):
+    real = harness.solve_reference_optimum
+    calls = []
+
+    def counted(objective):
+        calls.append(objective)
+        return real(objective)
+
+    monkeypatch.setattr(harness, "solve_reference_optimum", counted)
+    cfg = config(objective={"kind": "svm", "points_per_node": 20},
+                 horizon=100, runs=2, batch_size=1)
+    result = run_experiment(cfg, tmp_path / "svm")
+    assert len(calls) == 1
+    assert result.problem.optimum is not None
+    # the saved certificate is the one a fresh solve gives
+    save_optimum(real(result.problem.objective), tmp_path / "fresh.csv")
+    assert ((tmp_path / "svm" / "optimum.csv").read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())
+
+
 def test_baseline_updates_on_gap_and_is_deterministic(tiny_run):
     cfg = config(horizon=60)
     problem = build_problem(cfg)
@@ -377,6 +399,43 @@ def test_cli_verify_states_audited_span(command, tmp_path, capsys):
     first = (out / "verify.txt").read_text().splitlines()[0]
     assert first == "audited slots 0-999 of 1200"
     assert first in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--plot"],
+                                  ["verify", "--verify"],
+                                  ["ratio", "--verify"]])
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path,
+                                                      capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(BASE))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def svg_polylines(path, title):
+    root = ET.parse(path).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert title in [t.text for t in root.iter(ns + "text")]
+    return root.findall(ns + "polyline")
+
+
+def test_cli_plot_writes_parseable_svg(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(
+        BASE, runs=2, batch_size=1, horizon=300,
+        ratio={"sizes": [2, 3], "checkpoints": [100, 200, 300]})))
+    common = ["--config", str(cfg_path), "--plot"]
+    out = tmp_path / "raps"
+    assert cli_main(["raps", "--out", str(out)] + common) == 0
+    assert len(svg_polylines(out / "consensus.svg", "tiny")) == 1
+    out = tmp_path / "rasgp"
+    assert cli_main(["rasgp", "--out", str(out)] + common) == 0
+    assert len(svg_polylines(out / "errors.svg", "tiny")) == 2
+    out = tmp_path / "ratio"
+    assert cli_main(["ratio", "--out", str(out)] + common) == 0
+    assert len(svg_polylines(out / "ratio.svg", "error ratio")) == 3
 
 
 def test_cli_replay_subcommand(tmp_path):

@@ -224,6 +224,29 @@ def test_engine_results_do_not_depend_on_chunk_size():
             assert np.array_equal(got[name], value), (chunk, name)
 
 
+def test_trace_records_the_realized_schedule():
+    # the audit reads the engine's recorded schedule instead of realizing
+    # it again, so it must equal realize_schedule's, L_d wake tail included
+    from pushsim.faultnet import realize_schedule
+    masked = build_cycle(5, bidirectional=True)
+    mask = np.random.default_rng(1).random((150, masked.m)) < 0.7
+    mask[::3] = True
+    cases = [(build_cycle(4, bidirectional=True), SYNC, None),
+             (build_cycle(4, bidirectional=True), ASYNC, None),
+             (masked, FaultBounds(3, 0, 3, wake_prob=0.5), mask)]
+    for topo, bounds, arc_mask in cases:
+        want = realize_schedule(topo, bounds, 150, 17, 2, mask=arc_mask)
+        assert want.wake.shape[0] == 150 + bounds.max_effective_delay
+        for chunk in (1, 7, 128):
+            got = run_averaging(topo, bounds, np.ones((topo.n, 1)), 150, 17,
+                                runs=(2,), mask=arc_mask, record_trace=True,
+                                chunk=chunk).trace
+            assert got.schedule.horizon == 150
+            assert np.array_equal(got.schedule.wake, want.wake), chunk
+            assert np.array_equal(got.schedule.arrival, want.arrival), chunk
+            assert np.array_equal(got.wake, want.wake[:150])
+
+
 def test_engine_rejects_acceptance_older_than_effective_delay(monkeypatch):
     # a schedule in which both nodes sleep longer than L_u allows: the
     # slot-0 message is still the newest when node 1 wakes at slot 4
