@@ -568,9 +568,8 @@ def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
                master_seed: int, run: int = 0, init_timestamp: int = 0,
                update=None, mask: np.ndarray | None = None,
                check_windows: bool = False) -> AuditReport:
-    """Simulate one run, rebuild it as the augmented linear system on the
-    schedule the engine recorded, and return the identity report (raising
-    on any failure).
+    """Simulate one run and audit it (``audit_trace``), raising on any
+    failure.
 
     update is the run's wake-time update (``engine.run_protocol``), such as
     ``pushsum.Injection`` or ``optimizer.GradientStep`` built for this run;
@@ -583,12 +582,28 @@ def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
                           runs=(run,), init_timestamp=init_timestamp,
                           update=update, mask=mask, record_trace=True)
     trace = result.trace
-    applied = trace.applied if update is not None else None
+    return audit_trace(trace, x0, init_timestamp,
+                       applied=trace.applied if update is not None else None,
+                       check_windows=check_windows)
+
+
+def audit_trace(trace, x0: np.ndarray, init_timestamp: int = 0,
+                applied: np.ndarray | None = None,
+                check_windows: bool = False) -> AuditReport:
+    """Rebuild a recorded engine trace as the augmented linear system on the
+    schedule the engine recorded, cross-check the two, and return the
+    identity report (raising on any failure).
+
+    applied is the trace's ``applied`` moves when the run had a wake-time
+    update, else None.
+    """
+    x0 = np.asarray(x0, dtype=float)
     audit = run_linear_audit(trace.schedule, x0, init_timestamp,
                              applied=applied)
     report = cross_validate(trace, audit, x0, applied=applied)
     if check_windows:
-        ok, start = window_positivity_check(audit, bounds.max_receipt_gap)
+        ok, start = window_positivity_check(
+            audit, trace.schedule.bounds.max_receipt_gap)
         report.checks.append(IdentityCheck(
             "window-product-positivity", 0.0 if ok else 1.0,
             None if ok else start))

@@ -101,6 +101,18 @@ class Trace:
         """(K, n) wakes of the protocol slots."""
         return self.schedule.wake[:self.schedule.horizon]
 
+    def head(self, slots: int) -> "Trace":
+        """The trace of the first `slots` slots, as a run with that horizon
+        records it (views; the schedule keeps its L_d wake tail)."""
+        sched = self.schedule
+        tail = slots + sched.bounds.max_effective_delay
+        return Trace(self.mass[:slots + 1], self.z[:slots + 1],
+                     self.phi[:slots + 1], self.rho[:slots + 1],
+                     self.kappa[:slots + 1], self.applied[:slots],
+                     ScheduleRealization(sched.topology, sched.bounds, slots,
+                                         sched.wake[:tail],
+                                         sched.arrival[:slots]))
+
     @property
     def aug_mean(self) -> np.ndarray:
         """(K+1, d) mean of all mass in the system, in transit and excess

@@ -32,6 +32,7 @@ SVM_PENALTY_NUMERATOR = 500.0
 SVM_CENTERS = ((1.0, 1.0), (3.0, 3.0))
 REFERENCE_GRAD_TOL = 1e-10
 REFERENCE_MAX_ITERS = 10 ** 6
+REFERENCE_MIN_STEP = 1e-12
 
 
 def smoothed_hinge(xi: np.ndarray) -> np.ndarray:
@@ -41,8 +42,8 @@ def smoothed_hinge(xi: np.ndarray) -> np.ndarray:
 
 
 def smoothed_hinge_derivative(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    return np.where(xi <= 0.0, -1.0, np.where(xi < 1.0, xi - 1.0, 0.0))
+    # the three pieces in one pass; a NaN margin stays NaN
+    return np.clip(np.asarray(xi, dtype=float) - 1.0, -1.0, 0.0)
 
 
 class QuadraticObjective:
@@ -108,6 +109,14 @@ class SvmObjective:
             raise ConfigurationError("features (n, s, p) and labels (n, s)")
         n, s, _ = self.features.shape
         self.penalty = penalty_numerator / (n * s)  # C = c / N
+        # label-weighted augmented features y_j (A_j, 1), in the layouts the
+        # batch gradients read: (d, n, s) for margins, (n, d, s) for the
+        # per-node reduction, (n s, d) for the total gradient
+        ya = self.labels[..., None] * np.concatenate(
+            [self.features, np.ones((n, s, 1))], axis=-1)
+        self._ya_k = np.ascontiguousarray(np.moveaxis(ya, -1, 0))
+        self._ya_t = np.ascontiguousarray(np.swapaxes(ya, 1, 2))
+        self._ya_flat = np.ascontiguousarray(ya.reshape(n * s, -1))
 
     @property
     def n_agents(self) -> int:
@@ -127,11 +136,6 @@ class SvmObjective:
         sq = np.sum(self.features ** 2, axis=2) + 1.0  # (n, s)
         return 1.0 / self.n_agents + self.penalty * np.sum(sq, axis=1)
 
-    def _margins(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # w (..., n, p), g (..., n) -> y_j (A_j . w + g), shape (..., n, s)
-        proj = np.einsum("nsp,...np->...ns", self.features, w)
-        return self.labels * (proj + g[..., None])
-
     def local_gradient(self, i: int, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         w, g = z[:-1], z[-1]
@@ -149,19 +153,24 @@ class SvmObjective:
         return float(reg + self.penalty * np.sum(smoothed_hinge(xi)))
 
     def batch_local_gradients(self, z: np.ndarray) -> np.ndarray:
-        w, g = z[..., :-1], z[..., -1]
-        dh = smoothed_hinge_derivative(self._margins(w, g)) * self.labels
-        grad_w = (w / self.n_agents
-                  + self.penalty * np.einsum("...ns,nsp->...np",
-                                             dh, self.features))
-        grad_g = g / self.n_agents + self.penalty * np.sum(dh, axis=-1)
-        return np.concatenate([grad_w, grad_g[..., None]], axis=-1)
+        """z is (..., n, d); gradient of f_i at z[..., i, :] for every i."""
+        xi = z[..., 0, None] * self._ya_k[0]
+        for k in range(1, self.dim):
+            xi += z[..., k, None] * self._ya_k[k]
+        dh = smoothed_hinge_derivative(xi)                   # (..., n, s)
+        return (z / self.n_agents
+                + self.penalty * np.matmul(self._ya_t, dh[..., None])[..., 0])
 
     def batch_total_gradient(self, x: np.ndarray) -> np.ndarray:
+        """x is (..., d); gradient of F = sum_i f_i at each point."""
         x = np.asarray(x, dtype=float)
-        z = np.broadcast_to(x[..., None, :],
-                            x.shape[:-1] + (self.n_agents, x.shape[-1]))
-        return np.sum(self.batch_local_gradients(z), axis=-2)
+        ya_k = self._ya_k.reshape(self.dim, -1)              # (d, n s)
+        xi = x[..., 0, None] * ya_k[0]
+        for k in range(1, self.dim):
+            xi += x[..., k, None] * ya_k[k]
+        dh = smoothed_hinge_derivative(xi)                   # (..., n s)
+        return x + self.penalty * np.matmul(dh[..., None, :],
+                                            self._ya_flat)[..., 0, :]
 
     def total_value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -175,12 +184,10 @@ class SvmObjective:
         x = np.asarray(x, dtype=float)
         w, g = x[:-1], x[-1]
         xi = self.labels * (self.features @ w + g[None])
-        band = ((xi >= 0.0) & (xi < 1.0)).astype(float)
-        aug = np.concatenate([self.features,
-                              np.ones(self.labels.shape + (1,))], axis=-1)
-        flat = aug.reshape(-1, self.dim)
-        weights = band.reshape(-1)
-        return np.eye(self.dim) + self.penalty * (flat.T * weights) @ flat
+        band = ((xi >= 0.0) & (xi < 1.0)).astype(float).reshape(-1)
+        # y_j^2 = 1, so the label-weighted rows give the same products
+        flat = self._ya_flat
+        return np.eye(self.dim) + self.penalty * (flat.T * band) @ flat
 
     def optimum(self) -> None:
         return None  # no closed form; see solve_reference_optimum
@@ -303,6 +310,15 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
     damped Newton (the smoothed-hinge objective is piecewise quadratic, so
     this lands on machine precision in a handful of steps); the fallback is
     full-gradient descent with Armijo backtracking. Start point: origin.
+
+    Near the optimum the Armijo decrease can fall below the resolution of
+    total_value (a data point near the hinge kink), so backtracking ends
+    on a step that leaves x unchanged. When a trial step leaves x unchanged
+    or drops below REFERENCE_MIN_STEP, the iteration instead takes the
+    fixed step grad / L with L = sum(lipschitz_local), a global Lipschitz
+    bound of grad F, which lowers F with no line search. If that step also
+    leaves x unchanged, or the gradient is not finite, the solver raises
+    at once instead of spinning to max_iters.
     """
     closed = objective.optimum()
     if closed is not None:
@@ -317,6 +333,9 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= grad_tol:
             return OptimumCertificate(x, gnorm, it - 1)
+        if not np.isfinite(gnorm):
+            raise ReferenceSolverError(
+                f"non-finite gradient at iteration {it}")
         if newton:
             direction = np.linalg.solve(objective.total_hessian(x), grad)
             slope = float(np.dot(grad, direction))
@@ -326,8 +345,16 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
             slope = gnorm * gnorm
         while True:
             cand = x - step * direction
+            if step < REFERENCE_MIN_STEP or np.array_equal(cand, x):
+                cand = x - grad / float(np.sum(objective.lipschitz_local))
+                if np.array_equal(cand, x):
+                    raise ReferenceSolverError(
+                        f"iteration {it} left x unchanged "
+                        f"(grad norm {gnorm:.3e} > {grad_tol:.1e})")
+                cand_value = objective.total_value(cand)
+                break
             cand_value = objective.total_value(cand)
-            if cand_value <= value - 1e-4 * step * slope or step < 1e-18:
+            if cand_value <= value - 1e-4 * step * slope:
                 break
             step *= 0.5
         x, value = cand, cand_value

@@ -19,6 +19,8 @@ from pushsim.harness import (ExperimentConfig, aggregate_series,
 from pushsim.objectives import save_optimum
 from pushsim.optimizer import StepSizeLedger, run_gradient_push
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 BASE = {
     "name": "tiny",
     "topology": {"kind": "cycle", "n": 3, "bidirectional": True},
@@ -401,6 +403,37 @@ def test_cli_verify_states_audited_span(command, tmp_path, capsys):
     assert first in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("horizon", [None, "1200"])
+def test_cli_raps_verify_audits_the_recorded_run(horizon, tmp_path,
+                                                 monkeypatch):
+    """One simulation of run 0; verify.txt is what an independent
+    ``verify_run`` over the audited span reports."""
+    from pushsim import audit, cli, engine
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("runs"))
+        return real(*args, **kwargs)
+
+    real = engine.run_protocol
+    monkeypatch.setattr(engine, "run_protocol", counted)
+    monkeypatch.setattr(cli, "run_protocol", counted)
+    cfg_path = CONFIGS / "verify_faulty_small.json"
+    argv = ["raps", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--verify"] + (["--horizon", horizon] if horizon else [])
+    assert cli_main(argv) == 0
+    assert calls == [(0,)]
+    monkeypatch.undo()
+    cfg = ExperimentConfig.from_file(cfg_path)
+    K = int(horizon) if horizon else cfg.horizon
+    span = min(K, cli.AUDIT_SPAN_CAP)
+    topo = cfg.topology.build(cfg.master_seed)
+    x0 = cli._averaging_x0(cfg, topo.n, cfg.objective.dim)
+    report = audit.verify_run(topo, cfg.faults, x0, span, cfg.master_seed)
+    expect = f"audited slots 0-{span - 1} of {K}\n" + report.to_text()
+    assert (tmp_path / "verify.txt").read_text() == expect
+
+
 @pytest.mark.parametrize("argv", [["verify", "--plot"],
                                   ["verify", "--verify"],
                                   ["ratio", "--verify"]])
@@ -452,8 +485,7 @@ def test_cli_replay_subcommand(tmp_path):
 
 
 def test_bundled_configs_parse_and_build():
-    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
-    found = sorted(configs.glob("*.json"))
+    found = sorted(CONFIGS.glob("*.json"))
     assert len(found) == 5
     for path in found:
         cfg = ExperimentConfig.from_file(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsim.errors import ConfigurationError
+from pushsim.errors import ConfigurationError, ReferenceSolverError
 from pushsim.objectives import (NoiseModel, QuadraticObjective, SvmObjective,
                                 box_noise_model, dump_svm_dataset,
                                 generate_quadratic, generate_svm_dataset,
@@ -114,6 +114,30 @@ def test_batch_gradients_agree_with_scalar_path():
 
 # ------------------------------------------------------------------ svm
 
+def test_svm_batch_gradients_agree_with_scalar_path():
+    s = SvmObjective(*generate_svm_dataset(50, 17))
+    z = np.random.default_rng(3).normal(0.5, 1.5, size=(4, 50, s.dim))
+    batch = s.batch_local_gradients(z)
+    for b in range(4):
+        for i in range(50):
+            assert np.max(np.abs(batch[b, i]
+                                 - s.local_gradient(i, z[b, i]))) <= 1e-13
+    total = s.batch_total_gradient(z[:, 0])
+    for b in range(4):
+        summed = sum(s.local_gradient(i, z[b, 0]) for i in range(50))
+        assert np.max(np.abs(total[b] - summed)) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 5, 100])
+def test_svm_total_gradient_rows_do_not_depend_on_the_batch(batch):
+    s = SvmObjective(*generate_svm_dataset(50, 18))
+    x = np.random.default_rng(4).normal(0.5, 1.5, size=(100, s.dim))
+    out = s.batch_total_gradient(x[:batch])
+    for b in range(batch):
+        assert np.array_equal(out[b], s.batch_total_gradient(x[b]))
+        assert np.array_equal(out[b], s.batch_total_gradient(x[b:b + 1])[0])
+
+
 def test_svm_dataset_shapes_and_determinism():
     f1, l1 = generate_svm_dataset(6, 21)
     f2, l2 = generate_svm_dataset(6, 21)
@@ -190,6 +214,73 @@ def test_reference_optimum_certificate():
     bump = np.zeros(s.dim)
     bump[0] = 1e-3
     assert s.total_value(cert.z_star + bump) > f_star
+
+
+class _EinsumSvm(SvmObjective):
+    """The 0.2.0 total gradient: x broadcast to every node, per-node einsum
+    gradients summed. Its bits differ from the direct form in the last
+    places, which moves where damped Newton stalls."""
+
+    def batch_total_gradient(self, x):
+        z = np.broadcast_to(x[None, :], (self.n_agents, self.dim))
+        w, g = z[:, :-1], z[:, -1]
+        proj = np.einsum("nsp,...np->...ns", self.features, w)
+        dh = smoothed_hinge_derivative(
+            self.labels * (proj + g[:, None])) * self.labels
+        grad_w = w / self.n_agents + self.penalty * np.einsum(
+            "...ns,nsp->...np", dh, self.features)
+        grad_g = g / self.n_agents + self.penalty * np.sum(dh, axis=-1)
+        return np.sum(np.concatenate([grad_w, grad_g[:, None]], axis=-1),
+                      axis=0)
+
+
+# Each stalled damped Newton at a gradient norm near 1e-8 (a data point
+# within 1e-7 of the hinge kink) with one of the two gradient forms.
+@pytest.mark.parametrize("seed", [848719546155243482, 6368536787037737242])
+@pytest.mark.parametrize("form", [SvmObjective, _EinsumSvm])
+def test_reference_optimum_certifies_where_newton_stalled(seed, form):
+    s = form(*generate_svm_dataset(50, seed))
+    cert = solve_reference_optimum(s)
+    assert cert.grad_norm <= 1e-10
+    assert cert.iterations < 100
+    assert np.linalg.norm(s.batch_total_gradient(cert.z_star)) <= 1e-10
+
+
+class _Stuck:
+    """Every move raises the value, and the fixed step 1/L underflows."""
+
+    dim = 1
+    lipschitz_local = np.array([1e308])
+
+    def __init__(self):
+        self.gradient_calls = 0
+
+    def optimum(self):
+        return None
+
+    def total_value(self, x):
+        return float(np.abs(x).sum())
+
+    def total_hessian(self, x):
+        return np.eye(1)
+
+    def batch_total_gradient(self, x):
+        self.gradient_calls += 1
+        return np.array([1e-20])
+
+
+def test_reference_solver_raises_when_an_iteration_moves_nothing():
+    stuck = _Stuck()
+    with pytest.raises(ReferenceSolverError, match="unchanged"):
+        solve_reference_optimum(stuck, grad_tol=1e-30)
+    assert stuck.gradient_calls == 1
+
+
+def test_reference_solver_raises_on_a_non_finite_gradient():
+    stuck = _Stuck()
+    stuck.batch_total_gradient = lambda x: np.array([np.nan])
+    with pytest.raises(ReferenceSolverError, match="non-finite"):
+        solve_reference_optimum(stuck)
 
 
 def test_quadratic_reference_matches_closed_form():
