@@ -8,7 +8,7 @@ from .audit import (AuditReport, contraction_bound, cross_validate,
 from .errors import (ConfigurationError, InconsistentScheduleError,
                      InvalidTopologyError, ProtocolViolationError,
                      PushsimError, ReferenceSolverError, VerificationError)
-from .faultnet import FaultBounds, derived_bounds, realize_schedule
+from .faultnet import FaultBounds, realize_schedule
 from .graph import Topology, build_cycle, build_random_strongly_connected
 from .harness import (ExperimentConfig, aggregate_series, ratio_study,
                       replay, run_experiment)
@@ -25,7 +25,7 @@ __all__ = [
     "wbar_diagnostic", "window_positivity_check",
     "ConfigurationError", "InconsistentScheduleError", "InvalidTopologyError",
     "ProtocolViolationError", "PushsimError", "ReferenceSolverError",
-    "VerificationError", "FaultBounds", "derived_bounds", "realize_schedule",
+    "VerificationError", "FaultBounds", "realize_schedule",
     "Topology", "build_cycle", "build_random_strongly_connected",
     "ExperimentConfig", "aggregate_series", "ratio_study", "replay",
     "run_experiment", "NoiseModel", "QuadraticObjective", "SvmObjective",

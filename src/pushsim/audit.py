@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, InconsistentScheduleError,
                      VerificationError)
-from .faultnet import ScheduleRealization, classify_deliveries
+from .faultnet import ScheduleRealization
 from .graph import Topology, arc_label
 
 CONTRACTION_DPS = 80
@@ -66,16 +66,46 @@ class DeliveryIndicators:
 
 def build_delivery_indicators(schedule: ScheduleRealization,
                               init_timestamp: int) -> DeliveryIndicators:
+    """Which send each arc accepts, and with which effective delay.
+
+    A delivered send is processed at the receiver's first wake at or after
+    its arrival. Of the sends on one arc that share a processing slot only
+    the newest is accepted, and only if it is newer than ``init_timestamp``
+    (receivers start with that timestamp on every in-arc). The newest sends
+    of an arc's processing slots come in send order, so each is newer than
+    the one accepted before it and only the initial timestamp can make one
+    stale.
+    """
     K = schedule.horizon
-    topo, bounds = schedule.topology, schedule.bounds
-    l_d = bounds.max_effective_delay
+    topo = schedule.topology
+    l_d = schedule.bounds.max_effective_delay
+    wake = schedule.wake
+    T = wake.shape[0]
+    # next_wake[t, i]: node i's first wake at or after slot t, T if none;
+    # row T stands for every arrival past the table
+    next_wake = np.full((T + 1, topo.n), T, dtype=np.int64)
+    slots = np.where(wake, np.arange(T)[:, None], T)
+    next_wake[:T] = np.minimum.accumulate(slots[::-1], axis=0)[::-1]
+    # delivered sends in arc-major order
+    arc, send = np.nonzero(schedule.arrival.T >= 0)
+    proc = next_wake[np.minimum(schedule.arrival[send, arc], T),
+                     topo.dst[arc]]
+    past = proc == T
+    bad = past | (proc - send > l_d) | (proc <= send)
+    if bad.any():
+        a = arc[np.argmax(bad)]
+        src, dst = topo.arcs[a]
+        what = ("arrival past the realized wake table"
+                if past[arc == a].any() else
+                "effective delay outside [1, L_d]")
+        raise InconsistentScheduleError(f"arc {src}->{dst}: {what}")
+    # the newest send of each run of one (arc, processing slot)
+    newest = np.ones(send.size, dtype=bool)
+    newest[:-1] = (arc[1:] != arc[:-1]) | (proc[1:] != proc[:-1])
+    keep = newest & (send > init_timestamp)
     tau = np.zeros((K, topo.m, l_d), dtype=bool)
-    for a, deliveries in enumerate(classify_deliveries(schedule,
-                                                       init_timestamp)):
-        for send, proc in zip(deliveries.send_slots,
-                              deliveries.processing_slots):
-            tau[send, a, (proc - send) - 1] = True
-    return DeliveryIndicators(schedule.wake[:K].copy(), tau)
+    tau[send[keep], arc[keep], (proc - send - 1)[keep]] = True
+    return DeliveryIndicators(wake[:K].copy(), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +451,14 @@ def _matrix_structure_checks(matrices: SlotMatrices, n: int,
 
 def _exclusion_windows(ind: DeliveryIndicators) -> tuple[float, int | None]:
     """No two accepted sends on one arc may share a processing slot, and
-    processing order must follow send order. Returns (violations, slot)."""
-    K, m, l_d = ind.tau.shape
-    bad = None
-    count = 0
-    for a in range(m):
-        sends, levels = np.nonzero(ind.tau[:, a, :])
-        proc = sends + levels + 1
-        if np.any(np.diff(proc) <= 0):
-            i = int(np.flatnonzero(np.diff(proc) <= 0)[0])
-            count += 1
-            bad = int(sends[i + 1]) if bad is None else min(bad,
-                                                            int(sends[i + 1]))
-    return float(count), bad
+    processing order must follow send order. Returns (arcs violating,
+    earliest send slot that breaks the order)."""
+    arc, send, level = np.nonzero(ind.tau.transpose(1, 0, 2))
+    proc = send + level
+    bad = (arc[1:] == arc[:-1]) & (proc[1:] <= proc[:-1])
+    if not bad.any():
+        return 0.0, None
+    return float(np.unique(arc[1:][bad]).size), int(send[1:][bad].min())
 
 
 def _levels_above_accepted(audit: AuditTrace) -> np.ndarray:
@@ -566,8 +591,7 @@ def window_positivity_check(audit: AuditTrace,
 
 def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
                master_seed: int, run: int = 0, init_timestamp: int = 0,
-               update=None, mask: np.ndarray | None = None,
-               check_windows: bool = False) -> AuditReport:
+               update=None, mask: np.ndarray | None = None) -> AuditReport:
     """Simulate one run and audit it (``audit_trace``), raising on any
     failure.
 
@@ -583,13 +607,11 @@ def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
                           update=update, mask=mask, record_trace=True)
     trace = result.trace
     return audit_trace(trace, x0, init_timestamp,
-                       applied=trace.applied if update is not None else None,
-                       check_windows=check_windows)
+                       applied=trace.applied if update is not None else None)
 
 
 def audit_trace(trace, x0: np.ndarray, init_timestamp: int = 0,
-                applied: np.ndarray | None = None,
-                check_windows: bool = False) -> AuditReport:
+                applied: np.ndarray | None = None) -> AuditReport:
     """Rebuild a recorded engine trace as the augmented linear system on the
     schedule the engine recorded, cross-check the two, and return the
     identity report (raising on any failure).
@@ -601,12 +623,6 @@ def audit_trace(trace, x0: np.ndarray, init_timestamp: int = 0,
     audit = run_linear_audit(trace.schedule, x0, init_timestamp,
                              applied=applied)
     report = cross_validate(trace, audit, x0, applied=applied)
-    if check_windows:
-        ok, start = window_positivity_check(
-            audit, trace.schedule.bounds.max_receipt_gap)
-        report.checks.append(IdentityCheck(
-            "window-product-positivity", 0.0 if ok else 1.0,
-            None if ok else start))
     report.raise_on_failure()
     return report
 

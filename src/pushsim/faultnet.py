@@ -22,18 +22,24 @@ for wakes; one loss uniform and one delay uniform per arc-slot), so a
 realized schedule is a pure function of (master seed, run, topology, bounds,
 horizon). Tables extend ``L_d`` slots past the protocol horizon so that the
 processing slot of every in-horizon send is defined.
+
+This module holds the fault model and its realization only: a realized
+schedule says which nodes woke and when each send arrived or that it was
+lost. Which arrived send a receiver accepts, and at which slot, is the
+protocol's rule: the engine applies it while it runs, and
+``audit.build_delivery_indicators`` rebuilds it from a recorded schedule.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigurationError, InconsistentScheduleError
+from .errors import ConfigurationError
 from .graph import Topology, is_strongly_connected
 
 NOT_SENT = -2   # source asleep, or arc masked this slot
@@ -82,11 +88,6 @@ class FaultBounds:
         """L_s: worst gap between successful receipts on one arc."""
         return (self.max_wake_gap * (self.max_consecutive_losses + 1)
                 + self.max_effective_delay)
-
-
-def derived_bounds(bounds: FaultBounds) -> tuple[int, int]:
-    """(L_d, L_s) for the given static bounds."""
-    return bounds.max_effective_delay, bounds.max_receipt_gap
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +220,6 @@ class ScheduleRealization:
     horizon: int
     wake: np.ndarray      # (horizon + L_d, n) bool
     arrival: np.ndarray   # (horizon, m) int64
-    _wake_slots: list[np.ndarray] | None = field(default=None, repr=False)
-
-    def wake_slots(self, node: int) -> np.ndarray:
-        """Sorted slots (over the extended table) at which `node` wakes."""
-        if self._wake_slots is None:
-            object.__setattr__(self, "_wake_slots",
-                               [np.flatnonzero(self.wake[:, i])
-                                for i in range(self.topology.n)])
-        return self._wake_slots[node]
 
 
 def realize_schedule(topology: Topology, bounds: FaultBounds, horizon: int,
@@ -283,68 +275,6 @@ def check_window_connectivity(topology: Topology, mask: np.ndarray,
             raise ConfigurationError(
                 f"arc-mask window starting at slot {t} is not strongly "
                 f"connected")
-
-
-# ---------------------------------------------------------------------------
-# Delivery classification (which sends are effective, and when).
-
-@dataclass(frozen=True)
-class ArcDeliveries:
-    """Effective deliveries on one arc, in processing order.
-
-    send_slots/processing_slots hold the *accepted* messages: per processing
-    slot the latest-timestamped arrived message, provided its timestamp
-    exceeds the previously accepted one (strictly). Everything else that was
-    attempted counts as lost for mass accounting.
-    """
-
-    send_slots: np.ndarray
-    processing_slots: np.ndarray
-
-
-def classify_deliveries(schedule: ScheduleRealization,
-                        init_timestamp: int) -> list[ArcDeliveries]:
-    """Map every delivered message to its processing slot, per arc.
-
-    The processing slot is the receiver's first wake at or after the arrival
-    slot. When several messages on one arc share a processing slot, only the
-    newest survives; and the first accepted timestamp must strictly exceed
-    ``init_timestamp`` (receivers start with that timestamp on every in-arc).
-    """
-    topo, bounds = schedule.topology, schedule.bounds
-    l_d = bounds.max_effective_delay
-    out: list[ArcDeliveries] = []
-    for a, (src, dst) in enumerate(topo.arcs):
-        sends = np.flatnonzero(schedule.arrival[:, a] >= 0)
-        if sends.size == 0:
-            out.append(ArcDeliveries(sends, sends))
-            continue
-        arrivals = schedule.arrival[sends, a]
-        wake_slots = schedule.wake_slots(dst)
-        pos = np.searchsorted(wake_slots, arrivals, side="left")
-        if np.any(pos >= wake_slots.size):
-            raise InconsistentScheduleError(
-                f"arc {src}->{dst}: arrival past the realized wake table")
-        processing = wake_slots[pos]
-        if np.any(processing - sends > l_d) or np.any(processing <= sends):
-            raise InconsistentScheduleError(
-                f"arc {src}->{dst}: effective delay outside [1, L_d]")
-        acc_send, acc_proc = [], []
-        last_ts = init_timestamp
-        i = 0
-        while i < sends.size:
-            j = i
-            while j + 1 < sends.size and processing[j + 1] == processing[i]:
-                j += 1
-            winner = sends[j]  # FIFO: latest send in the group
-            if winner > last_ts:
-                acc_send.append(winner)
-                acc_proc.append(processing[i])
-                last_ts = winner
-            i = j + 1
-        out.append(ArcDeliveries(np.array(acc_send, dtype=np.int64),
-                                 np.array(acc_proc, dtype=np.int64)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,10 @@ class RatioSpec:
     @staticmethod
     def from_mapping(obj: dict) -> "RatioSpec":
         head = _take(obj, "ratio", {"sizes": list, "checkpoints": list}, {})
-        sizes = tuple(int(v) for v in head["sizes"])
-        checkpoints = tuple(int(v) for v in head["checkpoints"])
+        sizes, checkpoints = (
+            tuple(_coerce(v, int, f"ratio.{key}[{i}]")
+                  for i, v in enumerate(head[key]))
+            for key in ("sizes", "checkpoints"))
         if not sizes or any(v < 1 for v in sizes):
             raise ConfigurationError("ratio.sizes: positive sizes required")
         if not checkpoints or any(v < AGGREGATION_WINDOW
@@ -653,22 +655,23 @@ def ratio_study(template: ExperimentConfig, sizes, checkpoints,
     if template.topology.kind != "cycle" or not template.topology.bidirectional:
         raise ConfigurationError(
             "ratio study runs on bidirectional cycles only")
+    for k in checkpoints:
+        if k % AGGREGATION_WINDOW != 0 or k < AGGREGATION_WINDOW:
+            raise ConfigurationError(
+                f"checkpoint {k} not on the {AGGREGATION_WINDOW}-slot "
+                "aggregation grid")
+        if k > template.horizon:
+            raise ConfigurationError(
+                f"checkpoint {k} beyond horizon {template.horizon}")
     rows = []
     for n in sizes:
         config = replace(template, topology=replace(template.topology, n=n),
                          ratio=None)
         e_dist, e_c = _error_series(config, build_problem(config))
-        k_grid, d_means = batch_window_means(e_dist, config.batch_size)
+        _, d_means = batch_window_means(e_dist, config.batch_size)
         _, c_means = batch_window_means(e_c, config.batch_size)
         for k in checkpoints:
-            if k % AGGREGATION_WINDOW != 0:
-                raise ConfigurationError(
-                    f"checkpoint {k} not on the {AGGREGATION_WINDOW}-slot "
-                    "aggregation grid")
             idx = k // AGGREGATION_WINDOW - 1
-            if idx >= k_grid.size:
-                raise ConfigurationError(
-                    f"checkpoint {k} beyond horizon {config.horizon}")
             per_batch = c_means[:, idx] / d_means[:, idx]
             std = per_batch.std(ddof=1) if per_batch.size > 1 else 0.0
             rows.append(RatioRow(n, k, float(np.median(per_batch)),

@@ -17,6 +17,7 @@ import pytest
 
 from pushsim import pushsum
 from pushsim.audit import (
+    build_delivery_indicators,
     contraction_bound,
     cross_validate,
     envelope_check,
@@ -27,7 +28,6 @@ from pushsim.audit import (
 from pushsim.faultnet import (
     FaultBounds,
     check_window_connectivity,
-    classify_deliveries,
     realize_schedule,
 )
 from pushsim.graph import build_cycle, build_random_strongly_connected
@@ -141,9 +141,10 @@ def test_a3_ledger_identities_and_seeded_corruption(campaign, monkeypatch):
     # the audit must flag it, first at exactly the corrupted slot.
     topo, x0 = _instance(5, 19)
     sched = realize_schedule(topo, CAMPAIGN_BOUNDS, CAMPAIGN_HORIZON, 19, 0)
-    deliveries = classify_deliveries(sched, 0)
-    arc = next(a for a in range(topo.m) if deliveries[a].send_slots.size > 3)
-    target = int(deliveries[arc].processing_slots[3])
+    level = build_delivery_indicators(sched, 0).accepted_level
+    arc = next(a for a in range(topo.m) if np.count_nonzero(level[:, a]) > 3)
+    send = np.flatnonzero(level[:, arc])[3]
+    target = int(send + level[send, arc])
     real = pushsum.process_inbox
 
     def skip_rho_update(state, messages, k):

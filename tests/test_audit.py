@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from pushsim import pushsum
-from pushsim.audit import (AugmentedLayout, _levels_above_accepted,
+from pushsim.audit import (AugmentedLayout, DeliveryIndicators,
+                           _exclusion_windows, _levels_above_accepted,
                            build_delivery_indicators, build_mass_matrix,
                            contraction_bound, cross_validate, envelope_check,
                            run_linear_audit, tracking_bound_series,
@@ -17,7 +20,7 @@ from pushsim.audit import (AugmentedLayout, _levels_above_accepted,
 from pushsim.errors import (ConfigurationError, InconsistentScheduleError,
                             VerificationError)
 from pushsim.engine import run_protocol
-from pushsim.faultnet import FaultBounds, classify_deliveries, realize_schedule
+from pushsim.faultnet import FaultBounds, realize_schedule
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.harness import ExperimentConfig
 from pushsim.objectives import NoiseModel, generate_quadratic
@@ -128,9 +131,10 @@ def test_cross_validation_detects_skipped_receive_update(monkeypatch):
     # at that processing slot
     topo, x0 = small_faulty_case()
     sched = realize_schedule(topo, ASYNC, 300, 19, 0)
-    deliveries = classify_deliveries(sched, 0)
-    arc = next(a for a in range(topo.m) if deliveries[a].send_slots.size > 3)
-    target = int(deliveries[arc].processing_slots[3])
+    level = build_delivery_indicators(sched, 0).accepted_level
+    arc = next(a for a in range(topo.m) if np.count_nonzero(level[:, a]) > 3)
+    send = np.flatnonzero(level[:, arc])[3]
+    target = int(send + level[send, arc])
     skip_receive_update(monkeypatch, arc, target)
     ref = pushsum.reference_averaging_run(topo, ASYNC, x0, 300, 19)
     audit = run_linear_audit(sched, x0, 0)
@@ -382,6 +386,71 @@ def reference_schedules():
     mask = np.random.default_rng(0).random((160, topo.m)) < 0.7
     mask[::3] = True
     yield realize_schedule(topo, bounds, 150, 33, 0, mask=mask), 0, mask
+
+
+def reference_delivery_indicators(schedule, init_timestamp):
+    """Arc by arc, send by send: the acceptance table that the array-based
+    build_delivery_indicators must reproduce exactly."""
+    topo = schedule.topology
+    l_d = schedule.bounds.max_effective_delay
+    tau = np.zeros((schedule.horizon, topo.m, l_d), dtype=bool)
+    for a, (src, dst) in enumerate(topo.arcs):
+        sends = np.flatnonzero(schedule.arrival[:, a] >= 0)
+        wake_slots = np.flatnonzero(schedule.wake[:, dst])
+        processing = wake_slots[np.searchsorted(
+            wake_slots, schedule.arrival[sends, a], side="left")]
+        last_ts = init_timestamp
+        i = 0
+        while i < sends.size:
+            j = i
+            while j + 1 < sends.size and processing[j + 1] == processing[i]:
+                j += 1
+            winner = sends[j]  # FIFO: latest send in the group
+            if winner > last_ts:
+                tau[winner, a, processing[i] - winner - 1] = True
+                last_ts = winner
+            i = j + 1
+    return tau
+
+
+def test_delivery_indicators_match_per_arc_reference():
+    cases = 0
+    for sched, _, _ in reference_schedules():
+        for init_ts in (0, -1):
+            ind = build_delivery_indicators(sched, init_ts)
+            assert np.array_equal(ind.tau,
+                                  reference_delivery_indicators(sched,
+                                                                init_ts))
+            assert np.array_equal(ind.wake, sched.wake[:sched.horizon])
+            cases += 1
+    assert cases == 2 * 13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4),
+       st.integers(0, 3), st.integers(1, 4), st.floats(0.05, 1.0),
+       st.floats(0.0, 0.9), st.sampled_from((0, -1)))
+def test_delivery_indicators_match_reference_on_any_bounds(
+        seed, n, l_u, l_f, l_del, wake_prob, loss_prob, init_ts):
+    bounds = FaultBounds(l_u, l_f, l_del, wake_prob=wake_prob,
+                         loss_prob=loss_prob if l_f else 0.0)
+    topo = build_random_strongly_connected(n, 0.5,
+                                           stream(seed, role=Role.TOPOLOGY))
+    sched = realize_schedule(topo, bounds, 90, seed, 0)
+    assert np.array_equal(build_delivery_indicators(sched, init_ts).tau,
+                          reference_delivery_indicators(sched, init_ts))
+
+
+def test_exclusion_windows_flag_out_of_order_processing():
+    wake = np.ones((20, 2), dtype=bool)
+    tau = np.zeros((20, 2, 3), dtype=bool)
+    tau[[2, 10], 0, [0, 2]] = True        # processed at 3 and 13: in order
+    assert _exclusion_windows(DeliveryIndicators(wake, tau)) == (0.0, None)
+    tau[11, 0, 0] = True                  # processed at 12, before 13
+    tau[[15, 16], 0, [2, 0]] = True       # processed at 18, then 17
+    tau[[5, 6], 1, [1, 0]] = True         # both processed at 7
+    # two arcs break the order, the earliest at send slot 6
+    assert _exclusion_windows(DeliveryIndicators(wake, tau)) == (2.0, 6)
 
 
 def test_mass_matrices_match_entrywise_reference():

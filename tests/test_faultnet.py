@@ -5,21 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsim.errors import ConfigurationError
+from pushsim.audit import build_delivery_indicators
+from pushsim.errors import ConfigurationError, InconsistentScheduleError
 from pushsim.faultnet import (LOST, NOT_SENT, FaultBounds, RealizerState,
                               ScheduleDraws, ScheduleRealization,
-                              check_window_connectivity, classify_deliveries,
-                              derived_bounds, dump_schedule, realize_chunk,
-                              realize_schedule, sample_send, sample_wake,
-                              validate_mask)
+                              check_window_connectivity, dump_schedule,
+                              realize_chunk, realize_schedule, sample_send,
+                              sample_wake, validate_mask)
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.rng import Role, stream
 
 
+def accepted(schedule, init_timestamp, arc):
+    """Send slots and processing slots of the sends `arc` accepts."""
+    tau = build_delivery_indicators(schedule, init_timestamp).tau
+    sends, levels = np.nonzero(tau[:, arc, :])
+    return sends, sends + levels + 1
+
+
 def test_derived_bounds_examples():
-    assert derived_bounds(FaultBounds(1, 0, 1)) == (1, 2)
-    assert derived_bounds(FaultBounds(1, 3, 3)) == (3, 7)
-    assert derived_bounds(FaultBounds(3, 3, 3)) == (5, 17)
+    for bounds, l_d, l_s in ((FaultBounds(1, 0, 1), 1, 2),
+                             (FaultBounds(1, 3, 3), 3, 7),
+                             (FaultBounds(3, 3, 3), 5, 17)):
+        assert bounds.max_effective_delay == l_d
+        assert bounds.max_receipt_gap == l_s
 
 
 def test_bounds_validation():
@@ -93,10 +102,10 @@ def test_realized_schedules_respect_bounds(seed, l_u, l_f, l_del):
     topo = build_cycle(3, bidirectional=True)
     horizon = 120
     sched = realize_schedule(topo, bounds, horizon, seed, 0)
-    l_d, l_s = derived_bounds(bounds)
+    l_s = bounds.max_receipt_gap
     # wake gaps within L_u on the extended table
     for i in range(topo.n):
-        wakes = sched.wake_slots(i)
+        wakes = np.flatnonzero(sched.wake[:, i])
         assert wakes[0] <= l_u - 1
         assert np.all(np.diff(wakes) <= l_u)
     sent = sched.arrival[:horizon] >= 0
@@ -110,8 +119,8 @@ def test_realized_schedules_respect_bounds(seed, l_u, l_f, l_del):
         assert np.all(arr <= ks + l_del)       # FIFO clamp cannot overshoot
         assert np.all(np.diff(arr) >= 1)       # FIFO order
     # accepted processing gaps within L_s
-    for d in classify_deliveries(sched, 0):
-        gaps = np.diff(d.processing_slots)
+    for a in range(topo.m):
+        gaps = np.diff(accepted(sched, 0, a)[1])
         assert gaps.size == 0 or gaps.max() <= l_s
 
 
@@ -155,11 +164,9 @@ def test_classification_stale_initial_timestamp():
     topo = build_cycle(2, bidirectional=True)
     bounds = FaultBounds(1, 0, 1)
     sched = realize_schedule(topo, bounds, 5, 1, 0)
-    with_stale = classify_deliveries(sched, 0)
-    accepted_all = classify_deliveries(sched, -1)
     for a in range(topo.m):
-        assert with_stale[a].send_slots[0] == 1
-        assert accepted_all[a].send_slots[0] == 0
+        assert accepted(sched, 0, a)[0][0] == 1
+        assert accepted(sched, -1, a)[0][0] == 0
 
 
 def test_classification_latest_send_wins():
@@ -178,25 +185,60 @@ def test_classification_latest_send_wins():
     arrival[[0, 1, 3, 4], a01] = [1, 2, 5, 6]      # 1 and 2 coalesce at 2
     arrival[[0, 2, 5], a10] = [1, 3, 7]
     sched = ScheduleRealization(topo, bounds, horizon, wake, arrival)
-    fresh = classify_deliveries(sched, 0)
-    assert fresh[a01].send_slots.tolist() == [1, 3, 4]    # send 0 beaten
-    assert fresh[a01].processing_slots.tolist() == [2, 5, 8]
-    assert fresh[a10].send_slots.tolist() == [2, 5]       # send 0 stale
-    assert fresh[a10].processing_slots.tolist() == [3, 7]
-    aged = classify_deliveries(sched, -1)          # slot-0 send now fresh
-    assert aged[a10].send_slots.tolist() == [0, 2, 5]
-    assert aged[a10].processing_slots.tolist() == [1, 3, 7]
-    assert aged[a01].send_slots.tolist() == [1, 3, 4]     # beaten stays out
+    sends, proc = accepted(sched, 0, a01)
+    assert sends.tolist() == [1, 3, 4]                    # send 0 beaten
+    assert proc.tolist() == [2, 5, 8]
+    sends, proc = accepted(sched, 0, a10)
+    assert sends.tolist() == [2, 5]                       # send 0 stale
+    assert proc.tolist() == [3, 7]
+    sends, proc = accepted(sched, -1, a10)         # slot-0 send now fresh
+    assert sends.tolist() == [0, 2, 5]
+    assert proc.tolist() == [1, 3, 7]
+    assert accepted(sched, -1, a01)[0].tolist() == [1, 3, 4]  # beaten
+
+
+def inconsistent_schedule(receiver_wakes, send, arrival_slot):
+    """Two-node cycle, L_d = 4, horizon 8: node 0 wakes every slot, node 1
+    at `receiver_wakes`; one send on arc 0->1."""
+    topo = build_cycle(2)
+    wake = np.zeros((12, 2), dtype=bool)
+    wake[:, 0] = True
+    wake[receiver_wakes, 1] = True
+    arrival = np.full((8, topo.m), NOT_SENT, dtype=np.int64)
+    arrival[send, topo.arc_index(0, 1)] = arrival_slot
+    return ScheduleRealization(topo, FaultBounds(3, 0, 2), 8, wake, arrival)
+
+
+def test_classification_rejects_arrival_past_wake_table():
+    # node 1 never wakes after slot 8, so an arrival at 9 has no
+    # processing slot
+    sched = inconsistent_schedule([0, 2, 5, 8], 7, 9)
+    with pytest.raises(InconsistentScheduleError,
+                       match=r"^arc 0->1: arrival past the realized wake "
+                             r"table$"):
+        build_delivery_indicators(sched, 0)
+
+
+def test_classification_rejects_effective_delay_outside_bounds():
+    # processed at 8, five slots after the send at 3 (L_d = 4); or
+    # arriving, and processed, in the slot it was sent
+    for send, arrival_slot in ((3, 4), (2, 2)):
+        sched = inconsistent_schedule([0, 2, 8, 11], send, arrival_slot)
+        with pytest.raises(InconsistentScheduleError,
+                           match=r"^arc 0->1: effective delay outside "
+                                 r"\[1, L_d\]$"):
+            build_delivery_indicators(sched, 0)
 
 
 def test_effective_delay_bounded_by_composed_limit():
     topo = build_random_strongly_connected(5, 0.5,
                                            stream(2, 0, Role.TOPOLOGY, 0))
     bounds = FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3)
-    l_d, _ = derived_bounds(bounds)
+    l_d = bounds.max_effective_delay
     sched = realize_schedule(topo, bounds, 300, 2, 0)
-    for d in classify_deliveries(sched, 0):
-        lags = d.processing_slots - d.send_slots
+    for a in range(topo.m):
+        sends, proc = accepted(sched, 0, a)
+        lags = proc - sends
         assert lags.size == 0 or (lags.min() >= 1 and lags.max() <= l_d)
 
 

@@ -103,6 +103,44 @@ def test_ratio_checkpoints_validated(tmp_path):
     assert cfg.ratio.sizes == (3, 5)
 
 
+def test_random_topology_edge_prob_defaults_to_half():
+    raw = json.loads(json.dumps(BASE))
+    raw["topology"] = {"kind": "random", "n": 4}
+    cfg = ExperimentConfig.from_mapping(raw)
+    assert cfg.topology.edge_prob == 0.5
+    assert cfg.topology.as_dict() == {"kind": "random", "n": 4,
+                                      "edge_prob": 0.5}
+
+
+def test_ratio_spec_entries_must_be_integers():
+    # strings, floats and bools were truncated to ints before
+    with pytest.raises(ConfigurationError,
+                       match=r"^ratio\.sizes\[0\]: expected an integer$"):
+        config(ratio={"sizes": ["5", 2.7, True],
+                      "checkpoints": [100.9, "200"]})
+    for key, bad in (("sizes", 2.7), ("sizes", True), ("checkpoints", 100.9),
+                     ("checkpoints", "200")):
+        ratio = {"sizes": [3, 5], "checkpoints": [100, 200]}
+        ratio[key] = ratio[key] + [bad]
+        with pytest.raises(ConfigurationError,
+                           match=rf"^ratio\.{key}\[2\]: expected an "
+                                 "integer$"):
+            config(ratio=ratio)
+
+
+def test_ratio_study_checks_checkpoints_before_any_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "_error_series",
+                        lambda *args: calls.append(args))
+    cfg = config(horizon=400)
+    for checkpoints, message in (([200, 500], "beyond horizon 400"),
+                                 ([200, 250], "not on the 100-slot"),
+                                 ([0], "not on the 100-slot")):
+        with pytest.raises(ConfigurationError, match=message):
+            ratio_study(cfg, [3, 5], checkpoints)
+    assert calls == []
+
+
 # -------------------------------------------------------- aggregation
 
 def test_window_means_of_constant_series_are_exact():
