@@ -16,8 +16,7 @@ from .objectives import (NoiseModel, QuadraticObjective, SvmObjective,
                          box_noise_model, generate_quadratic,
                          generate_svm_dataset, solve_reference_optimum)
 from .optimizer import StepSizeLedger, run_gradient_push
-from .pushsum import (reference_averaging_run, run_averaging,
-                      run_perturbed_averaging)
+from .pushsum import reference_averaging_run, run_averaging
 
 __all__ = [
     "AuditReport", "contraction_bound", "cross_validate", "envelope_check",
@@ -31,5 +30,5 @@ __all__ = [
     "run_experiment", "NoiseModel", "QuadraticObjective", "SvmObjective",
     "box_noise_model", "generate_quadratic", "generate_svm_dataset",
     "solve_reference_optimum", "StepSizeLedger", "run_gradient_push",
-    "reference_averaging_run", "run_averaging", "run_perturbed_averaging",
+    "reference_averaging_run", "run_averaging",
 ]

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ConfigurationError, InconsistentScheduleError,
                      VerificationError)
 from .faultnet import ScheduleRealization
-from .graph import Topology, arc_label
+from .graph import Topology
 
 CONTRACTION_DPS = 80
 
@@ -199,7 +199,7 @@ def build_mass_matrix(layout: AugmentedLayout, wake: np.ndarray,
     if np.count_nonzero(tau) > np.count_nonzero(shift):
         _, a = np.argwhere(tau.sum(axis=2) > 1)[0]
         raise InconsistentScheduleError(
-            f"arc {arc_label(int(topo.src[a]), int(topo.dst[a]))}: "
+            f"arc {topo.src[a]}->{topo.dst[a]}: "
             "two delivery levels in one slot")
     dest = n + l_d * m + np.arange(m) + shift                # (K, m)
 

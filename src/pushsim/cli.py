@@ -87,8 +87,12 @@ def _outdir(args, config: ExperimentConfig) -> Path:
     return Path(f"out_{config.name}" if config.name else "out")
 
 
-def _averaging_x0(config: ExperimentConfig, n: int, dim: int) -> np.ndarray:
-    g = stream(config.master_seed, 0, Role.INIT, 0)
+def _averaging_x0(config: ExperimentConfig, n: int, run: int) -> np.ndarray:
+    """Run `run`'s initial values: uniform on [-3, 3) per coordinate, from
+    its INIT stream, one coordinate per dimension of the configured
+    objective."""
+    dim = 3 if config.objective.kind == "svm" else config.objective.dim
+    g = stream(config.master_seed, run, Role.INIT, 0)
     return uniform_box(g.random((n, dim)), 3.0)
 
 
@@ -97,8 +101,7 @@ def _cmd_raps(args) -> int:
     outdir = _outdir(args, config)
     outdir.mkdir(parents=True, exist_ok=True)
     topo = config.topology.build(config.master_seed)
-    dim = 3 if config.objective.kind == "svm" else config.objective.dim
-    x0 = _averaging_x0(config, topo.n, dim)
+    x0 = _averaging_x0(config, topo.n, 0)
     result = run_protocol(topo, config.faults, x0, config.horizon,
                           config.master_seed, runs=(0,), record_trace=True)
     trace = result.trace
@@ -162,14 +165,10 @@ def _cmd_verify(args) -> int:
     outdir = _outdir(args, config)
     outdir.mkdir(parents=True, exist_ok=True)
     topo = config.topology.build(config.master_seed)
-    dim = 3 if config.objective.kind == "svm" else config.objective.dim
     lines = []
     failed = False
     for run in range(config.runs):
-        x0 = uniform_box(
-            stream(config.master_seed, run, Role.INIT, 0).random((topo.n,
-                                                                  dim)),
-            3.0)
+        x0 = _averaging_x0(config, topo.n, run)
         try:
             report = verify_run(topo, config.faults, x0, config.horizon,
                                 config.master_seed, run=run)

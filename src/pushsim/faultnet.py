@@ -32,9 +32,7 @@ protocol's rule: the engine applies it while it runs, and
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -248,8 +246,7 @@ def realize_schedule(topology: Topology, bounds: FaultBounds, horizon: int,
 
 
 def validate_mask(topology: Topology, bounds: FaultBounds,
-                  mask: np.ndarray, horizon: int,
-                  window: int | None = None) -> None:
+                  mask: np.ndarray, horizon: int) -> None:
     """Arc masks model link removal and are only sound without losses."""
     if bounds.loss_prob != 0.0 or bounds.max_consecutive_losses != 0:
         raise ConfigurationError(
@@ -258,8 +255,6 @@ def validate_mask(topology: Topology, bounds: FaultBounds,
         raise ConfigurationError(
             f"mask shape {mask.shape} does not cover (horizon={horizon}, "
             f"m={topology.m})")
-    if window is not None:
-        check_window_connectivity(topology, mask, horizon, window)
 
 
 def check_window_connectivity(topology: Topology, mask: np.ndarray,
@@ -275,29 +270,3 @@ def check_window_connectivity(topology: Topology, mask: np.ndarray,
             raise ConfigurationError(
                 f"arc-mask window starting at slot {t} is not strongly "
                 f"connected")
-
-
-# ---------------------------------------------------------------------------
-# Schedule dump.
-
-def dump_schedule(schedule: ScheduleRealization, path: str | Path) -> None:
-    """CSV with columns slot,kind,node_or_arc,value.
-
-    One `wake` row per waking node-slot (value 1) and one `send` row per
-    attempted send (value `lost` or the integer arrival slot). Only protocol
-    slots (< horizon) are dumped. Ids are 0-based; arcs render as `i->j`.
-    """
-    topo = schedule.topology
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slot", "kind", "node_or_arc", "value"])
-        for k in range(schedule.horizon):
-            for i in np.flatnonzero(schedule.wake[k]):
-                w.writerow([k, "wake", int(i), 1])
-            for a in range(topo.m):
-                code = schedule.arrival[k, a]
-                if code == NOT_SENT:
-                    continue
-                src, dst = topo.arcs[a]
-                value = "lost" if code == LOST else int(code)
-                w.writerow([k, "send", f"{src}->{dst}", value])

@@ -1,15 +1,13 @@
 """Directed communication topologies.
 
-Node ids are 0-based internally and in file formats; rendered reports use
-1-based labels. Arcs are ordered pairs (src, dst) kept in lexicographic
-order, which fixes the arc indexing used by schedules and traces.
+Node ids are 0-based. Arcs are ordered pairs (src, dst) kept in
+lexicographic order, which fixes the arc indexing used by schedules and
+traces.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +33,6 @@ class Topology:
 
     n: int
     arcs: tuple[tuple[int, int], ...]
-    _arc_index: dict[tuple[int, int], int] = field(init=False, repr=False,
-                                                   compare=False)
     src: np.ndarray = field(init=False, repr=False, compare=False)
     dst: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -54,8 +50,6 @@ class Topology:
             seen.add((src, dst))
         arcs_sorted = tuple(sorted(self.arcs))
         object.__setattr__(self, "arcs", arcs_sorted)
-        object.__setattr__(self, "_arc_index",
-                           {a: i for i, a in enumerate(arcs_sorted)})
         # Per-arc endpoint arrays in arc order, shared read-only by callers.
         ends = np.array(arcs_sorted, dtype=np.int64).reshape(-1, 2).T.copy()
         ends.setflags(write=False)
@@ -66,19 +60,10 @@ class Topology:
     def m(self) -> int:
         return len(self.arcs)
 
-    def arc_index(self, src: int, dst: int) -> int:
-        return self._arc_index[(src, dst)]
-
     def out_degree(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=np.int64)
         for src, _ in self.arcs:
             d[src] += 1
-        return d
-
-    def in_degree(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for _, dst in self.arcs:
-            d[dst] += 1
         return d
 
     @staticmethod
@@ -145,35 +130,3 @@ def build_random_strongly_connected(n: int, p: float,
     raise ConfigurationError(
         f"no strongly connected graph found in {RANDOM_GRAPH_RETRY_CAP} "
         f"attempts (n={n}, p={p})")
-
-
-def write_arc_list(topology: Topology, path: str | Path) -> None:
-    """Serialize as a text arc list: first line n, then one 'i j' per line."""
-    buf = io.StringIO()
-    buf.write(f"{topology.n}\n")
-    for src, dst in topology.arcs:
-        buf.write(f"{src} {dst}\n")
-    Path(path).write_text(buf.getvalue())
-
-
-def read_arc_list(path: str | Path) -> Topology:
-    lines = Path(path).read_text().split()
-    if not lines:
-        raise ConfigurationError(f"empty topology file: {path}")
-    n = int(lines[0])
-    rest = lines[1:]
-    if len(rest) % 2:
-        raise ConfigurationError(f"odd token count in topology file: {path}")
-    arcs = tuple((int(rest[2 * i]), int(rest[2 * i + 1]))
-                 for i in range(len(rest) // 2))
-    return Topology(n, arcs)
-
-
-def node_label(node: int) -> str:
-    """1-based node label for rendered reports."""
-    return str(node + 1)
-
-
-def arc_label(src: int, dst: int) -> str:
-    """1-based arc label for rendered reports."""
-    return f"{src + 1}->{dst + 1}"

@@ -273,24 +273,6 @@ def dump_svm_dataset(features: np.ndarray, labels: np.ndarray,
                             int(labels[i, j])])
 
 
-def load_svm_dataset(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    rows: dict[int, list[tuple[float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.setdefault(int(rec["node"]), []).append(
-                (float(rec["feature1"]), float(rec["feature2"]),
-                 float(rec["label"])))
-    n = len(rows)
-    per = len(rows[0])
-    features = np.empty((n, per, 2))
-    labels = np.empty((n, per))
-    for i in range(n):
-        for j, (f1, f2, lab) in enumerate(rows[i]):
-            features[i, j] = (f1, f2)
-            labels[i, j] = lab
-    return features, labels
-
-
 # ---------------------------------------------------------------------------
 # Certified reference optimum.
 
@@ -306,12 +288,13 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
                             ) -> OptimumCertificate:
     """Deterministic optimum of F = sum_i f_i with a gradient-norm certificate.
 
-    Quadratics use the closed form. Objectives exposing total_hessian get
-    damped Newton (the smoothed-hinge objective is piecewise quadratic, so
-    this lands on machine precision in a handful of steps); the fallback is
-    full-gradient descent with Armijo backtracking. Start point: origin.
+    An objective whose optimum() is not None is solved in closed form.
+    Any other objective must expose total_hessian, and gets damped Newton
+    from the origin with a backtracking line search (the smoothed-hinge
+    objective is piecewise quadratic, so this lands on machine precision in
+    a handful of steps); one with neither raises ConfigurationError.
 
-    Near the optimum the Armijo decrease can fall below the resolution of
+    Near the optimum the Newton decrease can fall below the resolution of
     total_value (a data point near the hinge kink), so backtracking ends
     on a step that leaves x unchanged. When a trial step leaves x unchanged
     or drops below REFERENCE_MIN_STEP, the iteration instead takes the
@@ -324,10 +307,12 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
     if closed is not None:
         gnorm = float(np.linalg.norm(objective.batch_total_gradient(closed)))
         return OptimumCertificate(closed, gnorm, 0)
+    if not hasattr(objective, "total_hessian"):
+        raise ConfigurationError(
+            f"{type(objective).__name__} has neither a closed-form optimum "
+            "nor total_hessian")
     x = np.zeros(objective.dim)
     value = objective.total_value(x)
-    newton = hasattr(objective, "total_hessian")
-    step = 1.0
     for it in range(1, max_iters + 1):
         grad = objective.batch_total_gradient(x)
         gnorm = float(np.linalg.norm(grad))
@@ -336,13 +321,9 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
         if not np.isfinite(gnorm):
             raise ReferenceSolverError(
                 f"non-finite gradient at iteration {it}")
-        if newton:
-            direction = np.linalg.solve(objective.total_hessian(x), grad)
-            slope = float(np.dot(grad, direction))
-            step = 1.0
-        else:
-            direction = grad
-            slope = gnorm * gnorm
+        direction = np.linalg.solve(objective.total_hessian(x), grad)
+        slope = float(np.dot(grad, direction))
+        step = 1.0
         while True:
             cand = x - step * direction
             if step < REFERENCE_MIN_STEP or np.array_equal(cand, x):
@@ -358,8 +339,6 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
                 break
             step *= 0.5
         x, value = cand, cand_value
-        if not newton:
-            step *= 2.0
     raise ReferenceSolverError(
         f"no certificate after {max_iters} iterations "
         f"(grad norm {gnorm:.3e} > {grad_tol:.1e})")
@@ -371,13 +350,3 @@ def save_optimum(cert: OptimumCertificate, path: str | Path) -> None:
              f"grad_norm {cert.grad_norm:.17g}",
              f"iterations {cert.iterations}"]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_optimum(path: str | Path) -> OptimumCertificate:
-    fields = {}
-    for line in Path(path).read_text().splitlines():
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    z = np.array([float(v) for v in fields["z"].split()])
-    return OptimumCertificate(z, float(fields["grad_norm"]),
-                              int(fields["iterations"]))

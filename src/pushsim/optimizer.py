@@ -46,11 +46,6 @@ class StepSizeLedger:
         # prefix[j] = sum of alpha(t) for t < j; prefix[0] = 0
         self.prefix = np.concatenate([[0.0], np.cumsum(alphas)])
 
-    def alpha(self, k: int) -> float:
-        if k == 0:
-            return 0.0
-        return self.numerator / (self.mu * (k + self.k0))
-
     def compensated_step(self, last_wake: int, k: int) -> float:
         """Sum of alpha(t) for t in (last_wake, k]; last_wake may be -1."""
         return float(self.prefix[k + 1] - self.prefix[last_wake + 1])

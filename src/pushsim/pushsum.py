@@ -246,11 +246,15 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
 
 
 # ---------------------------------------------------------------------------
-# Public entry points (batched engine underneath).
+# Entry points on the batched engine.
 
 class Injection:
     """Wake-time update for ``engine.run_protocol`` that adds
-    ``perturbation(k)``, an (n, d) array or None, to waking nodes' values."""
+    ``perturbation(k)``, an (n, d) array or None, to waking nodes' values.
+
+    ``run_protocol(..., runs=(run,), update=Injection(p), record_trace=True)``
+    is perturbed averaging: the trace's aug_mean is the running mean of x0
+    and all injected mass, which the estimates track."""
 
     def __init__(self, perturbation):
         self.perturbation = perturbation
@@ -274,24 +278,6 @@ def run_averaging(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     return _engine.run_protocol(
         topology, bounds, np.asarray(x0, dtype=float), horizon, master_seed,
         runs=tuple(runs), init_timestamp=0, z_star=z_star,
-        record_trace=record_trace, mask=mask, chunk=chunk)
-
-
-def run_perturbed_averaging(topology: Topology, bounds: FaultBounds,
-                            x0: np.ndarray, horizon: int, master_seed: int,
-                            perturbation, run: int = 0,
-                            record_trace: bool = False,
-                            mask: np.ndarray | None = None,
-                            chunk: int = DEFAULT_CHUNK) -> _engine.RunResult:
-    """Averaging with per-slot value injections.
-
-    perturbation(k) returns an (n, d) array added to waking nodes' values at
-    slot k (or None for no injection). A recorded trace carries aug_mean,
-    the true running mean of all injected mass, which the estimates track.
-    """
-    return _engine.run_protocol(
-        topology, bounds, np.asarray(x0, dtype=float), horizon, master_seed,
-        runs=(run,), init_timestamp=0, update=Injection(perturbation),
         record_trace=record_trace, mask=mask, chunk=chunk)
 
 

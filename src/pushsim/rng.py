@@ -65,13 +65,6 @@ def stream(master_seed: int, run: int = 0, role: Role | int = 0,
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def derive_seed(master_seed: int, run: int = 0, role: Role | int = 0,
-                entity: int = 0) -> int:
-    """A uint64 derived from a stream; used to salt sub-experiments."""
-    g = stream(master_seed, run, role, entity)
-    return int(g.integers(0, 2 ** 63, dtype=np.int64))
-
-
 def uniform_box(u: np.ndarray, half_width: float) -> np.ndarray:
     """Map [0,1) uniforms to the box [-half_width, half_width)."""
     return (2.0 * half_width) * u - half_width

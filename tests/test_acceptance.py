@@ -25,6 +25,7 @@ from pushsim.audit import (
     tracking_bound_series,
     verify_run,
 )
+from pushsim.engine import run_protocol
 from pushsim.faultnet import (
     FaultBounds,
     check_window_connectivity,
@@ -47,7 +48,7 @@ from pushsim.objectives import (
     smoothed_hinge_derivative,
 )
 from pushsim.optimizer import StepSizeLedger, run_gradient_push
-from pushsim.pushsum import run_averaging, run_perturbed_averaging
+from pushsim.pushsum import Injection, run_averaging
 from pushsim.rng import Role, stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -226,8 +227,8 @@ def test_a5_perturbation_tracking():
         step[0, 0] = 1.0 / k
         return step
 
-    res = run_perturbed_averaging(topo, FaultBounds(1, 0, 1), x0, 5000, 13,
-                                  drift, record_trace=True)
+    res = run_protocol(topo, FaultBounds(1, 0, 1), x0, 5000, 13,
+                       update=Injection(drift), record_trace=True)
     final_dev = float(
         np.abs(res.trace.z[-1] - res.trace.aug_mean[-1][None, :]).max())
 
@@ -246,8 +247,8 @@ def test_a5_perturbation_tracking():
         step[0, 0] = 1.0 / k
         return step
 
-    res2 = run_perturbed_averaging(topo2, FaultBounds(1, 0, 1), x02, 5000,
-                                   13, drift2, record_trace=True)
+    res2 = run_protocol(topo2, FaultBounds(1, 0, 1), x02, 5000, 13,
+                        update=Injection(drift2), record_trace=True)
     series = tracking_bound_series(contraction_bound(2, 2), x02,
                                    res2.trace.applied)
     dev = np.abs(res2.trace.z - res2.trace.aug_mean[:, None, :]).max(axis=1)

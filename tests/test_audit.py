@@ -78,7 +78,7 @@ def test_mass_matrix_rejects_two_levels_per_arc():
     tau = np.zeros((2, 3), dtype=bool)
     tau[1, 0] = tau[1, 2] = True         # two simultaneous accepted levels
     with pytest.raises(InconsistentScheduleError,
-                       match=r"^arc 2->1: two delivery levels in one slot$"):
+                       match=r"^arc 1->0: two delivery levels in one slot$"):
         build_mass_matrix(lay, wake[None], tau[None])
     with pytest.raises(ConfigurationError,
                        match=r"tau slice shape \(2, 2\) != \(2, 3\)"):

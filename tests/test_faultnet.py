@@ -9,9 +9,9 @@ from pushsim.audit import build_delivery_indicators
 from pushsim.errors import ConfigurationError, InconsistentScheduleError
 from pushsim.faultnet import (LOST, NOT_SENT, FaultBounds, RealizerState,
                               ScheduleDraws, ScheduleRealization,
-                              check_window_connectivity, dump_schedule,
-                              realize_chunk, realize_schedule, sample_send,
-                              sample_wake, validate_mask)
+                              check_window_connectivity, realize_chunk,
+                              realize_schedule, sample_send, sample_wake,
+                              validate_mask)
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.rng import Role, stream
 
@@ -180,8 +180,8 @@ def test_classification_latest_send_wins():
     wake[:, 0] = True                              # node 0 awake every slot
     wake[[0, 2, 5, 8, 11], 1] = True               # gaps within L_u = 3
     arrival = np.full((horizon, topo.m), NOT_SENT, dtype=np.int64)
-    a01 = topo.arc_index(0, 1)
-    a10 = topo.arc_index(1, 0)
+    a01 = topo.arcs.index((0, 1))
+    a10 = topo.arcs.index((1, 0))
     arrival[[0, 1, 3, 4], a01] = [1, 2, 5, 6]      # 1 and 2 coalesce at 2
     arrival[[0, 2, 5], a10] = [1, 3, 7]
     sched = ScheduleRealization(topo, bounds, horizon, wake, arrival)
@@ -205,7 +205,7 @@ def inconsistent_schedule(receiver_wakes, send, arrival_slot):
     wake[:, 0] = True
     wake[receiver_wakes, 1] = True
     arrival = np.full((8, topo.m), NOT_SENT, dtype=np.int64)
-    arrival[send, topo.arc_index(0, 1)] = arrival_slot
+    arrival[send, topo.arcs.index((0, 1))] = arrival_slot
     return ScheduleRealization(topo, FaultBounds(3, 0, 2), 8, wake, arrival)
 
 
@@ -240,20 +240,6 @@ def test_effective_delay_bounded_by_composed_limit():
         sends, proc = accepted(sched, 0, a)
         lags = proc - sends
         assert lags.size == 0 or (lags.min() >= 1 and lags.max() <= l_d)
-
-
-def test_dump_schedule_format(tmp_path):
-    topo = build_cycle(2, bidirectional=True)
-    bounds = FaultBounds(2, 1, 2, wake_prob=0.6, loss_prob=0.4)
-    sched = realize_schedule(topo, bounds, 12, 5, 0)
-    path = tmp_path / "sched.csv"
-    dump_schedule(sched, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "slot,kind,node_or_arc,value"
-    kinds = {ln.split(",")[1] for ln in lines[1:]}
-    assert kinds <= {"wake", "send"}
-    sends = [ln for ln in lines[1:] if ln.split(",")[1] == "send"]
-    assert any("lost" in ln or ln.split(",")[3].isdigit() for ln in sends)
 
 
 def test_mask_requires_lossless():

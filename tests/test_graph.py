@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pushsim.errors import InvalidTopologyError
-from pushsim.graph import (Topology, arc_label, build_cycle,
+from pushsim.graph import (Topology, build_cycle,
                            build_random_strongly_connected,
-                           is_strongly_connected, node_label, read_arc_list,
-                           write_arc_list)
+                           is_strongly_connected)
 from pushsim.rng import Role, stream
 
 
@@ -24,7 +23,6 @@ def test_bidirectional_cycle():
     topo = build_cycle(3, bidirectional=True)
     assert topo.m == 6
     assert list(topo.out_degree()) == [2, 2, 2]
-    assert list(topo.in_degree()) == [2, 2, 2]
 
 
 def test_two_node_bidirectional_cycle_deduplicates():
@@ -36,7 +34,6 @@ def test_two_node_bidirectional_cycle_deduplicates():
 def test_arcs_sorted_lexicographically():
     topo = Topology(3, ((2, 0), (0, 1), (1, 2), (0, 2)))
     assert topo.arcs == ((0, 1), (0, 2), (1, 2), (2, 0))
-    assert topo.arc_index(0, 2) == 1
 
 
 def test_arc_endpoint_arrays_are_read_only():
@@ -82,16 +79,3 @@ def test_random_graph_deterministic_and_connected():
     assert is_strongly_connected(a)
     c = build_random_strongly_connected(6, 0.5, stream(4, 0, Role.TOPOLOGY, 0))
     assert c.arcs != a.arcs
-
-
-def test_arc_list_round_trip(tmp_path):
-    topo = build_random_strongly_connected(5, 0.4,
-                                           stream(9, 0, Role.TOPOLOGY, 0))
-    path = tmp_path / "arcs.csv"
-    write_arc_list(topo, path)
-    assert read_arc_list(path).arcs == topo.arcs
-
-
-def test_labels_are_one_based():
-    assert node_label(3) == "4"
-    assert arc_label(0, 2) == "1->3"

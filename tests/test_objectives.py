@@ -9,8 +9,8 @@ from pushsim.errors import ConfigurationError, ReferenceSolverError
 from pushsim.objectives import (NoiseModel, QuadraticObjective, SvmObjective,
                                 box_noise_model, dump_svm_dataset,
                                 generate_quadratic, generate_svm_dataset,
-                                load_optimum, load_svm_dataset, save_optimum,
-                                smoothed_hinge, smoothed_hinge_derivative,
+                                save_optimum, smoothed_hinge,
+                                smoothed_hinge_derivative,
                                 solve_reference_optimum)
 
 
@@ -283,6 +283,35 @@ def test_reference_solver_raises_on_a_non_finite_gradient():
         solve_reference_optimum(stuck)
 
 
+class _NoCurvature:
+    """(x - 1)^2 with neither a closed-form optimum nor total_hessian."""
+
+    dim = 1
+    lipschitz_local = np.array([2.0])
+
+    def __init__(self):
+        self.gradient_calls = 0
+
+    def optimum(self):
+        return None
+
+    def total_value(self, x):
+        return float(np.sum((x - 1.0) ** 2))
+
+    def batch_total_gradient(self, x):
+        self.gradient_calls += 1
+        return 2.0 * (x - 1.0)
+
+
+def test_reference_solver_refuses_an_objective_without_a_hessian():
+    flat = _NoCurvature()
+    with pytest.raises(ConfigurationError,
+                       match="neither a closed-form optimum nor "
+                             "total_hessian"):
+        solve_reference_optimum(flat)
+    assert flat.gradient_calls == 0
+
+
 def test_quadratic_reference_matches_closed_form():
     q = generate_quadratic(5, 2, master_seed=14)
     cert = solve_reference_optimum(q)
@@ -325,9 +354,11 @@ def test_svm_dataset_round_trip(tmp_path):
     feats, labs = generate_svm_dataset(4, 44)
     path = tmp_path / "dataset.csv"
     dump_svm_dataset(feats, labs, path)
-    f2, l2 = load_svm_dataset(path)
-    assert np.array_equal(feats, f2)
-    assert np.array_equal(labs, l2)
+    assert path.read_text().splitlines()[0] == "node,feature1,feature2,label"
+    body = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(body[:, 0], np.repeat(np.arange(4), labs.shape[1]))
+    assert np.array_equal(body[:, 1:3], feats.reshape(-1, 2))
+    assert np.array_equal(body[:, 3], labs.reshape(-1))
 
 
 def test_optimum_round_trip(tmp_path):
@@ -335,6 +366,7 @@ def test_optimum_round_trip(tmp_path):
     cert = solve_reference_optimum(q)
     path = tmp_path / "optimum.csv"
     save_optimum(cert, path)
-    back = load_optimum(path)
-    assert np.array_equal(back.z_star, cert.z_star)
-    assert back.grad_norm == cert.grad_norm
+    fields = dict(line.split(" ", 1) for line in path.read_text().splitlines())
+    assert np.array_equal(np.array(fields["z"].split(), dtype=float),
+                          cert.z_star)
+    assert float(fields["grad_norm"]) == cert.grad_norm

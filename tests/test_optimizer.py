@@ -21,18 +21,19 @@ ASYNC = FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3)
 
 
 def test_step_size_pinned_values():
+    # compensated_step(k - 1, k) is the single step alpha(k)
     led = StepSizeLedger(numerator=1.0, mu=1.0, horizon=10)
-    assert led.alpha(0) == 0.0
-    assert led.alpha(5) == pytest.approx(0.2)
+    assert led.compensated_step(-1, 0) == 0.0
+    assert led.compensated_step(4, 5) == pytest.approx(0.2)
     offset = StepSizeLedger(numerator=50.0, mu=1.0, horizon=10, k0=100)
-    assert offset.alpha(1) == pytest.approx(50.0 / 101.0)
+    assert offset.compensated_step(0, 1) == pytest.approx(50.0 / 101.0)
 
 
 def test_compensated_step_telescopes():
     led = StepSizeLedger(numerator=3.0, mu=2.0, horizon=20)
-    # a node asleep since wake at slot 3 stepping at slot 5 pays both slots
-    assert led.compensated_step(3, 5) == pytest.approx(led.alpha(4)
-                                                       + led.alpha(5))
+    # a node asleep since wake at slot 3 stepping at slot 5 pays both slots:
+    # alpha(4) + alpha(5), with alpha(k) = 3 / (2 k)
+    assert led.compensated_step(3, 5) == pytest.approx(3.0 / 8.0 + 3.0 / 10.0)
     # fresh node at slot 0 pays nothing (alpha(0) = 0)
     assert led.compensated_step(-1, 0) == 0.0
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from pushsim.engine import run_protocol
 from pushsim.faultnet import FaultBounds
 from pushsim.graph import build_cycle, build_random_strongly_connected
-from pushsim.pushsum import (InFlightMessage, dump_state_trace, init_node,
-                             process_inbox,
+from pushsim.pushsum import (InFlightMessage, Injection, dump_state_trace,
+                             init_node, process_inbox,
                              reference_averaging_run, run_averaging,
-                             run_perturbed_averaging, wake_and_push)
+                             wake_and_push)
 from pushsim.rng import Role, stream
 
 SYNC = FaultBounds(1, 0, 1)
@@ -117,9 +118,9 @@ def test_zero_perturbation_is_plain_averaging():
     topo = build_cycle(3, bidirectional=True)
     x0 = np.arange(6.0).reshape(3, 2)
     plain = run_averaging(topo, ASYNC, x0, 80, 5, record_trace=True)
-    bumped = run_perturbed_averaging(topo, ASYNC, x0, 80, 5,
-                                     perturbation=lambda k: None,
-                                     record_trace=True)
+    bumped = run_protocol(topo, ASYNC, x0, 80, 5,
+                          update=Injection(lambda k: None),
+                          record_trace=True)
     assert np.array_equal(plain.trace.x, bumped.trace.x)
     assert np.array_equal(plain.trace.z, bumped.trace.z)
 
@@ -139,7 +140,7 @@ def test_perturbation_shifts_running_average():
     assert np.allclose(ref.aug_mean[:, 1], 0.0)
     assert np.allclose(ref.applied[:10, :, 0], c)
     # once the drift stops the nodes settle on the shifted mean
-    res = run_perturbed_averaging(topo, SYNC, x0, 200, 2, perturbation=bump)
+    res = run_protocol(topo, SYNC, x0, 200, 2, update=Injection(bump))
     assert np.max(np.abs(res.z_final[0, :, 0] - 10 * c)) < 1e-9
 
 
@@ -149,9 +150,8 @@ def test_engine_reference_weld_with_perturbation():
     bump = np.full((3, 2), 0.01)
     ref = reference_averaging_run(topo, ASYNC, x0, 90, 13,
                                   perturbation=lambda k: bump)
-    res = run_perturbed_averaging(topo, ASYNC, x0, 90, 13,
-                                  perturbation=lambda k: bump,
-                                  record_trace=True)
+    res = run_protocol(topo, ASYNC, x0, 90, 13,
+                       update=Injection(lambda k: bump), record_trace=True)
     assert np.array_equal(res.trace.x, ref.x)
     assert np.array_equal(res.trace.applied, ref.applied)
     # summation order across nodes differs, so only near-exact here
@@ -204,9 +204,9 @@ def test_engine_results_do_not_depend_on_chunk_size():
         opt = run_gradient_push(topo, ASYNC, obj, box_noise_model(4.0, 2),
                                 led, 300, 21, runs=(5, 0, 3),
                                 z_star=obj.optimum(), chunk=chunk)
-        pert = run_perturbed_averaging(topo, ASYNC, x0, 300, 13,
-                                       perturbation=lambda k: bump,
-                                       record_trace=True, chunk=chunk)
+        pert = run_protocol(topo, ASYNC, x0, 300, 13,
+                            update=Injection(lambda k: bump),
+                            record_trace=True, chunk=chunk)
         mask_run = run_averaging(masked, lossless, np.ones((5, 1)), 300, 33,
                                  mask=mask, record_trace=True, chunk=chunk)
         out = {"opt.e_dist": opt.e_dist, "opt.z_final": opt.z_final,

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsim.rng import Role, derive_seed, stream, uniform_box, uniform_delay
+from pushsim.rng import Role, stream, uniform_box, uniform_delay
 
 
 def test_streams_are_deterministic():
@@ -18,16 +18,6 @@ def test_streams_differ_across_key_components():
     for other in [stream(8, 3, Role.WAKE, 2), stream(7, 4, Role.WAKE, 2),
                   stream(7, 3, Role.SEND_LOSS, 2), stream(7, 3, Role.WAKE, 3)]:
         assert not np.array_equal(base, other.random(8))
-
-
-def test_derive_seed_packs_run_role_entity():
-    s1 = derive_seed(7, run=1, role=Role.WAKE, entity=0)
-    s2 = derive_seed(7, run=1, role=Role.WAKE, entity=1)
-    s3 = derive_seed(7, run=1, role=Role.SEND_LOSS, entity=0)
-    s4 = derive_seed(7, run=2, role=Role.WAKE, entity=0)
-    s5 = derive_seed(8, run=1, role=Role.WAKE, entity=0)
-    assert len({s1, s2, s3, s4, s5}) == 5
-    assert derive_seed(7, 1, Role.WAKE, 0) == s1
 
 
 def test_uniform_box_range_and_symmetry():
