@@ -43,30 +43,13 @@ CONTRACTION_DPS = 80
 
 
 # ---------------------------------------------------------------------------
-# Delivery indicators.
-
-@dataclass
-class DeliveryIndicators:
-    """Per-slot acceptance structure derived from a realized schedule.
-
-    tau[k, a, l-1] is True when the send on arc a at slot k is accepted and
-    will be processed with effective delay l. At most one level per (k, a).
-    """
-
-    wake: np.ndarray   # (K, n) bool
-    tau: np.ndarray    # (K, m, L_d) bool
-
-    @property
-    def accepted_level(self) -> np.ndarray:
-        """(K, m) int: effective delay of the accepted send, 0 if none."""
-        K, m, l_d = self.tau.shape
-        levels = np.arange(1, l_d + 1, dtype=np.int64)
-        return (self.tau * levels[None, None, :]).sum(axis=2)
-
+# Delivery table.
 
 def build_delivery_indicators(schedule: ScheduleRealization,
-                              init_timestamp: int) -> DeliveryIndicators:
-    """Which send each arc accepts, and with which effective delay.
+                              init_timestamp: int) -> np.ndarray:
+    """Which send each arc accepts, and with which effective delay: a
+    (K, m) int table whose entry [k, a] is the effective delay (1..L_d) of
+    arc a's send at slot k if it is accepted, else 0.
 
     A delivered send is processed at the receiver's first wake at or after
     its arrival. Of the sends on one arc that share a processing slot only
@@ -103,9 +86,9 @@ def build_delivery_indicators(schedule: ScheduleRealization,
     newest = np.ones(send.size, dtype=bool)
     newest[:-1] = (arc[1:] != arc[:-1]) | (proc[1:] != proc[:-1])
     keep = newest & (send > init_timestamp)
-    tau = np.zeros((K, topo.m, l_d), dtype=bool)
-    tau[send[keep], arc[keep], (proc - send - 1)[keep]] = True
-    return DeliveryIndicators(wake[:K].copy(), tau)
+    level = np.zeros((K, topo.m), dtype=np.int64)
+    level[send[keep], arc[keep]] = (proc - send)[keep]
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +157,11 @@ class SlotMatrices:
 
 
 def build_mass_matrix(layout: AugmentedLayout, wake: np.ndarray,
-                      tau: np.ndarray) -> SlotMatrices:
+                      level: np.ndarray) -> SlotMatrices:
     """Every slot's column-stochastic mass-flow matrix.
 
-    wake is (K, n) bool; tau is (K, m, L_d) bool with at most one level set
-    per slot and arc (two set levels violate the single-delivery structure
-    and raise).
+    wake is (K, n) bool; level is the (K, m) delivery table of
+    ``build_delivery_indicators``.
 
     A waking node keeps one share and sends one per out-arc: into the arc's
     accepted transit level, or into its excess. A sleeping node keeps all
@@ -189,22 +171,13 @@ def build_mass_matrix(layout: AugmentedLayout, wake: np.ndarray,
     """
     topo = layout.topology
     n, m, l_d = topo.n, topo.m, layout.max_effective_delay
-    if tau.shape[1:] != (m, l_d):
-        raise ConfigurationError(f"tau slice shape {tau.shape[1:]} != "
-                                 f"({m}, {l_d})")
-    # each arc's outflow row: its accepted transit level, else its excess;
-    # the shift is nonzero exactly when a level is set, so a second level
-    # on one arc shows up as more set levels than shifted arcs
-    shift = tau @ ((np.arange(l_d) - l_d) * m)
-    if np.count_nonzero(tau) > np.count_nonzero(shift):
-        _, a = np.argwhere(tau.sum(axis=2) > 1)[0]
-        raise InconsistentScheduleError(
-            f"arc {topo.src[a]}->{topo.dst[a]}: "
-            "two delivery levels in one slot")
-    dest = n + l_d * m + np.arange(m) + shift                # (K, m)
-
     wake = np.asarray(wake, dtype=bool)
     K = wake.shape[0]
+    if level.shape != (K, m):
+        raise ConfigurationError(f"delivery table shape {level.shape} != "
+                                 f"({K}, {m})")
+    # each arc's outflow row: its accepted transit level, else its excess
+    dest = n + np.arange(m) + np.where(level > 0, level - 1, l_d) * m
     # real column i: its diagonal, then its out-arcs in arc-id order
     owner = np.concatenate((np.arange(n), topo.src))
     order = np.argsort(owner, kind="stable")
@@ -227,13 +200,23 @@ def build_mass_matrix(layout: AugmentedLayout, wake: np.ndarray,
 
 @dataclass
 class AuditTrace:
-    """Augmented-state trajectory computed independently of the simulator."""
+    """Augmented-state trajectory computed independently of the simulator.
+
+    Mass and weight share one state array; ``chi``/``psi`` are views.
+    """
 
     layout: AugmentedLayout
-    indicators: DeliveryIndicators
-    chi: np.ndarray          # (K+1, size, d)
-    psi: np.ndarray          # (K+1, size)
+    level: np.ndarray        # (K, m) delivery table
+    state: np.ndarray        # (K+1, size, d+1)  mass, then weight
     matrices: SlotMatrices   # K slots
+
+    @property
+    def chi(self) -> np.ndarray:
+        return self.state[..., :-1]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.state[..., -1]
 
 
 def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
@@ -254,8 +237,8 @@ def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     n, dim = x0.shape
     layout = AugmentedLayout(topo, bounds.max_effective_delay)
-    ind = build_delivery_indicators(schedule, init_timestamp)
-    mats = build_mass_matrix(layout, ind.wake, ind.tau)
+    level = build_delivery_indicators(schedule, init_timestamp)
+    mats = build_mass_matrix(layout, schedule.wake[:K], level)
     size, width = layout.size, dim + 1
     # mass in the first d columns, weight in the last
     state = np.zeros((K + 1, size, width))
@@ -272,8 +255,7 @@ def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
         state[k + 1] = np.bincount(flat[k], terms.reshape(-1),
                                    minlength=size * width).reshape(size,
                                                                     width)
-    return AuditTrace(layout, ind, np.ascontiguousarray(state[..., :dim]),
-                      np.ascontiguousarray(state[..., dim]), mats)
+    return AuditTrace(layout, level, state, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +308,21 @@ def _check(name: str, residual: np.ndarray, tol: float) -> IdentityCheck:
     return IdentityCheck(name, worst, int(bad[0]) if bad.size else None)
 
 
-def cross_validate(trace, audit: AuditTrace, x0: np.ndarray,
-                   applied: np.ndarray | None = None,
-                   tol: float | None = None) -> AuditReport:
-    """Assert every identity linking the simulator trace to the audit chain.
+def cross_validate(trace, audit: AuditTrace,
+                   x0: np.ndarray) -> AuditReport:
+    """Check every identity linking a simulator trace to the audit chain and
+    return the report; ``audit_trace`` raises on its failures.
 
-    trace is an engine Trace (or the reference simulator's run record, which
-    has the same fields). Raises VerificationError on the first identity
-    whose residual exceeds the tolerance; the full report is still built.
+    trace is an ``engine.Trace``, from the engine or the reference
+    simulator; mass conservation counts its ``applied`` moves. The
+    identities that compare states, ledgers and totals use the fixed
+    tolerance ``1e-9 * (1 + ||x0||_1)``; the weight-range, weight-sum and
+    matrix checks use their own absolute tolerances.
     """
     topo = audit.layout.topology
-    n, m = topo.n, topo.m
+    n = topo.n
     x0 = np.asarray(x0, dtype=float)
-    scale = 1.0 + float(np.abs(x0).sum())
-    if tol is None:
-        tol = 1e-9 * scale
+    tol = 1e-9 * (1.0 + float(np.abs(x0).sum()))
     K = audit.chi.shape[0] - 1
     layout = audit.layout
     report = AuditReport()
@@ -374,8 +356,7 @@ def cross_validate(trace, audit: AuditTrace, x0: np.ndarray,
     # Sum preservation: total mass equals initial mass plus injections.
     total = audit.chi.sum(axis=1)                      # (K+1, d)
     injected = np.zeros_like(total)
-    if applied is not None:
-        injected[1:] = np.cumsum(applied.sum(axis=1), axis=0)
+    injected[1:] = np.cumsum(trace.applied.sum(axis=1), axis=0)
     expect = x0.sum(axis=0)[None, :] + injected
     report.checks.append(_check("mass-conservation", total - expect, tol))
     report.checks.append(_check("weight-conservation",
@@ -401,12 +382,8 @@ def cross_validate(trace, audit: AuditTrace, x0: np.ndarray,
     report.checks.extend(_matrix_structure_checks(audit.matrices, n,
                                                   entry_floor))
 
-    # Delivery-indicator exclusions and empty-above-level structure.
-    report.checks.append(_check("single-delivery-level",
-                                np.maximum(
-                                    audit.indicators.tau.sum(axis=2) - 1, 0
-                                ).astype(float)[:, :, None], 0.5))
-    excl, excl_bad = _exclusion_windows(audit.indicators)
+    # Delivery exclusions and empty-above-level structure.
+    excl, excl_bad = _exclusion_windows(audit.level)
     report.checks.append(IdentityCheck("delivery-exclusion-windows",
                                        excl, excl_bad))
     above = _levels_above_accepted(audit)
@@ -415,9 +392,8 @@ def cross_validate(trace, audit: AuditTrace, x0: np.ndarray,
 
     # Excess recursion against simulator running sums.
     phi_inc = phi_src[1:] - phi_src[:-1]               # (K, m, d)
-    accepted = audit.indicators.tau.any(axis=2)        # (K, m)
     u = audit.chi[:, layout.excess_block, :]
-    u_expect = np.where(accepted[:, :, None], 0.0, u[:-1] + phi_inc)
+    u_expect = np.where(audit.level[:, :, None] > 0, 0.0, u[:-1] + phi_inc)
     report.checks.append(_check("excess-recursion", u[1:] - u_expect, tol))
 
     return report
@@ -449,12 +425,12 @@ def _matrix_structure_checks(matrices: SlotMatrices, n: int,
     return checks
 
 
-def _exclusion_windows(ind: DeliveryIndicators) -> tuple[float, int | None]:
+def _exclusion_windows(level: np.ndarray) -> tuple[float, int | None]:
     """No two accepted sends on one arc may share a processing slot, and
     processing order must follow send order. Returns (arcs violating,
     earliest send slot that breaks the order)."""
-    arc, send, level = np.nonzero(ind.tau.transpose(1, 0, 2))
-    proc = send + level
+    arc, send = np.nonzero(level.T)
+    proc = send + level[send, arc]
     bad = (arc[1:] == arc[:-1]) & (proc[1:] <= proc[:-1])
     if not bad.any():
         return 0.0, None
@@ -471,7 +447,7 @@ def _levels_above_accepted(audit: AuditTrace) -> np.ndarray:
     n, m = layout.topology.n, layout.topology.m
     K = audit.chi.shape[0] - 1
     l_d = layout.max_effective_delay
-    level = audit.indicators.accepted_level                 # (K, m)
+    level = audit.level                                     # (K, m)
     transit = audit.chi[:K, n:n + l_d * m, :].reshape(K, l_d, m, -1)
     k_idx, l_idx, a_idx = np.nonzero(
         (level[:, None, :] > 0)
@@ -622,7 +598,7 @@ def audit_trace(trace, x0: np.ndarray, init_timestamp: int = 0,
     x0 = np.asarray(x0, dtype=float)
     audit = run_linear_audit(trace.schedule, x0, init_timestamp,
                              applied=applied)
-    report = cross_validate(trace, audit, x0, applied=applied)
+    report = cross_validate(trace, audit, x0)
     report.raise_on_failure()
     return report
 

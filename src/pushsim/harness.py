@@ -16,7 +16,7 @@ median across batches with a 1-standard-deviation band.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -249,14 +249,7 @@ class ExperimentConfig:
         out = {
             "name": self.name,
             "topology": self.topology.as_dict(),
-            "faults": {
-                "max_wake_gap": self.faults.max_wake_gap,
-                "max_consecutive_losses": self.faults.max_consecutive_losses,
-                "max_transmission_delay":
-                    self.faults.max_transmission_delay,
-                "wake_prob": self.faults.wake_prob,
-                "loss_prob": self.faults.loss_prob,
-            },
+            "faults": asdict(self.faults),
             "objective": self.objective.as_dict(),
             "noise_width": self.noise_width,
             "horizon": self.horizon,

@@ -10,8 +10,9 @@ by the next one that gets through.
 Two implementations live in this package. The batched engine
 (pushsim.engine) is the production path. This module adds an intentionally
 plain object-per-node simulator with explicit message queues; it is slow and
-single-run, exists to pin down the semantics, and is compared against the
-engine in the test suite. Keep the two in sync by changing this one first.
+single-run, exists to pin down the semantics, and records its run as an
+``engine.Trace``, so the test suite compares the two field by field. Keep
+the two in sync by changing this one first.
 """
 
 from __future__ import annotations
@@ -152,29 +153,13 @@ def process_inbox(state: PushSumNodeState,
     state.z = state.x / state.y
 
 
-@dataclass
-class ReferenceRun:
-    """Slot-boundary trajectories from the object-per-node simulator."""
-
-    x: np.ndarray        # (K+1, n, d)
-    y: np.ndarray        # (K+1, n)
-    z: np.ndarray        # (K+1, n, d)
-    phi_x: np.ndarray    # (K+1, n, d)
-    phi_y: np.ndarray    # (K+1, n)
-    rho_x: np.ndarray    # (K+1, m, d)
-    rho_y: np.ndarray    # (K+1, m)
-    kappa: np.ndarray    # (K+1, n)
-    wake: np.ndarray     # (K, n)
-    applied: np.ndarray  # (K, n, d)
-    aug_mean: np.ndarray  # (K+1, d)
-
-
 def reference_averaging_run(topology: Topology, bounds: FaultBounds,
                             x0: np.ndarray, horizon: int, master_seed: int,
                             run: int = 0, init_timestamp: int = 0,
                             perturbation=None,
-                            mask: np.ndarray | None = None) -> ReferenceRun:
-    """Message-level simulation of one run (the test oracle).
+                            mask: np.ndarray | None = None) -> _engine.Trace:
+    """Message-level simulation of one run (the test oracle), recorded as an
+    ``engine.Trace`` with the schedule it realized.
 
     Consumes the same randomness as the engine (the realized schedule is a
     pure function of seed/run/topology/bounds), but executes with per-node
@@ -193,15 +178,15 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
     channel = Channel()
 
     K = horizon
-    out = ReferenceRun(
-        np.empty((K + 1, n, dim)), np.empty((K + 1, n)),
-        np.empty((K + 1, n, dim)), np.empty((K + 1, n, dim)),
-        np.empty((K + 1, n)), np.empty((K + 1, m, dim)),
-        np.empty((K + 1, m)), np.empty((K + 1, n), dtype=np.int64),
-        np.empty((K, n), dtype=bool), np.zeros((K, n, dim)),
-        np.empty((K + 1, dim)))
+    out = _engine.Trace(np.empty((K + 1, n, dim + 1)),
+                        np.empty((K + 1, n, dim)),
+                        np.empty((K + 1, n, dim + 1)),
+                        np.empty((K + 1, m, dim + 1)),
+                        np.empty((K + 1, n), dtype=np.int64),
+                        np.zeros((K, n, dim)), schedule)
 
-    def snapshot(idx: int, aug_sum: np.ndarray) -> None:
+    def snapshot(idx: int) -> None:
+        # x/y, phi_x/phi_y and rho_x/rho_y are views into the trace arrays
         for i, st in enumerate(nodes):
             out.x[idx, i] = st.x
             out.y[idx, i] = st.y
@@ -212,14 +197,10 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
         for a, (_, dst) in enumerate(topology.arcs):
             out.rho_x[idx, a] = nodes[dst].rho_x[a]
             out.rho_y[idx, a] = nodes[dst].rho_y[a]
-        out.aug_mean[idx] = aug_sum / n
 
-    aug_sum = x0.sum(axis=0)
-    snapshot(0, aug_sum)
-
+    snapshot(0)
     for k in range(horizon):
         waking = set(int(i) for i in np.flatnonzero(schedule.wake[k]))
-        out.wake[k] = schedule.wake[k]
         delta = perturbation(k) if perturbation is not None else None
         if delta is not None:
             delta = np.asarray(delta, dtype=float)
@@ -228,7 +209,6 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
             if delta is not None:
                 nodes[i].x = nodes[i].x + delta[i]
                 out.applied[k, i] = delta[i]
-                aug_sum = aug_sum + delta[i]
             payloads[i] = wake_and_push(nodes[i], int(out_deg[i]), k)
         for a in range(m):
             arrival = schedule.arrival[k, a]
@@ -241,7 +221,7 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
         inboxes = channel.deliver(k, waking)
         for i in waking:
             process_inbox(nodes[i], inboxes.get(i, []), k)
-        snapshot(k + 1, aug_sum)
+        snapshot(k + 1)
     return out
 
 

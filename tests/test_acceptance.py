@@ -2,8 +2,9 @@
 
 Each test computes its criterion, prints a single "An PASS/FAIL: ..." line
 (visible with -s, and always shown on failure), then asserts. The two
-heavyweight experiments (A6, A8) dominate the wall time; the whole module
-takes on the order of ten minutes on one core.
+heavyweight experiments (A6, A8) dominate the wall time: on a shared 2-core
+x86-64 host (Python 3.11, numpy 2.4) the whole module took 280 s, of which
+A8 took 169 s, A6 68 s and A7 39 s.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def test_a3_ledger_identities_and_seeded_corruption(campaign, monkeypatch):
     # the audit must flag it, first at exactly the corrupted slot.
     topo, x0 = _instance(5, 19)
     sched = realize_schedule(topo, CAMPAIGN_BOUNDS, CAMPAIGN_HORIZON, 19, 0)
-    level = build_delivery_indicators(sched, 0).accepted_level
+    level = build_delivery_indicators(sched, 0)
     arc = next(a for a in range(topo.m) if np.count_nonzero(level[:, a]) > 3)
     send = np.flatnonzero(level[:, arc])[3]
     target = int(send + level[send, arc])

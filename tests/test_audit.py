@@ -7,18 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
 
 from pushsim import pushsum
-from pushsim.audit import (AugmentedLayout, DeliveryIndicators,
-                           _exclusion_windows, _levels_above_accepted,
-                           build_delivery_indicators, build_mass_matrix,
-                           contraction_bound, cross_validate, envelope_check,
-                           run_linear_audit, tracking_bound_series,
-                           verify_run, wbar_diagnostic,
+from pushsim.audit import (AugmentedLayout, _exclusion_windows,
+                           _levels_above_accepted, build_delivery_indicators,
+                           build_mass_matrix, contraction_bound,
+                           cross_validate, envelope_check, run_linear_audit,
+                           tracking_bound_series, verify_run, wbar_diagnostic,
                            window_positivity_check)
-from pushsim.errors import (ConfigurationError, InconsistentScheduleError,
-                            VerificationError)
+from pushsim.errors import ConfigurationError, VerificationError
 from pushsim.engine import run_protocol
 from pushsim.faultnet import FaultBounds, realize_schedule
 from pushsim.graph import build_cycle, build_random_strongly_connected
@@ -57,9 +54,9 @@ def test_two_node_sync_matrix_entries_exact():
     # slot hands them to the destination; no excess is ever parked
     topo = build_cycle(2)
     sched = realize_schedule(topo, SYNC, 4, 1, 0)
-    ind = build_delivery_indicators(sched, -1)
+    level = build_delivery_indicators(sched, -1)
     lay = AugmentedLayout(topo, sched.bounds.max_effective_delay)
-    mats = build_mass_matrix(lay, ind.wake, ind.tau)
+    mats = build_mass_matrix(lay, sched.wake[:4], level)
     m0 = mats.dense(0)
     # real columns split 1/2 diagonal, 1/2 into the arc's level-1 slot
     assert m0[0, 0] == 0.5 and m0[lay.transit_index(0, 1), 0] == 0.5
@@ -71,18 +68,13 @@ def test_two_node_sync_matrix_entries_exact():
     assert m1[0, lay.transit_index(1, 1)] == 1.0
 
 
-def test_mass_matrix_rejects_two_levels_per_arc():
+def test_mass_matrix_rejects_a_misshapen_delivery_table():
     topo = build_cycle(2)
     lay = AugmentedLayout(topo, 3)
-    wake = np.ones(2, dtype=bool)
-    tau = np.zeros((2, 3), dtype=bool)
-    tau[1, 0] = tau[1, 2] = True         # two simultaneous accepted levels
-    with pytest.raises(InconsistentScheduleError,
-                       match=r"^arc 1->0: two delivery levels in one slot$"):
-        build_mass_matrix(lay, wake[None], tau[None])
+    wake = np.ones((1, 2), dtype=bool)
     with pytest.raises(ConfigurationError,
-                       match=r"tau slice shape \(2, 2\) != \(2, 3\)"):
-        build_mass_matrix(lay, wake[None], tau[None, :, :2])
+                       match=r"^delivery table shape \(1, 3\) != \(1, 2\)$"):
+        build_mass_matrix(lay, wake, np.zeros((1, 3), dtype=np.int64))
 
 
 def test_matrix_columns_are_stochastic_under_faults():
@@ -131,7 +123,7 @@ def test_cross_validation_detects_skipped_receive_update(monkeypatch):
     # at that processing slot
     topo, x0 = small_faulty_case()
     sched = realize_schedule(topo, ASYNC, 300, 19, 0)
-    level = build_delivery_indicators(sched, 0).accepted_level
+    level = build_delivery_indicators(sched, 0)
     arc = next(a for a in range(topo.m) if np.count_nonzero(level[:, a]) > 3)
     send = np.flatnonzero(level[:, arc])[3]
     target = int(send + level[send, arc])
@@ -282,7 +274,7 @@ def test_wbar_consistent_under_faults():
 
 # ------------------------------------------- array builders vs references
 
-def reference_mass_matrix(layout, wake_k, tau_k):
+def reference_mass_matrix(layout, wake_k, level_k):
     """Entry-by-entry construction of one slot's dense matrix, the form the
     array-based build_mass_matrix must reproduce exactly."""
     topo = layout.topology
@@ -296,7 +288,6 @@ def reference_mass_matrix(layout, wake_k, tau_k):
         cols.append(c)
         vals.append(v)
 
-    level_of = (tau_k * np.arange(1, l_d + 1)[None, :]).sum(axis=1)
     for i in range(n):
         if not wake_k[i]:
             put(i, i, 1.0)
@@ -304,7 +295,7 @@ def reference_mass_matrix(layout, wake_k, tau_k):
         share = 1.0 / (deg[i] + 1.0)
         put(i, i, share)
         for a in np.flatnonzero(topo.src == i):
-            lvl = level_of[a]
+            lvl = level_k[a]
             if lvl > 0:
                 put(layout.transit_index(a, int(lvl)), i, share)
             else:
@@ -314,7 +305,7 @@ def reference_mass_matrix(layout, wake_k, tau_k):
         for lvl in range(2, l_d + 1):
             put(layout.transit_index(a, lvl - 1),
                 layout.transit_index(a, lvl), 1.0)
-        lvl = level_of[a]
+        lvl = level_k[a]
         if lvl > 0:
             put(layout.transit_index(a, int(lvl)),
                 layout.excess_index(a), 1.0)
@@ -330,7 +321,7 @@ def reference_levels_above(audit):
     layout = audit.layout
     K = audit.chi.shape[0] - 1
     out = np.zeros((K, 1))
-    level = audit.indicators.accepted_level
+    level = audit.level
     for k in range(K):
         worst = 0.0
         for a in np.flatnonzero(level[k]):
@@ -392,8 +383,7 @@ def reference_delivery_indicators(schedule, init_timestamp):
     """Arc by arc, send by send: the acceptance table that the array-based
     build_delivery_indicators must reproduce exactly."""
     topo = schedule.topology
-    l_d = schedule.bounds.max_effective_delay
-    tau = np.zeros((schedule.horizon, topo.m, l_d), dtype=bool)
+    level = np.zeros((schedule.horizon, topo.m), dtype=np.int64)
     for a, (src, dst) in enumerate(topo.arcs):
         sends = np.flatnonzero(schedule.arrival[:, a] >= 0)
         wake_slots = np.flatnonzero(schedule.wake[:, dst])
@@ -407,21 +397,19 @@ def reference_delivery_indicators(schedule, init_timestamp):
                 j += 1
             winner = sends[j]  # FIFO: latest send in the group
             if winner > last_ts:
-                tau[winner, a, processing[i] - winner - 1] = True
+                level[winner, a] = processing[i] - winner
                 last_ts = winner
             i = j + 1
-    return tau
+    return level
 
 
 def test_delivery_indicators_match_per_arc_reference():
     cases = 0
     for sched, _, _ in reference_schedules():
         for init_ts in (0, -1):
-            ind = build_delivery_indicators(sched, init_ts)
-            assert np.array_equal(ind.tau,
-                                  reference_delivery_indicators(sched,
-                                                                init_ts))
-            assert np.array_equal(ind.wake, sched.wake[:sched.horizon])
+            assert np.array_equal(
+                build_delivery_indicators(sched, init_ts),
+                reference_delivery_indicators(sched, init_ts))
             cases += 1
     assert cases == 2 * 13
 
@@ -437,34 +425,33 @@ def test_delivery_indicators_match_reference_on_any_bounds(
     topo = build_random_strongly_connected(n, 0.5,
                                            stream(seed, role=Role.TOPOLOGY))
     sched = realize_schedule(topo, bounds, 90, seed, 0)
-    assert np.array_equal(build_delivery_indicators(sched, init_ts).tau,
+    assert np.array_equal(build_delivery_indicators(sched, init_ts),
                           reference_delivery_indicators(sched, init_ts))
 
 
 def test_exclusion_windows_flag_out_of_order_processing():
-    wake = np.ones((20, 2), dtype=bool)
-    tau = np.zeros((20, 2, 3), dtype=bool)
-    tau[[2, 10], 0, [0, 2]] = True        # processed at 3 and 13: in order
-    assert _exclusion_windows(DeliveryIndicators(wake, tau)) == (0.0, None)
-    tau[11, 0, 0] = True                  # processed at 12, before 13
-    tau[[15, 16], 0, [2, 0]] = True       # processed at 18, then 17
-    tau[[5, 6], 1, [1, 0]] = True         # both processed at 7
+    level = np.zeros((20, 2), dtype=np.int64)
+    level[[2, 10], 0] = [1, 3]            # processed at 3 and 13: in order
+    assert _exclusion_windows(level) == (0.0, None)
+    level[11, 0] = 1                      # processed at 12, before 13
+    level[[15, 16], 0] = [3, 1]           # processed at 18, then 17
+    level[[5, 6], 1] = [2, 1]             # both processed at 7
     # two arcs break the order, the earliest at send slot 6
-    assert _exclusion_windows(DeliveryIndicators(wake, tau)) == (2.0, 6)
+    assert _exclusion_windows(level) == (2.0, 6)
 
 
 def test_mass_matrices_match_entrywise_reference():
     slots = 0
     for sched, init_ts, _ in reference_schedules():
-        ind = build_delivery_indicators(sched, init_ts)
+        level = build_delivery_indicators(sched, init_ts)
         l_d = sched.bounds.max_effective_delay
         lay = AugmentedLayout(sched.topology, l_d)
-        got = build_mass_matrix(lay, ind.wake, ind.tau)
+        got = build_mass_matrix(lay, sched.wake[:sched.horizon], level)
         # one stored structure: every slot keeps n + m + (L_d+1)*m entries
         n, m = sched.topology.n, sched.topology.m
         assert got.nnz == sched.horizon * (n + m + (l_d + 1) * m)
         for k in range(sched.horizon):
-            want = reference_mass_matrix(lay, ind.wake[k], ind.tau[k])
+            want = reference_mass_matrix(lay, sched.wake[k], level[k])
             assert np.array_equal(got.dense(k), want)
             slots += 1
     assert slots == 2 * 200 + 10 * 150 + 150
@@ -532,7 +519,7 @@ def test_linear_audit_steps_exactly_like_a_column_order_replay():
         topo = sched.topology
         x0 = np.linspace(-2.0, 3.0, 2 * topo.n).reshape(topo.n, 2)
         audit = run_linear_audit(sched, x0, init_ts, applied=moves)
-        ind, lay = audit.indicators, audit.layout
+        lay = audit.layout
         state = np.zeros((lay.size, 3))
         state[:topo.n, :2], state[:topo.n, 2] = x0, 1.0
         for k in range(sched.horizon):
@@ -541,7 +528,8 @@ def test_linear_audit_steps_exactly_like_a_column_order_replay():
             if moves is not None:
                 state[:topo.n, :2] += moves[k]
             state = reference_step(
-                reference_mass_matrix(lay, ind.wake[k], ind.tau[k]), state)
+                reference_mass_matrix(lay, sched.wake[k], audit.level[k]),
+                state)
         assert np.array_equal(audit.chi[-1], state[:, :2])
         assert np.array_equal(audit.psi[-1], state[:, 2])
 
@@ -551,15 +539,15 @@ def test_levels_above_accepted_sees_misplaced_transit_mass():
     sched = realize_schedule(topo, ASYNC, 80, 19, 0)
     audit = run_linear_audit(sched, x0, 0)
     lay = audit.layout
-    level = audit.indicators.accepted_level
+    level = audit.level
     hits = np.argwhere((level > 0) & (level < lay.max_effective_delay))
-    chi = audit.chi.copy()
+    state = audit.state.copy()
     (k1, a1), (k2, a2) = hits[0], hits[-1]
-    chi[k1, lay.transit_index(int(a1), lay.max_effective_delay), 1] = -2.5
-    chi[k2, lay.transit_index(int(a2), int(level[k2, a2]) + 1), 0] = 0.75
+    state[k1, lay.transit_index(int(a1), lay.max_effective_delay), 1] = -2.5
+    state[k2, lay.transit_index(int(a2), int(level[k2, a2]) + 1), 0] = 0.75
     # mass at or below the accepted level, or on a quiet arc, is allowed
-    chi[k2, lay.transit_index(int(a2), int(level[k2, a2])), 0] = 9.0
-    planted = dataclasses.replace(audit, chi=chi)
+    state[k2, lay.transit_index(int(a2), int(level[k2, a2])), 0] = 9.0
+    planted = dataclasses.replace(audit, state=state)
     got = _levels_above_accepted(planted)
     assert np.array_equal(got, reference_levels_above(planted))
     assert got[k1, 0] == 2.5 and got[k2, 0] == 0.75
@@ -579,7 +567,7 @@ def test_nan_state_fails_the_audit():
     res = run_protocol(topo, ASYNC, x0, horizon, seed,
                        update=Injection(bump), record_trace=True)
     audit = run_linear_audit(sched, x0, 0, applied=res.trace.applied)
-    report = cross_validate(res.trace, audit, x0, applied=res.trace.applied)
+    report = cross_validate(res.trace, audit, x0)
     assert not report.ok
     flagged = {c.name: c for c in report.checks
                if c.first_bad_slot is not None}

@@ -18,9 +18,9 @@ from pushsim.rng import Role, stream
 
 def accepted(schedule, init_timestamp, arc):
     """Send slots and processing slots of the sends `arc` accepts."""
-    tau = build_delivery_indicators(schedule, init_timestamp).tau
-    sends, levels = np.nonzero(tau[:, arc, :])
-    return sends, sends + levels + 1
+    level = build_delivery_indicators(schedule, init_timestamp)[:, arc]
+    sends = np.flatnonzero(level)
+    return sends, sends + level[sends]
 
 
 def test_derived_bounds_examples():

@@ -90,6 +90,16 @@ def test_coordinates_evolve_independently():
     assert np.array_equal(both.trace.y, first.trace.y)
 
 
+def assert_same_trace(trace, ref, case=None):
+    """Every field of two traces, the recorded schedule included."""
+    for name in ("mass", "z", "phi", "rho", "kappa", "applied"):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), \
+            (case, name)
+    for name in ("wake", "arrival"):
+        assert np.array_equal(getattr(trace.schedule, name),
+                              getattr(ref.schedule, name)), (case, name)
+
+
 def test_engine_matches_reference_implementation_exactly():
     # vectorized engine against the object-per-node oracle, faulty async
     cycle = build_cycle(4, bidirectional=True)
@@ -107,11 +117,7 @@ def test_engine_matches_reference_implementation_exactly():
                                       run=run)
         res = run_averaging(topo, bounds, x0, horizon, seed, runs=(run,),
                             record_trace=True, chunk=chunk)
-        tr = res.trace
-        for name in ("x", "y", "z", "phi_x", "phi_y", "rho_x", "rho_y",
-                     "kappa", "wake"):
-            assert np.array_equal(getattr(tr, name), getattr(ref, name)), \
-                (topo.n, bounds, name)
+        assert_same_trace(res.trace, ref, (topo.n, bounds))
 
 
 def test_zero_perturbation_is_plain_averaging():
@@ -152,10 +158,14 @@ def test_engine_reference_weld_with_perturbation():
                                   perturbation=lambda k: bump)
     res = run_protocol(topo, ASYNC, x0, 90, 13,
                        update=Injection(lambda k: bump), record_trace=True)
-    assert np.array_equal(res.trace.x, ref.x)
-    assert np.array_equal(res.trace.applied, ref.applied)
-    # summation order across nodes differs, so only near-exact here
-    assert np.allclose(res.trace.aug_mean, ref.aug_mean, atol=1e-12)
+    assert_same_trace(res.trace, ref)
+    # the mean of x0 and every bump the waking nodes took, slot by slot
+    total = x0.sum(axis=0)
+    expect = [total / 3]
+    for wake in ref.wake:
+        total = total + np.where(wake[:, None], bump, 0.0).sum(axis=0)
+        expect.append(total / 3)
+    assert np.array_equal(res.trace.aug_mean, np.array(expect))
 
 
 def test_ratio_estimates_stay_finite_under_faults():
