@@ -219,26 +219,27 @@ class AuditTrace:
         return self.state[..., -1]
 
 
-def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
-                     init_timestamp: int,
-                     applied: np.ndarray | None = None) -> AuditTrace:
-    """Evolve the augmented system along one realized schedule.
+def run_linear_audit(trace) -> AuditTrace:
+    """Evolve the augmented system along a recorded run.
 
-    applied, if given, is the (K, n, d) array of value injections actually
-    applied by the simulator at wake slots (perturbations or optimizer
-    moves); they are added to real coordinates before each slot's flow.
+    trace is an ``engine.Trace``, from the engine or the reference
+    simulator. The rebuild reads nothing else: the schedule it recorded,
+    its start state ``x[0]`` and initial timestamp ``kappa[0]``, and its
+    ``applied`` moves, which are added to real coordinates before each
+    slot's flow. Slots where no move was applied skip the addition.
 
     Each slot is one ``np.bincount`` over the stored entries in column
     order, so every row adds its terms in column order, as a CSC product
     does.
     """
-    topo, bounds = schedule.topology, schedule.bounds
+    schedule = trace.schedule
     K = schedule.horizon
-    x0 = np.asarray(x0, dtype=float)
+    x0, applied = trace.x[0], trace.applied
     n, dim = x0.shape
-    layout = AugmentedLayout(topo, bounds.max_effective_delay)
-    level = build_delivery_indicators(schedule, init_timestamp)
-    mats = build_mass_matrix(layout, schedule.wake[:K], level)
+    layout = AugmentedLayout(schedule.topology,
+                             schedule.bounds.max_effective_delay)
+    level = build_delivery_indicators(schedule, int(trace.kappa[0, 0]))
+    mats = build_mass_matrix(layout, trace.wake, level)
     size, width = layout.size, dim + 1
     # mass in the first d columns, weight in the last
     state = np.zeros((K + 1, size, width))
@@ -246,9 +247,10 @@ def run_linear_audit(schedule: ScheduleRealization, x0: np.ndarray,
     state[0, :n, dim] = 1.0
     flat = (mats.rows[:, :, None] * width
             + np.arange(width)).reshape(K, mats.cols.size * width)
+    moved = applied.any(axis=(1, 2)).tolist()
     for k in range(K):
         cur = state[k]
-        if applied is not None:
+        if moved[k]:
             cur = cur.copy()
             cur[:n, :dim] += applied[k]
         terms = mats.data[k][:, None] * cur[mats.cols]
@@ -308,20 +310,20 @@ def _check(name: str, residual: np.ndarray, tol: float) -> IdentityCheck:
     return IdentityCheck(name, worst, int(bad[0]) if bad.size else None)
 
 
-def cross_validate(trace, audit: AuditTrace,
-                   x0: np.ndarray) -> AuditReport:
+def cross_validate(trace, audit: AuditTrace) -> AuditReport:
     """Check every identity linking a simulator trace to the audit chain and
     return the report; ``audit_trace`` raises on its failures.
 
     trace is an ``engine.Trace``, from the engine or the reference
-    simulator; mass conservation counts its ``applied`` moves. The
-    identities that compare states, ledgers and totals use the fixed
-    tolerance ``1e-9 * (1 + ||x0||_1)``; the weight-range, weight-sum and
-    matrix checks use their own absolute tolerances.
+    simulator; mass conservation counts its ``applied`` moves from its
+    start state ``x0 = x[0]``. The identities that compare states, ledgers
+    and totals use the fixed tolerance ``1e-9 * (1 + ||x0||_1)``; the
+    weight-range, weight-sum and matrix checks use their own absolute
+    tolerances.
     """
     topo = audit.layout.topology
     n = topo.n
-    x0 = np.asarray(x0, dtype=float)
+    x0 = trace.x[0]
     tol = 1e-9 * (1.0 + float(np.abs(x0).sum()))
     K = audit.chi.shape[0] - 1
     layout = audit.layout
@@ -377,10 +379,23 @@ def cross_validate(trace, audit: AuditTrace,
     masked = np.where(zero_psi[:, :, None], audit.chi, 0.0)
     report.checks.append(_check("mass-zero-on-zero-weight", masked, 0.0))
 
-    # Matrix structure: column sums, entry lower bound, real diagonals.
+    # Matrix structure: column sums, entry lower bound, real diagonals, read
+    # off the stored entries of every slot. Column sums add each column's
+    # entries in stored order; a real column's nonzero entries are all
+    # equal, so any order gives the same bits.
+    data = audit.matrices.data
+    starts = np.flatnonzero(np.diff(audit.matrices.cols, prepend=-1))
     entry_floor = 1.0 / (topo.out_degree().max(initial=0) + 1.0)
-    report.checks.extend(_matrix_structure_checks(audit.matrices, n,
-                                                  entry_floor))
+    report.checks.append(_check(
+        "matrix-column-sums", np.add.reduceat(data, starts, axis=1) - 1.0,
+        1e-15))
+    report.checks.append(_check(
+        "matrix-entry-floor",
+        np.where(data != 0.0, np.maximum(entry_floor - data, 0.0), 0.0),
+        1e-15))
+    report.checks.append(_check(
+        "matrix-real-diagonal-positive",
+        np.where(data[:, starts[:n]] > 0.0, 0.0, 1.0), 0.0))
 
     # Delivery exclusions and empty-above-level structure.
     excl, excl_bad = _exclusion_windows(audit.level)
@@ -397,32 +412,6 @@ def cross_validate(trace, audit: AuditTrace,
     report.checks.append(_check("excess-recursion", u[1:] - u_expect, tol))
 
     return report
-
-
-def _matrix_structure_checks(matrices: SlotMatrices, n: int,
-                             entry_floor: float) -> list[IdentityCheck]:
-    """Column sums equal to one, nonzero entries at or above the floor, and
-    positive real diagonals, read off the stored entries of every slot.
-
-    Column sums add each column's entries in stored order; a real column's
-    nonzero entries are all equal, so any order gives the same bits.
-    """
-    data = matrices.data
-    starts = np.flatnonzero(np.diff(matrices.cols, prepend=-1))
-    residuals = (
-        np.abs(np.add.reduceat(data, starts, axis=1) - 1.0).max(
-            axis=1, initial=0.0),
-        np.where(data != 0.0, entry_floor - data, 0.0).max(axis=1,
-                                                           initial=0.0),
-        np.any(data[:, starts[:n]] <= 0.0, axis=1).astype(float))
-    checks = []
-    for name, res, tol in zip(("matrix-column-sums", "matrix-entry-floor",
-                               "matrix-real-diagonal-positive"),
-                              residuals, (1e-15, 1e-15, 0.0)):
-        bad = np.flatnonzero(res > tol)
-        checks.append(IdentityCheck(name, float(res.max(initial=0.0)),
-                                    int(bad[0]) if bad.size else None))
-    return checks
 
 
 def _exclusion_windows(level: np.ndarray) -> tuple[float, int | None]:
@@ -566,39 +555,30 @@ def window_positivity_check(audit: AuditTrace,
 # One-call verification: simulate, rebuild, cross-check.
 
 def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
-               master_seed: int, run: int = 0, init_timestamp: int = 0,
-               update=None, mask: np.ndarray | None = None) -> AuditReport:
-    """Simulate one run and audit it (``audit_trace``), raising on any
-    failure.
+               master_seed: int, run: int = 0,
+               mask: np.ndarray | None = None) -> AuditReport:
+    """Simulate one averaging run with a recorded trace and audit it
+    (``audit_trace``), raising on any failure.
 
-    update is the run's wake-time update (``engine.run_protocol``), such as
-    ``pushsum.Injection`` or ``optimizer.GradientStep`` built for this run;
-    the moves it applies enter the rebuild as injections.
+    A run with a wake-time update is audited from its own trace:
+    ``audit_trace(run_protocol(..., update=u, record_trace=True).trace)``.
     """
     from .engine import run_protocol
 
-    x0 = np.asarray(x0, dtype=float)
     result = run_protocol(topology, bounds, x0, horizon, master_seed,
-                          runs=(run,), init_timestamp=init_timestamp,
-                          update=update, mask=mask, record_trace=True)
-    trace = result.trace
-    return audit_trace(trace, x0, init_timestamp,
-                       applied=trace.applied if update is not None else None)
+                          runs=(run,), mask=mask, record_trace=True)
+    return audit_trace(result.trace)
 
 
-def audit_trace(trace, x0: np.ndarray, init_timestamp: int = 0,
-                applied: np.ndarray | None = None) -> AuditReport:
-    """Rebuild a recorded engine trace as the augmented linear system on the
-    schedule the engine recorded, cross-check the two, and return the
-    identity report (raising on any failure).
+def audit_trace(trace) -> AuditReport:
+    """Rebuild a recorded ``engine.Trace`` as the augmented linear system,
+    cross-check the two, and return the identity report (raising on any
+    failure).
 
-    applied is the trace's ``applied`` moves when the run had a wake-time
-    update, else None.
+    The trace is the only input: its schedule, start state, initial
+    timestamp and applied moves (see ``run_linear_audit``).
     """
-    x0 = np.asarray(x0, dtype=float)
-    audit = run_linear_audit(trace.schedule, x0, init_timestamp,
-                             applied=applied)
-    report = cross_validate(trace, audit, x0)
+    report = cross_validate(trace, run_linear_audit(trace))
     report.raise_on_failure()
     return report
 

@@ -24,7 +24,7 @@ from .engine import run_protocol
 from .errors import ConfigurationError, PushsimError, VerificationError
 from .harness import (ExperimentConfig, ratio_study, replay,
                       run_experiment, write_line_plot)
-from .optimizer import OPTIMIZER_INIT_TIMESTAMP, GradientStep, StepSizeLedger
+from .optimizer import run_gradient_push
 from .pushsum import dump_state_trace
 from .rng import Role, stream, uniform_box
 
@@ -121,7 +121,7 @@ def _cmd_raps(args) -> int:
     if args.verify:
         # audit the run just recorded, not a second simulation of it
         span = min(config.horizon, AUDIT_SPAN_CAP)
-        _emit_verify(outdir, config, span, audit_trace(trace.head(span), x0))
+        _emit_verify(outdir, config, span, audit_trace(trace.head(span)))
     return 0
 
 
@@ -143,20 +143,15 @@ def _cmd_rasgp(args) -> int:
           f"R={config.runs} final E_dist {last.e_dist[-1]:.3e} "
           f"E_c {last.e_c[-1]:.3e}")
     if args.verify:
-        # rebuild the first span slots of run 0 and cross-check them
+        # rerun the first span slots of run 0 with the experiment's own
+        # problem and step sizes, recording its trace, and audit it
         span = min(config.horizon, AUDIT_SPAN_CAP)
         problem = result.problem
-        topo, objective = problem.topology, problem.objective
-        ledger = StepSizeLedger(numerator=topo.n, mu=objective.mu_total,
-                                horizon=span, k0=config.step_offset)
-        step = GradientStep(objective, problem.noise, ledger,
-                            config.master_seed, runs=(0,))
-        report = verify_run(topo, config.faults,
-                            np.ones((topo.n, objective.dim)), span,
-                            config.master_seed, run=0,
-                            init_timestamp=OPTIMIZER_INIT_TIMESTAMP,
-                            update=step)
-        _emit_verify(outdir, config, span, report)
+        trace = run_gradient_push(
+            problem.topology, config.faults, problem.objective,
+            problem.noise, problem.ledger, span, config.master_seed,
+            runs=(0,), record_trace=True).trace
+        _emit_verify(outdir, config, span, audit_trace(trace))
     return 0
 
 

@@ -86,6 +86,8 @@ class Trace:
 
     Value and weight share one array, and so do the running totals;
     ``x``/``y``, ``phi_x``/``phi_y`` and ``rho_x``/``rho_y`` are views.
+    Row 0 of ``mass`` is the start state and row 0 of ``kappa`` the initial
+    timestamp; the audit reads them from here.
     """
 
     mass: np.ndarray     # (K+1, n, d+1)  x, then y in the last column

@@ -278,6 +278,7 @@ class ProblemInstance:
     z_star: np.ndarray
     dataset: tuple | None      # (features, labels) for svm
     optimum: OptimumCertificate | None   # the certified optimum, for svm
+    ledger: StepSizeLedger     # gradient-push step sizes over the horizon
 
 
 def build_problem(config: ExperimentConfig) -> ProblemInstance:
@@ -305,8 +306,10 @@ def build_problem(config: ExperimentConfig) -> ProblemInstance:
     # variance
     baseline = box_noise_model(config.noise_width, dim,
                                scale=float(np.sqrt(n)))
+    ledger = StepSizeLedger(numerator=n, mu=objective.mu_total,
+                            horizon=config.horizon, k0=config.step_offset)
     return ProblemInstance(topo, objective, noise, baseline, z_star, dataset,
-                           cert)
+                           cert, ledger)
 
 
 def centralized_baseline(problem: ProblemInstance, horizon: int,
@@ -518,13 +521,10 @@ def _error_series(config: ExperimentConfig, problem: ProblemInstance
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(E_dist, E_c) raw series, each (runs, horizon+1): gradient-push and
     the centralized baseline on the same run indices."""
-    ledger = StepSizeLedger(numerator=problem.topology.n,
-                            mu=problem.objective.mu_total,
-                            horizon=config.horizon, k0=config.step_offset)
     runs = range(config.runs)
     result = run_gradient_push(
         problem.topology, config.faults, problem.objective, problem.noise,
-        ledger, config.horizon, config.master_seed, runs=tuple(runs),
+        problem.ledger, config.horizon, config.master_seed, runs=tuple(runs),
         z_star=problem.z_star)
     e_c = centralized_baseline(problem, config.horizon, config.master_seed,
                                runs, config.faults.max_wake_gap,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import engine as _engine
 from .errors import ProtocolViolationError
-from .faultnet import DEFAULT_CHUNK, FaultBounds, realize_schedule
+from .faultnet import FaultBounds, realize_schedule
 from .graph import Topology
 
 
@@ -226,7 +226,7 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
 
 
 # ---------------------------------------------------------------------------
-# Entry points on the batched engine.
+# Perturbed averaging on the batched engine, and trace output.
 
 class Injection:
     """Wake-time update for ``engine.run_protocol`` that adds
@@ -246,19 +246,6 @@ class Injection:
               wake: np.ndarray) -> np.ndarray | None:
         delta = self.perturbation(k)
         return None if delta is None else np.asarray(delta, dtype=float)
-
-
-def run_averaging(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
-                  horizon: int, master_seed: int, runs=(0,),
-                  z_star: np.ndarray | None = None,
-                  record_trace: bool = False,
-                  mask: np.ndarray | None = None,
-                  chunk: int = DEFAULT_CHUNK) -> _engine.RunResult:
-    """Plain ratio-consensus averaging; converges to the mean of x0 rows."""
-    return _engine.run_protocol(
-        topology, bounds, np.asarray(x0, dtype=float), horizon, master_seed,
-        runs=tuple(runs), init_timestamp=0, z_star=z_star,
-        record_trace=record_trace, mask=mask, chunk=chunk)
 
 
 def dump_state_trace(trace, path: str | Path) -> None:

@@ -49,7 +49,7 @@ from pushsim.objectives import (
     smoothed_hinge_derivative,
 )
 from pushsim.optimizer import StepSizeLedger, run_gradient_push
-from pushsim.pushsum import Injection, run_averaging
+from pushsim.pushsum import Injection
 from pushsim.rng import Role, stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -159,8 +159,7 @@ def test_a3_ledger_identities_and_seeded_corruption(campaign, monkeypatch):
     monkeypatch.setattr(pushsum, "process_inbox", skip_rho_update)
     ref = pushsum.reference_averaging_run(topo, CAMPAIGN_BOUNDS, x0,
                                           CAMPAIGN_HORIZON, 19)
-    audit = run_linear_audit(sched, x0, 0)
-    mutant = cross_validate(ref, audit, x0)
+    mutant = cross_validate(ref, run_linear_audit(ref))
     flagged = [c for c in mutant.checks if c.first_bad_slot is not None]
     caught = bool(flagged) and min(
         c.first_bad_slot for c in flagged) == target
@@ -187,8 +186,8 @@ def test_a4_contraction_envelope_and_decay_rate():
         for bounds in ENVELOPE_FAULTS:
             assert bounds.max_receipt_gap <= 4
             bound = contraction_bound(n, bounds.max_receipt_gap)
-            res = run_averaging(topo, bounds, x0, 2000, 101,
-                                record_trace=True)
+            res = run_protocol(topo, bounds, x0, 2000, 101,
+                               record_trace=True)
             good, first = envelope_check(res.trace.z, x0, bound)
             if not good:
                 violations.append((n, bounds.max_receipt_gap, first))
@@ -200,7 +199,7 @@ def test_a4_contraction_envelope_and_decay_rate():
                    FaultBounds(2, 0, 1, wake_prob=0.5)):
         topo = build_cycle(10)
         x0 = stream(7, role=Role.INIT).uniform(-4.0, 4.0, size=(10, 1))
-        res = run_averaging(topo, bounds, x0, 2000, 7, record_trace=True)
+        res = run_protocol(topo, bounds, x0, 2000, 7, record_trace=True)
         err = np.abs(res.trace.z[:, :, 0] - x0.mean()).max(axis=1)
         ks = np.arange(100, 2001)
         logs = np.log(err[100:])

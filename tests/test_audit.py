@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from pushsim import pushsum
 from pushsim.audit import (AugmentedLayout, _exclusion_windows,
-                           _levels_above_accepted, build_delivery_indicators,
-                           build_mass_matrix, contraction_bound,
-                           cross_validate, envelope_check, run_linear_audit,
-                           tracking_bound_series, verify_run, wbar_diagnostic,
+                           _levels_above_accepted, audit_trace,
+                           build_delivery_indicators, build_mass_matrix,
+                           contraction_bound, cross_validate, envelope_check,
+                           run_linear_audit, tracking_bound_series,
+                           verify_run, wbar_diagnostic,
                            window_positivity_check)
 from pushsim.errors import ConfigurationError, VerificationError
 from pushsim.engine import run_protocol
@@ -21,9 +22,8 @@ from pushsim.faultnet import FaultBounds, realize_schedule
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.harness import ExperimentConfig
 from pushsim.objectives import NoiseModel, generate_quadratic
-from pushsim.optimizer import (OPTIMIZER_INIT_TIMESTAMP, GradientStep,
-                               StepSizeLedger, run_gradient_push)
-from pushsim.pushsum import Injection, run_averaging
+from pushsim.optimizer import StepSizeLedger, run_gradient_push
+from pushsim.pushsum import Injection
 from pushsim.rng import Role, stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -79,10 +79,10 @@ def test_mass_matrix_rejects_a_misshapen_delivery_table():
 
 def test_matrix_columns_are_stochastic_under_faults():
     topo, x0 = small_faulty_case()
-    sched = realize_schedule(topo, ASYNC, 120, 19, 0)
-    audit = run_linear_audit(sched, x0, 0)
+    trace = run_protocol(topo, ASYNC, x0, 120, 19, record_trace=True).trace
+    audit = run_linear_audit(trace)
     floor = 1.0 / (topo.out_degree().max() + 1)
-    for k in range(sched.horizon):
+    for k in range(120):
         dense = audit.matrices.dense(k)
         assert np.max(np.abs(dense.sum(axis=0) - 1.0)) <= 1e-15
         positive = dense[dense > 0]
@@ -129,8 +129,7 @@ def test_cross_validation_detects_skipped_receive_update(monkeypatch):
     target = int(send + level[send, arc])
     skip_receive_update(monkeypatch, arc, target)
     ref = pushsum.reference_averaging_run(topo, ASYNC, x0, 300, 19)
-    audit = run_linear_audit(sched, x0, 0)
-    report = cross_validate(ref, audit, x0)
+    report = cross_validate(ref, run_linear_audit(ref))
     assert not report.ok
     bad = [c for c in report.checks if c.first_bad_slot is not None]
     assert min(c.first_bad_slot for c in bad) == target
@@ -142,10 +141,32 @@ def test_audit_tracks_applied_optimizer_moves():
     topo = build_cycle(3, bidirectional=True)
     obj = generate_quadratic(3, 2, master_seed=4)
     led = StepSizeLedger(numerator=3.0, mu=obj.mu_total, horizon=150)
-    step = GradientStep(obj, NoiseModel(0.0, 2), led, 15, runs=(0,))
-    report = verify_run(topo, ASYNC, np.ones((3, 2)), 150, 15,
-                        init_timestamp=OPTIMIZER_INIT_TIMESTAMP, update=step)
+    res = run_gradient_push(topo, ASYNC, obj, NoiseModel(0.0, 2), led, 150,
+                            15, record_trace=True)
+    report = audit_trace(res.trace)
     assert report.ok, report.to_text()
+
+
+def test_audit_trace_needs_nothing_but_the_trace():
+    # the start state, initial timestamp and applied moves all come from
+    # the trace: a perturbed engine trace, a gradient-push trace (initial
+    # timestamp -1, all-ones start) and an oracle trace each pass alone
+    topo, x0 = small_faulty_case()
+    bump = np.full((topo.n, 2), 0.31)
+    perturbed = run_protocol(
+        topo, ASYNC, x0, 200, 19,
+        update=Injection(lambda k: bump if k % 7 == 1 else None),
+        record_trace=True).trace
+    assert np.any(perturbed.applied != 0.0)
+    obj = generate_quadratic(topo.n, 2, master_seed=4)
+    led = StepSizeLedger(numerator=topo.n, mu=obj.mu_total, horizon=200)
+    gradient = run_gradient_push(topo, ASYNC, obj, NoiseModel(0.5, 2), led,
+                                 200, 19, record_trace=True).trace
+    assert np.all(gradient.kappa[0] == -1)
+    oracle = pushsum.reference_averaging_run(topo, ASYNC, x0, 200, 19)
+    for trace in (perturbed, gradient, oracle):
+        report = audit_trace(trace)
+        assert report.ok, report.to_text()
 
 
 def test_verify_run_covers_masked_arcs():
@@ -183,7 +204,7 @@ def test_contraction_bound_vacuous_for_larger_systems():
 def test_envelope_holds_on_lossless_two_node_run():
     topo = build_cycle(2)
     x0 = np.array([[0.0], [1.0]])
-    res = run_averaging(topo, SYNC, x0, 2000, 3, record_trace=True)
+    res = run_protocol(topo, SYNC, x0, 2000, 3, record_trace=True)
     bound = contraction_bound(2, FaultBounds(1, 0, 1).max_receipt_gap)
     ok, bad = envelope_check(res.trace.z, x0, bound)
     assert ok, f"first violation at slot {bad}"
@@ -218,14 +239,19 @@ def test_tracking_bound_accumulates_drift():
 
 def test_window_positivity_depends_on_initial_timestamp():
     topo = build_cycle(2)
-    sched = realize_schedule(topo, SYNC, 30, 1, 0)
     gap = FaultBounds(1, 0, 1).max_receipt_gap
-    fresh = run_linear_audit(sched, np.ones((2, 1)), -1)
+
+    def audit(init_ts):
+        return run_linear_audit(run_protocol(
+            topo, SYNC, np.ones((2, 1)), 30, 1, init_timestamp=init_ts,
+            record_trace=True).trace)
+
+    fresh = audit(-1)
     ok, bad = window_positivity_check(fresh, gap)
     assert ok and bad is None
     # slot-0 sends are stale under the averaging convention, which delays
     # the very first window's mixing but no later one
-    stale = run_linear_audit(sched, np.ones((2, 1)), 0)
+    stale = audit(0)
     ok, bad = window_positivity_check(stale, gap)
     assert not ok and bad == 0
 
@@ -233,8 +259,9 @@ def test_window_positivity_depends_on_initial_timestamp():
 def test_window_positivity_async_case():
     topo = build_cycle(3, bidirectional=True)
     bounds = FaultBounds(3, 3, 3, wake_prob=0.6, loss_prob=0.3)
-    sched = realize_schedule(topo, bounds, 150, 23, 0)
-    audit = run_linear_audit(sched, np.ones((3, 1)), -1)
+    audit = run_linear_audit(run_protocol(
+        topo, bounds, np.ones((3, 1)), 150, 23, init_timestamp=-1,
+        record_trace=True).trace)
     ok, bad = window_positivity_check(audit, bounds.max_receipt_gap)
     assert ok, f"window starting at {bad} lost positivity"
 
@@ -357,26 +384,31 @@ def reference_structure(matrices, n, entry_floor):
             ("matrix-real-diagonal-positive", diag_res, diag_bad)]
 
 
-def reference_schedules():
-    """(schedule, init timestamp, mask) for the schedules the audit meets:
-    the verify_faulty_small instance, the A1 campaign bounds over n = 2..6,
-    and a lossless schedule under an arc mask."""
+def reference_traces():
+    """Engine traces of the runs the audit meets: the verify_faulty_small
+    instance, the A1 campaign bounds over n = 2..6 (initial timestamps 0
+    and -1), and a lossless run under an arc mask."""
+
+    def trace(topo, bounds, horizon, seed, run=0, init_ts=0, mask=None):
+        x0 = np.linspace(-2.0, 3.0, 2 * topo.n).reshape(topo.n, 2)
+        return run_protocol(topo, bounds, x0, horizon, seed, runs=(run,),
+                            init_timestamp=init_ts, mask=mask,
+                            record_trace=True).trace
+
     cfg = ExperimentConfig.from_file(CONFIGS / "verify_faulty_small.json")
     topo = cfg.topology.build(cfg.master_seed)
     for run in (0, 1):
-        yield realize_schedule(topo, cfg.faults, 200, cfg.master_seed,
-                               run), 0, None
+        yield trace(topo, cfg.faults, 200, cfg.master_seed, run)
     for n in range(2, 7):
         for seed in (11, 19):
             topo = build_random_strongly_connected(
                 n, 0.5, stream(seed, role=Role.TOPOLOGY))
-            yield realize_schedule(topo, ASYNC, 150, seed, 0), -1 + n % 2, \
-                None
+            yield trace(topo, ASYNC, 150, seed, init_ts=-1 + n % 2)
     topo = build_cycle(5, bidirectional=True)
     bounds = FaultBounds(3, 0, 3, wake_prob=0.5)
     mask = np.random.default_rng(0).random((160, topo.m)) < 0.7
     mask[::3] = True
-    yield realize_schedule(topo, bounds, 150, 33, 0, mask=mask), 0, mask
+    yield trace(topo, bounds, 150, 33, mask=mask)
 
 
 def reference_delivery_indicators(schedule, init_timestamp):
@@ -405,7 +437,8 @@ def reference_delivery_indicators(schedule, init_timestamp):
 
 def test_delivery_indicators_match_per_arc_reference():
     cases = 0
-    for sched, _, _ in reference_schedules():
+    for trace in reference_traces():
+        sched = trace.schedule
         for init_ts in (0, -1):
             assert np.array_equal(
                 build_delivery_indicators(sched, init_ts),
@@ -442,8 +475,9 @@ def test_exclusion_windows_flag_out_of_order_processing():
 
 def test_mass_matrices_match_entrywise_reference():
     slots = 0
-    for sched, init_ts, _ in reference_schedules():
-        level = build_delivery_indicators(sched, init_ts)
+    for trace in reference_traces():
+        sched = trace.schedule
+        level = build_delivery_indicators(sched, int(trace.kappa[0, 0]))
         l_d = sched.bounds.max_effective_delay
         lay = AugmentedLayout(sched.topology, l_d)
         got = build_mass_matrix(lay, sched.wake[:sched.horizon], level)
@@ -458,28 +492,24 @@ def test_mass_matrices_match_entrywise_reference():
 
 
 def test_structure_checks_and_levels_above_match_references():
-    for sched, init_ts, mask in reference_schedules():
-        topo = sched.topology
-        x0 = np.linspace(-2.0, 3.0, 2 * topo.n).reshape(topo.n, 2)
-        res = run_protocol(topo, sched.bounds, x0, sched.horizon, 0,
-                           init_timestamp=init_ts, mask=mask,
-                           record_trace=True)
-        audit = run_linear_audit(sched, x0, init_ts)
+    for trace in reference_traces():
+        topo = trace.schedule.topology
+        audit = run_linear_audit(trace)
         assert np.array_equal(_levels_above_accepted(audit),
                               reference_levels_above(audit))
         floor = 1.0 / (topo.out_degree().max() + 1.0)
-        report = cross_validate(res.trace, audit, x0)
+        report = cross_validate(trace, audit)
         got = [(c.name, c.max_residual, c.first_bad_slot)
                for c in report.checks if c.name.startswith("matrix-")]
-        dense = [audit.matrices.dense(k) for k in range(sched.horizon)]
+        dense = [audit.matrices.dense(k)
+                 for k in range(trace.schedule.horizon)]
         assert got == reference_structure(dense, topo.n, floor)
 
 
 def test_structure_checks_flag_broken_matrices_like_reference():
     topo, x0 = small_faulty_case()
-    sched = realize_schedule(topo, ASYNC, 60, 19, 0)
-    res = run_protocol(topo, ASYNC, x0, 60, 19, record_trace=True)
-    audit = run_linear_audit(sched, x0, 0)
+    trace = run_protocol(topo, ASYNC, x0, 60, 19, record_trace=True).trace
+    audit = run_linear_audit(trace)
     mats = audit.matrices
     data = mats.data.copy()
     data[7, 0] *= 0.5                        # column sum and floor break
@@ -488,7 +518,7 @@ def test_structure_checks_flag_broken_matrices_like_reference():
     data[12, -1] = 0.0                       # last column's only entry
     broken = dataclasses.replace(
         audit, matrices=dataclasses.replace(mats, data=data))
-    report = cross_validate(res.trace, broken, x0)
+    report = cross_validate(trace, broken)
     got = [(c.name, c.max_residual, c.first_bad_slot)
            for c in report.checks if c.name.startswith("matrix-")]
     floor = 1.0 / (topo.out_degree().max() + 1.0)
@@ -509,24 +539,25 @@ def reference_step(matrix, state):
 
 
 def test_linear_audit_steps_exactly_like_a_column_order_replay():
-    # the stored explicit zeros must not change one bit of a finite state
-    schedules = list(reference_schedules())
-    applied = np.random.default_rng(5).normal(
-        size=(200, schedules[0][0].topology.n, 2))
-    cases = [(schedules[0], None), (schedules[4], None),
-             (schedules[-1], None), (schedules[0], applied)]
-    for (sched, init_ts, _), moves in cases:
+    # the stored explicit zeros must not change one bit of a finite state,
+    # and neither may skipping the slots where no move was applied
+    traces = list(reference_traces())
+    moves = np.random.default_rng(5).normal(
+        size=(200, traces[0].schedule.topology.n, 2))
+    moves[::3] = 0.0
+    cases = [traces[0], traces[4], traces[-1],
+             dataclasses.replace(traces[0], applied=moves)]
+    for trace in cases:
+        sched = trace.schedule
         topo = sched.topology
-        x0 = np.linspace(-2.0, 3.0, 2 * topo.n).reshape(topo.n, 2)
-        audit = run_linear_audit(sched, x0, init_ts, applied=moves)
+        audit = run_linear_audit(trace)
         lay = audit.layout
         state = np.zeros((lay.size, 3))
-        state[:topo.n, :2], state[:topo.n, 2] = x0, 1.0
+        state[:topo.n, :2], state[:topo.n, 2] = trace.x[0], 1.0
         for k in range(sched.horizon):
             assert np.array_equal(audit.chi[k], state[:, :2])
             assert np.array_equal(audit.psi[k], state[:, 2])
-            if moves is not None:
-                state[:topo.n, :2] += moves[k]
+            state[:topo.n, :2] += trace.applied[k]
             state = reference_step(
                 reference_mass_matrix(lay, sched.wake[k], audit.level[k]),
                 state)
@@ -536,8 +567,8 @@ def test_linear_audit_steps_exactly_like_a_column_order_replay():
 
 def test_levels_above_accepted_sees_misplaced_transit_mass():
     topo, x0 = small_faulty_case()
-    sched = realize_schedule(topo, ASYNC, 80, 19, 0)
-    audit = run_linear_audit(sched, x0, 0)
+    audit = run_linear_audit(
+        run_protocol(topo, ASYNC, x0, 80, 19, record_trace=True).trace)
     lay = audit.layout
     level = audit.level
     hits = np.argwhere((level > 0) & (level < lay.max_effective_delay))
@@ -562,12 +593,10 @@ def test_nan_state_fails_the_audit():
     horizon, seed = 40, 2
     nan = np.full((3, 2), np.nan)
     bump = lambda k: nan if k == 5 else None
-    sched = realize_schedule(topo, ASYNC, horizon, seed, 0)
-    assert sched.wake[5].any()
-    res = run_protocol(topo, ASYNC, x0, horizon, seed,
-                       update=Injection(bump), record_trace=True)
-    audit = run_linear_audit(sched, x0, 0, applied=res.trace.applied)
-    report = cross_validate(res.trace, audit, x0)
+    trace = run_protocol(topo, ASYNC, x0, horizon, seed,
+                         update=Injection(bump), record_trace=True).trace
+    assert trace.wake[5].any()
+    report = cross_validate(trace, run_linear_audit(trace))
     assert not report.ok
     flagged = {c.name: c for c in report.checks
                if c.first_bad_slot is not None}
@@ -576,4 +605,4 @@ def test_nan_state_fails_the_audit():
         assert np.isnan(flagged[name].max_residual), name
     assert min(c.first_bad_slot for c in flagged.values()) >= 5
     with pytest.raises(VerificationError, match="slot"):
-        verify_run(topo, ASYNC, x0, horizon, seed, update=Injection(bump))
+        audit_trace(trace)

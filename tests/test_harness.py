@@ -479,6 +479,45 @@ def test_cli_raps_verify_audits_the_recorded_run(horizon, tmp_path,
     assert (tmp_path / "verify.txt").read_text() == expect
 
 
+def test_cli_rasgp_verify_audits_run_0_of_the_experiment(tmp_path,
+                                                         monkeypatch):
+    """One extra simulation, of run 0 over the audited span, with the
+    experiment's own problem and step sizes: the audited trace's error
+    series is the experiment's run-0 series, bit for bit."""
+    from pushsim import cli, engine
+    calls, results, audited = [], [], []
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs["runs"], args[3], kwargs["record_trace"]))
+        return real_protocol(*args, **kwargs)
+
+    def experiment(*args, **kwargs):
+        results.append(real_experiment(*args, **kwargs))
+        return results[-1]
+
+    def audit(trace):
+        audited.append(trace)
+        return real_audit(trace)
+
+    real_protocol, real_experiment = engine.run_protocol, cli.run_experiment
+    real_audit = cli.audit_trace
+    monkeypatch.setattr(engine, "run_protocol", counted)
+    monkeypatch.setattr(cli, "run_experiment", experiment)
+    monkeypatch.setattr(cli, "audit_trace", audit)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(BASE, runs=3, batch_size=3)))
+    assert cli_main(["rasgp", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out"), "--horizon", "1200",
+                     "--verify"]) == 0
+    span = cli.AUDIT_SPAN_CAP
+    assert calls == [((0, 1, 2), 1200, False), ((0,), span, True)]
+    (trace,), (result,) = audited, results
+    assert trace.schedule.horizon == span
+    diff = trace.z.sum(axis=1) / trace.z.shape[1] - result.problem.z_star
+    assert np.array_equal(np.sum(diff * diff, axis=1),
+                          result.e_dist_raw[0, :span + 1])
+
+
 @pytest.mark.parametrize("argv", [["verify", "--plot"],
                                   ["verify", "--verify"],
                                   ["ratio", "--verify"]])

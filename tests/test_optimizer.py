@@ -14,7 +14,6 @@ from pushsim.objectives import (NoiseModel, QuadraticObjective,
 from pushsim.optimizer import (OPTIMIZER_INIT_TIMESTAMP, GradientStep,
                                StepSizeLedger, run_gradient_push)
 from pushsim.engine import run_protocol
-from pushsim.pushsum import run_averaging
 
 SYNC = FaultBounds(1, 0, 1)
 ASYNC = FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3)
@@ -72,7 +71,7 @@ def test_zero_steps_reduce_to_plain_averaging():
     topo = build_cycle(3, bidirectional=True)
     x0 = np.arange(6.0).reshape(3, 2)
     obj = generate_quadratic(3, 2, master_seed=4)
-    plain = run_averaging(topo, ASYNC, x0, 80, 7, record_trace=True)
+    plain = run_protocol(topo, ASYNC, x0, 80, 7, record_trace=True)
     step = GradientStep(obj, NoiseModel(0.0, 2), ZeroStepLedger(80), 7,
                         runs=(0,))
     opt = run_protocol(topo, ASYNC, x0, 80, 7, runs=(0,),
@@ -116,8 +115,8 @@ def test_optimizer_initial_timestamp_accepts_first_pushes():
     # slot-0 sends land: the merge at slot 1 changes both receive totals
     assert np.all(res.trace.rho_y[2] > 0.0)
     # whereas the averaging convention treats those first sends as stale
-    avg = run_averaging(topo, SYNC, np.zeros((2, 1)), 6, 2,
-                        record_trace=True)
+    avg = run_protocol(topo, SYNC, np.zeros((2, 1)), 6, 2,
+                       record_trace=True)
     assert np.all(avg.trace.rho_y[2] == 0.0)
     assert np.all(avg.trace.rho_y[3] > 0.0)
 

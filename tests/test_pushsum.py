@@ -8,8 +8,7 @@ from pushsim.faultnet import FaultBounds
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.pushsum import (InFlightMessage, Injection, dump_state_trace,
                              init_node, process_inbox,
-                             reference_averaging_run, run_averaging,
-                             wake_and_push)
+                             reference_averaging_run, wake_and_push)
 from pushsim.rng import Role, stream
 
 SYNC = FaultBounds(1, 0, 1)
@@ -70,22 +69,22 @@ def test_coalesced_messages_use_newest_totals_only():
 def test_two_node_consensus_reaches_mean():
     topo = build_cycle(2)
     x0 = np.array([[0.0], [10.0]])
-    res = run_averaging(topo, SYNC, x0, 200, 3)
+    res = run_protocol(topo, SYNC, x0, 200, 3)
     assert np.max(np.abs(res.z_final - 5.0)) < 1e-9
 
 
 def test_faulty_consensus_on_random_strongly_connected():
     topo = build_random_strongly_connected(5, 0.4, stream(6, 0, Role.TOPOLOGY, 0))
     x0 = np.linspace(-3.0, 9.0, 10).reshape(5, 2)
-    res = run_averaging(topo, ASYNC, x0, 600, 6)
+    res = run_protocol(topo, ASYNC, x0, 600, 6)
     assert np.max(np.abs(res.z_final - x0.mean(axis=0))) < 1e-9
 
 
 def test_coordinates_evolve_independently():
     topo = build_cycle(3, bidirectional=True)
     x0 = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
-    both = run_averaging(topo, ASYNC, x0, 60, 12, record_trace=True)
-    first = run_averaging(topo, ASYNC, x0[:, :1], 60, 12, record_trace=True)
+    both = run_protocol(topo, ASYNC, x0, 60, 12, record_trace=True)
+    first = run_protocol(topo, ASYNC, x0[:, :1], 60, 12, record_trace=True)
     assert np.array_equal(both.trace.x[:, :, :1], first.trace.x)
     assert np.array_equal(both.trace.y, first.trace.y)
 
@@ -115,15 +114,15 @@ def test_engine_matches_reference_implementation_exactly():
         x0 = np.arange(2.0 * topo.n).reshape(topo.n, 2)
         ref = reference_averaging_run(topo, bounds, x0, horizon, seed,
                                       run=run)
-        res = run_averaging(topo, bounds, x0, horizon, seed, runs=(run,),
-                            record_trace=True, chunk=chunk)
+        res = run_protocol(topo, bounds, x0, horizon, seed, runs=(run,),
+                           record_trace=True, chunk=chunk)
         assert_same_trace(res.trace, ref, (topo.n, bounds))
 
 
 def test_zero_perturbation_is_plain_averaging():
     topo = build_cycle(3, bidirectional=True)
     x0 = np.arange(6.0).reshape(3, 2)
-    plain = run_averaging(topo, ASYNC, x0, 80, 5, record_trace=True)
+    plain = run_protocol(topo, ASYNC, x0, 80, 5, record_trace=True)
     bumped = run_protocol(topo, ASYNC, x0, 80, 5,
                           update=Injection(lambda k: None),
                           record_trace=True)
@@ -172,7 +171,7 @@ def test_ratio_estimates_stay_finite_under_faults():
     # y mass can dip but never reaches zero on a strongly connected graph
     topo = build_cycle(5, bidirectional=True)
     x0 = np.ones((5, 1))
-    res = run_averaging(topo, ASYNC, x0, 300, 8, record_trace=True)
+    res = run_protocol(topo, ASYNC, x0, 300, 8, record_trace=True)
     assert np.all(res.trace.y > 0.0)
     assert np.all(np.isfinite(res.trace.z))
 
@@ -180,7 +179,7 @@ def test_ratio_estimates_stay_finite_under_faults():
 def test_dump_state_trace_round_trip(tmp_path):
     topo = build_cycle(2, bidirectional=True)
     x0 = np.array([[1.0], [2.0]])
-    res = run_averaging(topo, SYNC, x0, 10, 4, record_trace=True)
+    res = run_protocol(topo, SYNC, x0, 10, 4, record_trace=True)
     path = tmp_path / "trace.csv"
     dump_state_trace(res.trace, path)
     lines = path.read_text().splitlines()
@@ -217,8 +216,8 @@ def test_engine_results_do_not_depend_on_chunk_size():
         pert = run_protocol(topo, ASYNC, x0, 300, 13,
                             update=Injection(lambda k: bump),
                             record_trace=True, chunk=chunk)
-        mask_run = run_averaging(masked, lossless, np.ones((5, 1)), 300, 33,
-                                 mask=mask, record_trace=True, chunk=chunk)
+        mask_run = run_protocol(masked, lossless, np.ones((5, 1)), 300, 33,
+                                mask=mask, record_trace=True, chunk=chunk)
         out = {"opt.e_dist": opt.e_dist, "opt.z_final": opt.z_final,
                "pert.aug_mean": pert.trace.aug_mean}
         for name, res in (("pert", pert), ("mask", mask_run)):
@@ -248,9 +247,9 @@ def test_trace_records_the_realized_schedule():
         want = realize_schedule(topo, bounds, 150, 17, 2, mask=arc_mask)
         assert want.wake.shape[0] == 150 + bounds.max_effective_delay
         for chunk in (1, 7, 128):
-            got = run_averaging(topo, bounds, np.ones((topo.n, 1)), 150, 17,
-                                runs=(2,), mask=arc_mask, record_trace=True,
-                                chunk=chunk).trace
+            got = run_protocol(topo, bounds, np.ones((topo.n, 1)), 150, 17,
+                               runs=(2,), mask=arc_mask, record_trace=True,
+                               chunk=chunk).trace
             assert got.schedule.horizon == 150
             assert np.array_equal(got.schedule.wake, want.wake), chunk
             assert np.array_equal(got.schedule.arrival, want.arrival), chunk
