@@ -321,30 +321,24 @@ def centralized_baseline(problem: ProblemInstance, horizon: int,
     the iterate holds between updates. Returns squared distance to the
     optimum on the full slot grid, shape (len(runs), horizon+1).
     """
-    obj, z_star = problem.objective, problem.z_star
-    dim = obj.dim
-    mu = obj.mu_total
-    update_slots = np.arange(update_gap, horizon + 1, update_gap)
-    B = len(runs)
-    e_c = np.empty((B, horizon + 1))
-    x = np.ones((B, dim))
-    e_c[:, 0] = np.sum((x - z_star) ** 2, axis=1)
-    draws = np.empty((B, len(update_slots), dim))
-    for b, run in enumerate(runs):
-        g = stream(master_seed, run, Role.BASELINE_NOISE, 0)
-        draws[b] = g.random((len(update_slots), dim))
-    prev = 0
-    for j, k in enumerate(update_slots):
-        eps = problem.baseline_noise.from_uniforms(draws[:, j, :])
-        grad = obj.batch_total_gradient(x) + eps
-        alpha = update_gap / (mu * (k + step_offset))
-        x = x - alpha * grad
-        err = np.sum((x - z_star) ** 2, axis=1)
-        e_c[:, prev + 1:k] = e_c[:, prev][:, None]
-        e_c[:, k] = err
-        prev = k
-    e_c[:, prev + 1:] = e_c[:, prev][:, None]
-    return e_c
+    obj = problem.objective
+    updates = horizon // update_gap
+    eps = problem.baseline_noise.from_uniforms(np.stack([
+        stream(master_seed, run, Role.BASELINE_NOISE, 0).random(
+            (updates, obj.dim)) for run in runs]))      # (B, updates, d)
+    update_slots = np.arange(1, updates + 1) * update_gap
+    alphas = update_gap / (obj.mu_total * (update_slots + step_offset))
+    x = np.empty((len(runs), updates + 1, obj.dim))
+    x[:, 0] = 1.0
+    for j in range(updates):
+        x[:, j + 1] = x[:, j] - alphas[j] * (obj.batch_total_gradient(x[:, j])
+                                             + eps[:, j])
+    del eps   # lowers the peak of the error pass below by one noise array
+    err = np.sum((x - problem.z_star) ** 2, axis=2)     # (B, updates + 1)
+    # slot k holds the iterate of the last update at or before it; np.take
+    # returns C order (err[:, idx] would not), and the aggregation's last
+    # bits depend on the order
+    return np.take(err, np.arange(horizon + 1) // update_gap, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +534,16 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
     Artifacts: manifest.json (config echo + status), per-run raw CSVs
     (optional), errors.csv, k_errors.csv, dataset/optimum files for svm,
     optional errors.svg. On failure the manifest records the failing run
-    index, slot and node for replay before the error propagates.
+    index, slot and node for replay before the error propagates. A horizon
+    shorter than one aggregation window is rejected before anything is
+    simulated or written.
     """
     from . import __version__
 
+    if config.horizon < AGGREGATION_WINDOW:
+        raise ConfigurationError(
+            f"horizon {config.horizon} shorter than one aggregation window "
+            f"({AGGREGATION_WINDOW})")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(config)

@@ -18,6 +18,7 @@ from pushsim.harness import (ExperimentConfig, aggregate_series,
                              reduce_metrics, replay, run_experiment)
 from pushsim.objectives import save_optimum
 from pushsim.optimizer import StepSizeLedger, run_gradient_push
+from pushsim.rng import Role, stream
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -400,6 +401,54 @@ def test_baseline_updates_on_gap_and_is_deterministic(tiny_run):
     assert not np.array_equal(a[:, ::5][:, 1:], a[:, ::5][:, :-1])
 
 
+def per_update_baseline(problem, horizon, master_seed, runs, update_gap,
+                        step_offset):
+    """The baseline as one noise mapping, step size and error per update,
+    holding the error between updates."""
+    obj, z_star = problem.objective, problem.z_star
+    update_slots = np.arange(update_gap, horizon + 1, update_gap)
+    e_c = np.empty((len(runs), horizon + 1))
+    x = np.ones((len(runs), obj.dim))
+    e_c[:, 0] = np.sum((x - z_star) ** 2, axis=1)
+    draws = np.empty((len(runs), len(update_slots), obj.dim))
+    for b, run in enumerate(runs):
+        g = stream(master_seed, run, Role.BASELINE_NOISE, 0)
+        draws[b] = g.random((len(update_slots), obj.dim))
+    prev = 0
+    for j, k in enumerate(update_slots):
+        eps = problem.baseline_noise.from_uniforms(draws[:, j, :])
+        grad = obj.batch_total_gradient(x) + eps
+        alpha = update_gap / (obj.mu_total * (k + step_offset))
+        x = x - alpha * grad
+        e_c[:, prev + 1:k] = e_c[:, prev][:, None]
+        e_c[:, k] = np.sum((x - z_star) ** 2, axis=1)
+        prev = k
+    e_c[:, prev + 1:] = e_c[:, prev][:, None]
+    return e_c
+
+
+@pytest.fixture(scope="module")
+def baseline_problems():
+    svm = config(topology={"kind": "cycle", "n": 4, "bidirectional": True},
+                 objective={"kind": "svm", "points_per_node": 10})
+    return {"quadratic": build_problem(config()), "svm": build_problem(svm)}
+
+
+@pytest.mark.parametrize("horizon, gap", [(400, 1), (400, 3), (403, 7),
+                                          (5, 7)])
+@pytest.mark.parametrize("kind", ["quadratic", "svm"])
+def test_baseline_matches_the_per_update_loop(baseline_problems, kind,
+                                              horizon, gap):
+    problem = baseline_problems[kind]
+    runs = range(2, 7)
+    got = centralized_baseline(problem, horizon, 77, runs, gap, 5)
+    want = per_update_baseline(problem, horizon, 77, runs, gap, 5)
+    assert got.shape == (len(runs), horizon + 1)
+    assert np.array_equal(got, want)
+    # the aggregation's sums depend on memory order; keep the loop's
+    assert got.flags.c_contiguous
+
+
 def test_single_node_ratio_is_unity_scale(tmp_path):
     cfg = config(topology={"kind": "cycle", "n": 1}, horizon=4000,
                  runs=40, batch_size=10, master_seed=15,
@@ -434,6 +483,22 @@ def test_cli_exit_codes(tmp_path):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
     assert cli_main(["rasgp", "--config", str(bad_path)]) == 2
+
+
+def test_cli_rejects_a_horizon_shorter_than_a_window_before_writing(
+        tmp_path, capsys):
+    cfg_path = CONFIGS / "quad_async_cycle10.json"
+    out = tmp_path / "out"
+    assert cli_main(["rasgp", "--config", str(cfg_path), "--out", str(out),
+                     "--horizon", "50", "--runs", "2"]) == 2
+    assert "horizon 50 shorter than one aggregation window" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    # averaging and the audit campaign publish no windowed series
+    for command in ("raps", "verify"):
+        assert cli_main([command, "--config", str(cfg_path), "--out",
+                         str(tmp_path / command), "--horizon", "50",
+                         "--runs", "2"]) == 0
 
 
 @pytest.mark.parametrize("command", ["raps", "rasgp"])

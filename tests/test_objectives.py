@@ -1,5 +1,7 @@
 """Local objectives, gradients, noise moments, reference optima."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,14 +130,35 @@ def test_svm_batch_gradients_agree_with_scalar_path():
         assert np.max(np.abs(total[b] - summed)) <= 1e-12
 
 
+# Rows sliced at offset 3 hand the matrix products operands at other
+# addresses than a fresh array's.
+@pytest.mark.parametrize("batch", [1, 5, 10, 11, 100])
+def test_svm_local_gradient_rows_do_not_depend_on_the_batch(batch):
+    s = SvmObjective(*generate_svm_dataset(50, 18))
+    z = np.random.default_rng(5).normal(0.5, 1.5, size=(103, 50, s.dim))
+    for offset in (0, 3):
+        out = s.batch_local_gradients(z[offset:offset + batch])
+        for b in range(batch):
+            row = z[offset + b]
+            assert np.array_equal(out[b], s.batch_local_gradients(row))
+            assert np.array_equal(out[b],
+                                  s.batch_local_gradients(row.copy()))
+            assert np.array_equal(out[b],
+                                  s.batch_local_gradients(row[None])[0])
+
+
 @pytest.mark.parametrize("batch", [1, 5, 100])
 def test_svm_total_gradient_rows_do_not_depend_on_the_batch(batch):
     s = SvmObjective(*generate_svm_dataset(50, 18))
-    x = np.random.default_rng(4).normal(0.5, 1.5, size=(100, s.dim))
-    out = s.batch_total_gradient(x[:batch])
-    for b in range(batch):
-        assert np.array_equal(out[b], s.batch_total_gradient(x[b]))
-        assert np.array_equal(out[b], s.batch_total_gradient(x[b:b + 1])[0])
+    x = np.random.default_rng(4).normal(0.5, 1.5, size=(103, s.dim))
+    for offset in (0, 3):
+        out = s.batch_total_gradient(x[offset:offset + batch])
+        for b in range(batch):
+            row = x[offset + b]
+            assert np.array_equal(out[b], s.batch_total_gradient(row))
+            assert np.array_equal(out[b], s.batch_total_gradient(row.copy()))
+            assert np.array_equal(out[b],
+                                  s.batch_total_gradient(row[None])[0])
 
 
 def test_svm_dataset_shapes_and_determinism():
@@ -359,6 +382,22 @@ def test_svm_dataset_round_trip(tmp_path):
     assert np.array_equal(body[:, 0], np.repeat(np.arange(4), labs.shape[1]))
     assert np.array_equal(body[:, 1:3], feats.reshape(-1, 2))
     assert np.array_equal(body[:, 3], labs.reshape(-1))
+
+
+def test_svm_dataset_bytes_match_a_csv_writer(tmp_path):
+    feats, labs = generate_svm_dataset(6, 45)
+    feats[0, 0, 0], feats[0, 1, 1], feats[1, 2, 0] = -0.0, 1e-300, 1e22
+    dump_svm_dataset(feats, labs, tmp_path / "dataset.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["node", "feature1", "feature2", "label"])
+        for i in range(feats.shape[0]):
+            for j in range(feats.shape[1]):
+                w.writerow([i, format(feats[i, j, 0], ".17g"),
+                            format(feats[i, j, 1], ".17g"),
+                            int(labs[i, j])])
+    assert ((tmp_path / "dataset.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
 
 
 def test_optimum_round_trip(tmp_path):
