@@ -30,8 +30,8 @@ and the first accepted timestamp must strictly exceed the initial timestamp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
-import mpmath
 import numpy as np
 
 from .errors import (ConfigurationError, InconsistentScheduleError,
@@ -39,7 +39,10 @@ from .errors import (ConfigurationError, InconsistentScheduleError,
 from .faultnet import ScheduleRealization
 from .graph import Topology
 
-CONTRACTION_DPS = 80
+CONTRACTION_DIGITS = 80
+# the contraction constants' decimal context; n^(n L_s) leaves the default
+# exponent range at large sizes, so it gets the widest one
+_CONTRACTION = Context(prec=CONTRACTION_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +457,16 @@ def _levels_above_accepted(audit: AuditTrace) -> np.ndarray:
 class ContractionBound:
     """Worst-case geometric-decay constants for a given network size.
 
-    alpha/lam/delta are arbitrary-precision values; the vacuous flag is set
-    when lam rounds to 1.0 in double precision, in which case the envelope
-    carries no information at float scale.
+    alpha/lam/delta are decimals of CONTRACTION_DIGITS significant digits;
+    the vacuous flag is set when lam rounds to 1.0 in double precision, in
+    which case the envelope carries no information at float scale.
     """
 
     n: int
     max_receipt_gap: int
-    alpha: mpmath.mpf
-    lam: mpmath.mpf
-    delta: mpmath.mpf
+    alpha: Decimal
+    lam: Decimal
+    delta: Decimal
     vacuous: bool
 
 
@@ -471,11 +474,11 @@ def contraction_bound(n: int, max_receipt_gap: int) -> ContractionBound:
     if n < 2 or max_receipt_gap < 2:
         raise ConfigurationError(
             "contraction constants need n >= 2 and receipt gap >= 2")
-    with mpmath.workdps(CONTRACTION_DPS):
-        alpha = mpmath.mpf(1) / mpmath.mpf(n) ** (n * max_receipt_gap)
+    with localcontext(_CONTRACTION):
+        alpha = 1 / Decimal(n) ** (n * max_receipt_gap)
         na6 = n * alpha ** 6
         delta = 1 / (1 - na6)
-        lam = (1 - na6) ** (mpmath.mpf(1) / (2 * n * max_receipt_gap))
+        lam = (1 - na6) ** (Decimal(1) / (2 * n * max_receipt_gap))
         vacuous = float(lam) >= 1.0
         return ContractionBound(n, max_receipt_gap, alpha, lam, delta,
                                 vacuous)
@@ -486,7 +489,7 @@ def envelope_check(z: np.ndarray, x0: np.ndarray,
     """Per-slot check of |z_i(k) - mean(x0)| <= delta * lam^k * l1(x0).
 
     z is (K+1, n, d); the comparison runs per coordinate at
-    CONTRACTION_DPS digits, so a bound that is vacuous in double precision
+    CONTRACTION_DIGITS digits, so a bound that is vacuous in double precision
     (its decay lies below float resolution) is still evaluated exactly.
     Returns (ok, first failing slot).
     """
@@ -494,12 +497,12 @@ def envelope_check(z: np.ndarray, x0: np.ndarray,
     mean = x0.mean(axis=0)
     err = np.abs(z - mean[None, None, :]).max(axis=1)    # (K+1, d)
     l1 = np.abs(x0).sum(axis=0)                          # (d,)
-    with mpmath.workdps(CONTRACTION_DPS):
+    with localcontext(_CONTRACTION):
         factor = bound.delta
         for k in range(err.shape[0]):
             for c in range(err.shape[1]):
-                env = factor * mpmath.mpf(float(l1[c]))
-                if mpmath.mpf(float(err[k, c])) > env:
+                env = factor * Decimal(float(l1[c]))
+                if Decimal(float(err[k, c])) > env:
                     return False, k
             factor *= bound.lam
     return True, None
@@ -518,14 +521,14 @@ def tracking_bound_series(bound: ContractionBound, x0: np.ndarray,
     l1_x0 = np.abs(x0).sum(axis=0)
     l1_delta = np.abs(applied).sum(axis=1)               # (K, d)
     out = np.empty((K + 1, dim))
-    with mpmath.workdps(CONTRACTION_DPS):
+    with localcontext(_CONTRACTION):
         for c in range(dim):
-            acc = mpmath.mpf(0)
-            base = mpmath.mpf(float(l1_x0[c]))
+            acc = Decimal(0)
+            base = Decimal(float(l1_x0[c]))
             out[0, c] = float(bound.delta * base)
             for k in range(K):
                 # advance one slot: decay previous terms, add slot-k term
-                acc = acc * bound.lam + mpmath.mpf(float(l1_delta[k, c]))
+                acc = acc * bound.lam + Decimal(float(l1_delta[k, c]))
                 out[k + 1, c] = float(bound.delta *
                                       (bound.lam ** (k + 1) * base + acc))
     return out

@@ -98,6 +98,18 @@ class Trace:
     applied: np.ndarray  # (K, n, d) value deltas applied at wake
     schedule: ScheduleRealization   # wake (K + L_d, n), arrival (K, m)
 
+    @classmethod
+    def allocate(cls, schedule: ScheduleRealization, dim: int) -> "Trace":
+        """Unfilled arrays for a d = `dim` run over `schedule`'s horizon and
+        topology; ``applied`` starts at zero, as sleeping nodes apply
+        nothing."""
+        K, n, m = schedule.horizon, schedule.topology.n, schedule.topology.m
+        return cls(np.empty((K + 1, n, dim + 1)), np.empty((K + 1, n, dim)),
+                   np.empty((K + 1, n, dim + 1)),
+                   np.empty((K + 1, m, dim + 1)),
+                   np.empty((K + 1, n), dtype=np.int64),
+                   np.zeros((K, n, dim)), schedule)
+
     @property
     def wake(self) -> np.ndarray:
         """(K, n) wakes of the protocol slots."""
@@ -316,17 +328,10 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     e_dist = np.empty((batch, horizon + 1)) if z_star is not None else None
     trace = None
     if record_trace:
-        K = horizon
-        schedule = ScheduleRealization(
-            topology, bounds, K,
-            np.empty((K + bounds.max_effective_delay, n), dtype=bool),
-            np.empty((K, m), dtype=np.int64))
-        trace = Trace(np.empty((K + 1, n, dim + 1)),
-                      np.empty((K + 1, n, dim)),
-                      np.empty((K + 1, n, dim + 1)),
-                      np.empty((K + 1, m, dim + 1)),
-                      np.empty((K + 1, n), dtype=np.int64),
-                      np.zeros((K, n, dim)), schedule)
+        trace = Trace.allocate(ScheduleRealization(
+            topology, bounds, horizon,
+            np.empty((horizon + bounds.max_effective_delay, n), dtype=bool),
+            np.empty((horizon, m), dtype=np.int64)), dim)
         trace.mass[0], trace.z[0], trace.phi[0] = mass[0], z[0], 0.0
         trace.rho[0], trace.kappa[0] = 0.0, init_timestamp
 

@@ -16,15 +16,17 @@ median across batches with a 1-standard-deviation band.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigurationError, PushsimError
 from .faultnet import FaultBounds
 from .graph import Topology, build_cycle, build_random_strongly_connected
-from .objectives import (NoiseModel, OptimumCertificate, SvmObjective,
+from .objectives import (SVM_PENALTY_NUMERATOR, SVM_POINTS_PER_NODE,
+                         NoiseModel, OptimumCertificate, SvmObjective,
                          box_noise_model, dump_svm_dataset,
                          generate_quadratic, generate_svm_dataset,
                          save_optimum, solve_reference_optimum)
@@ -37,54 +39,8 @@ MANIFEST_NAME = "manifest.json"
 
 
 # ---------------------------------------------------------------------------
-# Configuration.
-
-def _take(mapping: dict, context: str, required: dict, optional: dict):
-    """Strict field extraction: missing required or unknown keys are errors."""
-    if not isinstance(mapping, dict):
-        raise ConfigurationError(f"{context}: expected an object")
-    unknown = set(mapping) - set(required) - set(optional)
-    if unknown:
-        raise ConfigurationError(
-            f"{context}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, kind in required.items():
-        if key not in mapping:
-            raise ConfigurationError(f"{context}: missing key '{key}'")
-        out[key] = _coerce(mapping[key], kind, f"{context}.{key}")
-    for key, (kind, default) in optional.items():
-        out[key] = _coerce(mapping[key], kind, f"{context}.{key}") \
-            if key in mapping else default
-    return out
-
-
-def _coerce(value, kind, context: str):
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{context}: expected a number")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"{context}: expected an integer")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"{context}: expected true/false")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigurationError(f"{context}: expected a string")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"{context}: expected an object")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigurationError(f"{context}: expected a list")
-        return value
-    raise ConfigurationError(f"{context}: unsupported schema type")
-
+# Configuration. Each section's dataclass fields are its JSON keys, types and
+# defaults; _read and _write are the only code that maps JSON to them.
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -92,6 +48,11 @@ class TopologySpec:
     n: int
     bidirectional: bool = True
     edge_prob: float = 0.5
+
+    def __post_init__(self):
+        _check_kind(self, "topology")
+        if self.n < 1:
+            raise ConfigurationError("topology.n: must be >= 1")
 
     def build(self, master_seed: int) -> Topology:
         if self.n == 1:
@@ -102,84 +63,67 @@ class TopologySpec:
         return build_random_strongly_connected(self.n, self.edge_prob, rng)
 
     def as_dict(self) -> dict:
-        if self.kind == "cycle":
-            return {"kind": "cycle", "n": self.n,
-                    "bidirectional": self.bidirectional}
-        return {"kind": "random", "n": self.n, "edge_prob": self.edge_prob}
-
-    @staticmethod
-    def from_mapping(obj: dict) -> "TopologySpec":
-        head = _take(obj, "topology", {"kind": str, "n": int}, {
-            "bidirectional": (bool, True), "edge_prob": (float, 0.5)})
-        if head["kind"] not in ("cycle", "random"):
-            raise ConfigurationError(
-                f"topology.kind: got '{head['kind']}', want cycle or random")
-        if head["kind"] == "cycle" and "edge_prob" in obj:
-            raise ConfigurationError("topology: edge_prob is for kind=random")
-        if head["kind"] == "random" and "bidirectional" in obj:
-            raise ConfigurationError(
-                "topology: bidirectional is for kind=cycle")
-        if head["n"] < 1:
-            raise ConfigurationError("topology.n: must be >= 1")
-        return TopologySpec(head["kind"], head["n"], head["bidirectional"],
-                            head["edge_prob"])
+        return _write(self)
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
     kind: str                 # "quadratic" | "svm"
     dim: int = 2
-    points_per_node: int = 50
-    cost_scale: float = 500.0
+    points_per_node: int = SVM_POINTS_PER_NODE
+    cost_scale: float = SVM_PENALTY_NUMERATOR
 
-    def as_dict(self) -> dict:
-        if self.kind == "quadratic":
-            return {"kind": "quadratic", "dim": self.dim}
-        return {"kind": "svm", "points_per_node": self.points_per_node,
-                "cost_scale": self.cost_scale}
-
-    @staticmethod
-    def from_mapping(obj: dict) -> "ObjectiveSpec":
-        head = _take(obj, "objective", {"kind": str}, {
-            "dim": (int, 2), "points_per_node": (int, 50),
-            "cost_scale": (float, 500.0)})
-        if head["kind"] not in ("quadratic", "svm"):
-            raise ConfigurationError(
-                f"objective.kind: got '{head['kind']}', want quadratic/svm")
-        if head["kind"] == "quadratic" and (
-                "points_per_node" in obj or "cost_scale" in obj):
-            raise ConfigurationError("objective: svm keys on quadratic spec")
-        if head["kind"] == "svm" and "dim" in obj:
-            raise ConfigurationError(
-                "objective: svm decision dimension is fixed by the dataset")
-        return ObjectiveSpec(head["kind"], head["dim"],
-                             head["points_per_node"], head["cost_scale"])
+    def __post_init__(self):
+        _check_kind(self, "objective")
 
 
 @dataclass(frozen=True)
 class RatioSpec:
-    sizes: tuple
-    checkpoints: tuple
+    sizes: tuple[int, ...]
+    checkpoints: tuple[int, ...]
 
-    @staticmethod
-    def from_mapping(obj: dict) -> "RatioSpec":
-        head = _take(obj, "ratio", {"sizes": list, "checkpoints": list}, {})
-        sizes, checkpoints = (
-            tuple(_coerce(v, int, f"ratio.{key}[{i}]")
-                  for i, v in enumerate(head[key]))
-            for key in ("sizes", "checkpoints"))
-        if not sizes or any(v < 1 for v in sizes):
+    def __post_init__(self):
+        if not self.sizes or any(v < 1 for v in self.sizes):
             raise ConfigurationError("ratio.sizes: positive sizes required")
-        if not checkpoints or any(v < AGGREGATION_WINDOW
-                                  for v in checkpoints):
+        if not self.checkpoints or any(v < AGGREGATION_WINDOW
+                                       for v in self.checkpoints):
             raise ConfigurationError(
                 f"ratio.checkpoints: each must be >= {AGGREGATION_WINDOW}")
-        return RatioSpec(sizes, checkpoints)
 
 
-@dataclass(frozen=True)
+# The keys that only one kind of a section reads. The reader rejects the
+# other kind's keys as unknown and the writer leaves them out, so a spec
+# must hold their defaults.
+_KIND_KEYS = {
+    TopologySpec: {"cycle": {"bidirectional"}, "random": {"edge_prob"}},
+    ObjectiveSpec: {"quadratic": {"dim"},
+                    "svm": {"points_per_node", "cost_scale"}},
+}
+
+
+def _foreign_keys(cls, kind) -> set:
+    """The keys of section `cls` that a `kind` spec does not read."""
+    by_kind = _KIND_KEYS.get(cls, {})
+    if kind not in by_kind:
+        return set()
+    return set().union(*by_kind.values()) - by_kind[kind]
+
+
+def _check_kind(spec, section: str) -> None:
+    kinds = _KIND_KEYS[type(spec)]
+    if spec.kind not in kinds:
+        raise ConfigurationError(f"{section}.kind: got {spec.kind!r}, "
+                                 f"want {' or '.join(kinds)}")
+    foreign = _foreign_keys(type(spec), spec.kind)
+    for f in fields(spec):
+        if f.name in foreign and getattr(spec, f.name) != f.default:
+            raise ConfigurationError(
+                f"{section}.{f.name}: not read for kind={spec.kind}")
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    name: str
+    name: str = ""
     topology: TopologySpec
     faults: FaultBounds
     objective: ObjectiveSpec
@@ -206,33 +150,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_mapping(obj: dict) -> "ExperimentConfig":
-        head = _take(obj, "config", {
-            "topology": dict, "faults": dict, "objective": dict,
-            "noise_width": float, "horizon": int,
-        }, {
-            "name": (str, ""), "runs": (int, 100), "batch_size": (int, 10),
-            "master_seed": (int, 0), "step_offset": (int, 0),
-            "outdir": (str, None), "ratio": (dict, None),
-        })
-        faults = _take(head["faults"], "faults", {
-            "max_wake_gap": int, "max_consecutive_losses": int,
-            "max_transmission_delay": int,
-        }, {"wake_prob": (float, 1.0), "loss_prob": (float, 0.0)})
-        return ExperimentConfig(
-            name=head["name"],
-            topology=TopologySpec.from_mapping(head["topology"]),
-            faults=FaultBounds(**faults),
-            objective=ObjectiveSpec.from_mapping(head["objective"]),
-            noise_width=head["noise_width"],
-            horizon=head["horizon"],
-            runs=head["runs"],
-            batch_size=head["batch_size"],
-            master_seed=head["master_seed"],
-            step_offset=head["step_offset"],
-            outdir=head["outdir"],
-            ratio=RatioSpec.from_mapping(head["ratio"])
-            if head["ratio"] is not None else None,
-        )
+        return _read(ExperimentConfig, obj, "")
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
@@ -246,24 +164,71 @@ class ExperimentConfig:
         return ExperimentConfig.from_mapping(obj)
 
     def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "topology": self.topology.as_dict(),
-            "faults": asdict(self.faults),
-            "objective": self.objective.as_dict(),
-            "noise_width": self.noise_width,
-            "horizon": self.horizon,
-            "runs": self.runs,
-            "batch_size": self.batch_size,
-            "master_seed": self.master_seed,
-            "step_offset": self.step_offset,
-        }
-        if self.outdir is not None:
-            out["outdir"] = self.outdir
-        if self.ratio is not None:
-            out["ratio"] = {"sizes": list(self.ratio.sizes),
-                            "checkpoints": list(self.ratio.checkpoints)}
-        return out
+        return _write(self)
+
+
+# JSON scalar per field type: what the error names, and the accepted types
+_SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
+            bool: ("true/false", bool), str: ("a string", str)}
+
+
+def _read(cls, obj, where: str):
+    """Build section `cls` from a JSON object. A field without a default is
+    required, any other key is an error, and each value must have its
+    field's type. `where` is the section's dotted path ("" at the root)."""
+    here = where or "config"
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{here}: expected an object")
+    hints = get_type_hints(cls)
+    values = {name: _value(obj[name], hint,
+                           f"{where}.{name}" if where else name)
+              for name, hint in hints.items() if name in obj}
+    unknown = (set(obj) - set(hints)) \
+        | (set(obj) & _foreign_keys(cls, values.get("kind")))
+    if unknown:
+        raise ConfigurationError(
+            f"{here}: unknown keys {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in obj:
+            raise ConfigurationError(f"{here}: missing key '{f.name}'")
+    return cls(**values)
+
+
+def _value(value, hint, where: str):
+    """One JSON value as field type `hint`: a scalar, a section, a list
+    for tuple[int, ...], or X for an optional X | None (null is never
+    written)."""
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where}: expected a list")
+        return tuple(_value(v, get_args(hint)[0], f"{where}[{i}]")
+                     for i, v in enumerate(value))
+    if get_args(hint):
+        return _value(value, get_args(hint)[0], where)
+    if is_dataclass(hint):
+        return _read(hint, value, where)
+    what, accepted = _SCALARS[hint]
+    if isinstance(value, bool) != (hint is bool) \
+            or not isinstance(value, accepted):
+        raise ConfigurationError(f"{where}: expected {what}")
+    return float(value) if hint is float else value
+
+
+def _write(spec) -> dict:
+    """The JSON object of a section: every field except the keys of the
+    other kind and the optional entries that are None."""
+    foreign = _foreign_keys(type(spec), getattr(spec, "kind", None))
+    out = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name in foreign or value is None:
+            continue
+        if is_dataclass(value):
+            value = _write(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +300,7 @@ def centralized_baseline(problem: ProblemInstance, horizon: int,
                                              + eps[:, j])
     del eps   # lowers the peak of the error pass below by one noise array
     err = np.sum((x - problem.z_star) ** 2, axis=2)     # (B, updates + 1)
-    # slot k holds the iterate of the last update at or before it; np.take
-    # returns C order (err[:, idx] would not), and the aggregation's last
-    # bits depend on the order
+    # slot k holds the iterate of the last update at or before it
     return np.take(err, np.arange(horizon + 1) // update_gap, axis=1)
 
 
@@ -353,7 +316,9 @@ def batch_window_means(raw: np.ndarray, batch_size: int,
     non-overlapping windows covering slots [1, W*window]. Returns
     (k_grid (W,), means (n_batches, W)) with k_grid at right window edges.
     """
-    raw = np.asarray(raw, dtype=float)
+    # the sums' last bits depend on memory order; fix it to C, the order
+    # of the engine's series and of read_raw
+    raw = np.ascontiguousarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise ConfigurationError("raw series must be (runs, slots)")
     R, K1 = raw.shape

@@ -177,13 +177,7 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
     out_deg = topology.out_degree()
     channel = Channel()
 
-    K = horizon
-    out = _engine.Trace(np.empty((K + 1, n, dim + 1)),
-                        np.empty((K + 1, n, dim)),
-                        np.empty((K + 1, n, dim + 1)),
-                        np.empty((K + 1, m, dim + 1)),
-                        np.empty((K + 1, n), dtype=np.int64),
-                        np.zeros((K, n, dim)), schedule)
+    out = _engine.Trace.allocate(schedule, dim)
 
     def snapshot(idx: int) -> None:
         # x/y, phi_x/phi_y and rho_x/rho_y are views into the trace arrays

@@ -195,6 +195,8 @@ def test_contraction_constants_pinned_for_two_nodes():
 def test_contraction_bound_vacuous_for_larger_systems():
     assert contraction_bound(50, 17).vacuous
     assert contraction_bound(5, 8).vacuous
+    # n^(n L_s) = 10^1200000 lies beyond decimal's default exponent range
+    assert contraction_bound(1000, 400).vacuous
     with pytest.raises(ConfigurationError):
         contraction_bound(1, 2)
     with pytest.raises(ConfigurationError):

@@ -54,6 +54,49 @@ def test_config_round_trip(tmp_path):
     assert again.as_dict() == cfg.as_dict()
     assert again.faults.loss_prob == 0.2
     assert again.topology.n == 3
+    # every bundled config: cycle and random topologies, both objectives,
+    # the ratio section, and a changed outdir
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = ExperimentConfig.from_file(path)
+        for spec in (cfg, dataclasses.replace(cfg, outdir="elsewhere")):
+            again = ExperimentConfig.from_mapping(
+                json.loads(json.dumps(spec.as_dict())))
+            assert again == spec, path.name
+            assert again.as_dict() == spec.as_dict(), path.name
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: harness.TopologySpec("cycle", 4), {"kind": "ring"}),
+    (lambda: harness.TopologySpec("cycle", 3), {"n": 0}),
+    (lambda: harness.TopologySpec("cycle", 3), {"edge_prob": 0.3}),
+    (lambda: harness.TopologySpec("random", 3), {"bidirectional": False}),
+    (lambda: harness.ObjectiveSpec("quadratic"), {"kind": "lasso"}),
+    (lambda: harness.ObjectiveSpec("svm"), {"dim": 3}),
+    (lambda: harness.RatioSpec((3,), (100,)), {"sizes": (0,)}),
+    (lambda: harness.RatioSpec((3,), (100,)), {"checkpoints": (50,)}),
+], ids=["unknown-topology", "no-nodes", "cycle-edge-prob",
+        "random-direction", "unknown-objective", "svm-dim", "size-0",
+        "checkpoint-below-window"])
+def test_specs_built_in_code_are_checked(build, bad):
+    # a spec built directly or through replace gets the checks a parsed
+    # one gets: a "ring" no longer builds a random graph, nor a "lasso" an
+    # SVM
+    spec = build()
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(spec, **bad)
+    with pytest.raises(ConfigurationError):
+        type(spec)(**dict(dataclasses.asdict(spec), **bad))
+
+
+def test_config_name_defaults_to_empty_in_code_and_json():
+    cfg = config()
+    built = ExperimentConfig(topology=cfg.topology, faults=cfg.faults,
+                             objective=cfg.objective, noise_width=4.0,
+                             horizon=400)
+    assert built.name == ""
+    raw = json.loads(json.dumps(BASE))
+    del raw["name"]
+    assert ExperimentConfig.from_mapping(raw).name == ""
 
 
 def test_config_rejects_unknown_keys():
@@ -193,6 +236,21 @@ def test_reduce_metrics_multiplies_before_windowing():
     assert abs(series.e_dist[0] * series.k[0] - 1.0) > 3.0
 
 
+@pytest.mark.parametrize("runs, horizon, batch", [
+    (20, 1000, 10), (50, 1000, 10), (40, 1000, 20)])
+def test_reduced_metrics_do_not_depend_on_memory_order(runs, horizon, batch):
+    rng = np.random.default_rng(runs)
+    e_dist = rng.random((runs, horizon + 1)) * 10.0 ** rng.integers(
+        -6, 3, (runs, 1))
+    e_c = rng.random((runs, horizon + 1))
+    in_c = reduce_metrics(e_dist, e_c, batch)
+    in_f = reduce_metrics(np.asfortranarray(e_dist), np.asfortranarray(e_c),
+                          batch)
+    for f in dataclasses.fields(in_c):
+        assert np.array_equal(getattr(in_f, f.name), getattr(in_c, f.name)), \
+            f.name
+
+
 # ------------------------------------------------------- CSV writers
 
 def reference_raw(e_dist, e_c):
@@ -272,6 +330,29 @@ def test_experiment_outputs_and_manifest(tiny_run):
     assert errors[0] == "k,E_dist,E_c,E_dist_std,E_c_std"
     assert len(errors) == 1 + cfg.horizon // 100
     assert (outdir / "k_errors.csv").exists()
+
+
+def test_manifest_echoes_the_config_with_every_default(tmp_path):
+    raw = {"topology": {"kind": "random", "n": 3},
+           "faults": {"max_wake_gap": 1, "max_consecutive_losses": 0,
+                      "max_transmission_delay": 1},
+           "objective": {"kind": "quadratic"},
+           "noise_width": 4, "horizon": 100, "runs": 2, "batch_size": 1,
+           "ratio": {"sizes": [3], "checkpoints": [100]}}
+    run_experiment(ExperimentConfig.from_mapping(raw), tmp_path,
+                   persist_raw=False)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "name": "",
+        "topology": {"kind": "random", "n": 3, "edge_prob": 0.5},
+        "faults": {"max_wake_gap": 1, "max_consecutive_losses": 0,
+                   "max_transmission_delay": 1, "wake_prob": 1.0,
+                   "loss_prob": 0.0},
+        "objective": {"kind": "quadratic", "dim": 2},
+        "noise_width": 4.0, "horizon": 100, "runs": 2, "batch_size": 1,
+        "master_seed": 0, "step_offset": 0,
+        "ratio": {"sizes": [3], "checkpoints": [100]}}
+    assert isinstance(manifest["config"]["noise_width"], float)
 
 
 def test_experiment_series_matches_raw_files(tiny_run, tmp_path):
