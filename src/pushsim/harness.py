@@ -53,6 +53,8 @@ class TopologySpec:
         _check_kind(self, "topology")
         if self.n < 1:
             raise ConfigurationError("topology.n: must be >= 1")
+        if not 0.0 < self.edge_prob <= 1.0:
+            raise ConfigurationError("topology.edge_prob: must be in (0, 1]")
 
     def build(self, master_seed: int) -> Topology:
         if self.n == 1:
@@ -75,6 +77,10 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         _check_kind(self, "objective")
+        if self.points_per_node < 1:
+            raise ConfigurationError("objective.points_per_node: must be >= 1")
+        if not self.cost_scale > 0.0:
+            raise ConfigurationError("objective.cost_scale: must be positive")
 
 
 @dataclass(frozen=True)

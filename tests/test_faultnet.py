@@ -125,28 +125,97 @@ def test_realized_schedules_respect_bounds(seed, l_u, l_f, l_del):
 
 
 def test_realizer_matches_scalar_reference():
-    # drive the batched realizer and the scalar samplers from the same draws
+    # drive the realizer and the scalar samplers from the same draws; a
+    # batch of one run takes the closed-form path, two runs the slot loop
     topo = build_cycle(2, bidirectional=True)
     bounds = FaultBounds(3, 2, 3, wake_prob=0.45, loss_prob=0.5)
     horizon = 80
-    draws = ScheduleDraws(31, 4, topo.n, topo.m)
-    wake_u, loss_u, delay_u = draws.draw_chunk(horizon)
-    state = RealizerState.initial(1, topo.n, topo.m)
-    wake, arrival = realize_chunk(bounds, topo, state, 0, horizon,
-                                  wake_u[None], loss_u[None], delay_u[None])
-    asleep = [0, 0]
-    streak = np.zeros(topo.m, dtype=int)
-    last = np.full(topo.m, -1, dtype=int)
-    for k in range(horizon):
-        for i in range(topo.n):
-            woke, asleep[i] = sample_wake(asleep[i], wake_u[k, i], bounds)
-            assert woke == wake[0, k, i]
-        for a, (src, _) in enumerate(topo.arcs):
-            if not wake[0, k, src]:
-                continue
-            arr, streak[a], last[a] = sample_send(
-                k, streak[a], last[a], loss_u[k, a], delay_u[k, a], bounds)
-            assert arr == arrival[0, k, a]
+    for batch in (1, 2):
+        tables = [ScheduleDraws(31, 4 + b, topo.n, topo.m).draw_chunk(horizon)
+                  for b in range(batch)]
+        state = RealizerState.initial(batch, topo.n, topo.m)
+        wake, arrival = realize_chunk(bounds, topo, state, 0, horizon,
+                                      *(np.stack(u) for u in zip(*tables)))
+        for b, (wake_u, loss_u, delay_u) in enumerate(tables):
+            asleep = [0, 0]
+            streak = np.zeros(topo.m, dtype=int)
+            last = np.full(topo.m, -1, dtype=int)
+            for k in range(horizon):
+                for i in range(topo.n):
+                    woke, asleep[i] = sample_wake(asleep[i], wake_u[k, i],
+                                                  bounds)
+                    assert woke == wake[b, k, i]
+                for a, (src, _) in enumerate(topo.arcs):
+                    if not wake[b, k, src]:
+                        continue
+                    arr, streak[a], last[a] = sample_send(
+                        k, streak[a], last[a], loss_u[k, a], delay_u[k, a],
+                        bounds)
+                    assert arr == arrival[b, k, a]
+            assert state.slots_asleep[b].tolist() == asleep
+            assert np.array_equal(state.fail_streak[b], streak)
+
+
+REALIZER_REGIMES = {
+    "sync": (FaultBounds(1, 0, 1), False),
+    "quad-async": (FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3), False),
+    "lossless-masked": (FaultBounds(3, 0, 2, wake_prob=0.6), True),
+    "lf1-loss0.5": (FaultBounds(2, 1, 2, wake_prob=0.7, loss_prob=0.5),
+                    False),
+    "lu5-wake0.05": (FaultBounds(5, 2, 3, wake_prob=0.05, loss_prob=0.2),
+                     False),
+    "loss0.9-lf6": (FaultBounds(2, 6, 4, wake_prob=0.8, loss_prob=0.9),
+                    False),
+}
+
+
+def realize_in_chunks(topo, bounds, horizon, runs, chunk, mask):
+    """Realize `runs` as one batch over horizon + L_d slots, `chunk` slots
+    per call. Returns the wake and arrival tables and, per chunk, the
+    carried state."""
+    draws = [ScheduleDraws(5, r, topo.n, topo.m) for r in runs]
+    state = RealizerState.initial(len(runs), topo.n, topo.m)
+    wakes, arrivals, states = [], [], []
+    extended = horizon + bounds.max_effective_delay
+    for first in range(0, extended, chunk):
+        tables = [d.draw_chunk(min(chunk, extended - first)) for d in draws]
+        wake, arrival = realize_chunk(bounds, topo, state, first, horizon,
+                                      *(np.stack(u) for u in zip(*tables)),
+                                      mask)
+        wakes.append(wake)
+        arrivals.append(arrival)
+        states.append((state.slots_asleep, state.fail_streak,
+                       state.last_arrival))
+    return (np.concatenate(wakes, axis=1), np.concatenate(arrivals, axis=1),
+            states)
+
+
+@pytest.mark.parametrize("regime", REALIZER_REGIMES)
+def test_single_run_scans_match_the_slot_loop(regime):
+    # one run alone is realized by whole-chunk scans, the same run in a
+    # batch of two by the slot loop: tables and carried state must agree
+    # bit for bit. Horizon 150 ends mid-chunk at chunks 7 and 128, and the
+    # wake table runs L_d slots past it.
+    bounds, masked = REALIZER_REGIMES[regime]
+    horizon = 150
+    for n in range(2, 11):
+        for topo in (build_cycle(n, bidirectional=True),
+                     build_random_strongly_connected(
+                         n, 0.4, stream(n, 0, Role.TOPOLOGY, 0))):
+            mask = None
+            if masked:
+                mask = stream(n, 0, Role.TOPOLOGY, 1).random(
+                    (horizon, topo.m)) < 0.7
+            for chunk in (1, 7, 128):
+                alone = realize_in_chunks(topo, bounds, horizon, [n], chunk,
+                                          mask)
+                batch = realize_in_chunks(topo, bounds, horizon, [n, n + 1],
+                                          chunk, mask)
+                assert np.array_equal(alone[0][0], batch[0][0])
+                assert np.array_equal(alone[1][0], batch[1][0])
+                for one, both in zip(alone[2], batch[2]):
+                    for a, b in zip(one, both):
+                        assert np.array_equal(a[0], b[0])
 
 
 def test_chunked_realization_is_chunk_invariant():

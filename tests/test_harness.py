@@ -147,6 +147,22 @@ def test_ratio_checkpoints_validated(tmp_path):
     assert cfg.ratio.sizes == (3, 5)
 
 
+@pytest.mark.parametrize("section, value", [
+    ("objective", {"kind": "svm", "points_per_node": 0}),
+    ("objective", {"kind": "svm", "cost_scale": -5.0}),
+    ("objective", {"kind": "svm", "cost_scale": 0.0}),
+    ("topology", {"kind": "random", "n": 4, "edge_prob": 0.0}),
+    ("topology", {"kind": "random", "n": 4, "edge_prob": 1.5}),
+], ids=["no-points", "negative-cost", "zero-cost", "edge-prob-0",
+        "edge-prob-above-1"])
+def test_config_rejects_out_of_range_section_values(section, value):
+    # these failed with a bare ZeroDivisionError, ran on a hinge term of
+    # negative weight, or drew 10,000 random graphs before giving up
+    key = next(k for k in value if k not in ("kind", "n"))
+    with pytest.raises(ConfigurationError, match=rf"^{section}\.{key}: "):
+        config(**{section: value})
+
+
 def test_random_topology_edge_prob_defaults_to_half():
     raw = json.loads(json.dumps(BASE))
     raw["topology"] = {"kind": "random", "n": 4}
