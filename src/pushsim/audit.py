@@ -227,7 +227,7 @@ def run_linear_audit(trace) -> AuditTrace:
 
     trace is an ``engine.Trace``, from the engine or the reference
     simulator. The rebuild reads nothing else: the schedule it recorded,
-    its start state ``x[0]`` and initial timestamp ``kappa[0]``, and its
+    its start state ``x[0]`` and ``init_timestamp``, and its
     ``applied`` moves, which are added to real coordinates before each
     slot's flow. Slots where no move was applied skip the addition.
 
@@ -241,7 +241,7 @@ def run_linear_audit(trace) -> AuditTrace:
     n, dim = x0.shape
     layout = AugmentedLayout(schedule.topology,
                              schedule.bounds.max_effective_delay)
-    level = build_delivery_indicators(schedule, int(trace.kappa[0, 0]))
+    level = build_delivery_indicators(schedule, trace.init_timestamp)
     mats = build_mass_matrix(layout, trace.wake, level)
     size, width = layout.size, dim + 1
     # mass in the first d columns, weight in the last
@@ -603,16 +603,11 @@ def wbar_diagnostic(trace, objective, ledger) -> WbarSeries:
     estimate; virtual mass enters unchanged. The average tracks a
     centralized gradient recursion, and every estimate converges to it.
     """
-    K1, n, dim = trace.x.shape
-    aug_mean = trace.aug_mean
-    wbar = np.empty((K1, dim))
-    dev = np.empty((K1, n))
-    prefix = ledger.prefix
-    for k in range(K1):
-        grads = objective.batch_local_gradients(trace.z[k][None])[0]
-        pending = prefix[k] - prefix[trace.kappa[k] + 1]     # (n,)
-        w_real = trace.x[k] - pending[:, None] * grads
-        virtual = aug_mean[k] * n - trace.x[k].sum(axis=0)
-        wbar[k] = (w_real.sum(axis=0) + virtual) / n
-        dev[k] = np.linalg.norm(trace.z[k] - wbar[k][None, :], axis=1)
-    return WbarSeries(wbar, dev)
+    x, z = trace.x, trace.z
+    K1, n, _ = x.shape
+    grads = objective.batch_local_gradients(z)
+    pending = ledger.prefix[:K1, None] - ledger.prefix[trace.kappa + 1]
+    w_real = x - pending[..., None] * grads
+    virtual = trace.aug_mean * n - x.sum(axis=1)
+    wbar = (w_real.sum(axis=1) + virtual) / n
+    return WbarSeries(wbar, np.linalg.norm(z - wbar[:, None], axis=2))

@@ -31,8 +31,8 @@ Slots are processed in chunks. Each chunk starts with one vectorized pass
 over its realized schedule, which depends on wakes, losses and delays but
 never on the iterates:
 
-1. each node's last wake before and after every slot; the slot before is
-   what ``update.chunk`` receives;
+1. with an update, each node's last wake before every slot, which
+   ``update.chunk`` receives;
 2. the acceptance schedule. Per arc and slot, ``newest`` is the send slot
    of the newest message that has arrived: arrivals on an arc are FIFO, so
    it is a running max over messages placed by arrival slot, and messages
@@ -49,8 +49,10 @@ The slot loop keeps only the data flow. Within one slot:
 4. arcs that accept read their message's totals from that history with one
    flat ``take``. The applied increment is the running-sum difference
    against what the arc absorbed before, summed over in-arcs in dst-sorted
-   arc order, so lost or superseded messages are recovered automatically;
-5. waking nodes refresh their estimate z = x / y.
+   arc order, so lost or superseded messages are recovered automatically.
+
+No slot step touches a sleeping node's x and y, so the engine keeps no
+estimates: z = x / y is computed where it is read.
 
 Messages consist of running sums, so accepting only the newest arrived
 message per arc is equivalent to processing the whole inbox: any older
@@ -80,52 +82,74 @@ from .graph import Topology
 _NO_MESSAGE = np.iinfo(np.int64).min
 
 
+def last_wakes(wake: np.ndarray, first_slot: int,
+               prior: np.ndarray) -> np.ndarray:
+    """(..., C+1, n) each node's last wake before every slot boundary of a
+    (..., C, n) wake table whose rows are slots first_slot, first_slot + 1,
+    ...; prior (..., n), row 0, stands until a node's first wake in the
+    table: its last wake before first_slot, or the initial timestamp."""
+    slots = np.arange(first_slot, first_slot + wake.shape[-2])[:, None]
+    stamps = np.maximum.accumulate(np.where(wake, slots, -1), axis=-2)
+    prior = prior[..., None, :]
+    return np.concatenate([prior, np.where(stamps >= 0, stamps, prior)],
+                          axis=-2)
+
+
 @dataclass
 class Trace:
     """Full per-slot state for one run (trace index = slot boundary).
 
     Value and weight share one array, and so do the running totals;
     ``x``/``y``, ``phi_x``/``phi_y`` and ``rho_x``/``rho_y`` are views.
-    Row 0 of ``mass`` is the start state and row 0 of ``kappa`` the initial
-    timestamp; the audit reads them from here.
+    Row 0 of ``mass`` is the start state. The estimates ``z`` and last
+    wakes ``kappa`` are derived, the latter from the schedule and
+    ``init_timestamp``.
     """
 
     mass: np.ndarray     # (K+1, n, d+1)  x, then y in the last column
-    z: np.ndarray        # (K+1, n, d)
     phi: np.ndarray      # (K+1, n, d+1)  sent totals
     rho: np.ndarray      # (K+1, m, d+1)  absorbed totals, canonical arc order
-    kappa: np.ndarray    # (K+1, n)
     applied: np.ndarray  # (K, n, d) value deltas applied at wake
     schedule: ScheduleRealization   # wake (K + L_d, n), arrival (K, m)
+    init_timestamp: int
 
     @classmethod
-    def allocate(cls, schedule: ScheduleRealization, dim: int) -> "Trace":
+    def allocate(cls, schedule: ScheduleRealization, dim: int,
+                 init_timestamp: int) -> "Trace":
         """Unfilled arrays for a d = `dim` run over `schedule`'s horizon and
         topology; ``applied`` starts at zero, as sleeping nodes apply
         nothing."""
         K, n, m = schedule.horizon, schedule.topology.n, schedule.topology.m
-        return cls(np.empty((K + 1, n, dim + 1)), np.empty((K + 1, n, dim)),
-                   np.empty((K + 1, n, dim + 1)),
-                   np.empty((K + 1, m, dim + 1)),
-                   np.empty((K + 1, n), dtype=np.int64),
-                   np.zeros((K, n, dim)), schedule)
+        return cls(*(np.empty((K + 1, rows, dim + 1)) for rows in (n, n, m)),
+                   np.zeros((K, n, dim)), schedule, init_timestamp)
 
     @property
     def wake(self) -> np.ndarray:
         """(K, n) wakes of the protocol slots."""
         return self.schedule.wake[:self.schedule.horizon]
 
+    @property
+    def z(self) -> np.ndarray:
+        """(K+1, n, d) estimates x / y."""
+        return self.x / self.y[..., None]
+
+    @property
+    def kappa(self) -> np.ndarray:
+        """(K+1, n) each node's last wake before every slot boundary."""
+        return last_wakes(self.wake, 0, np.full(self.schedule.topology.n,
+                                                self.init_timestamp))
+
     def head(self, slots: int) -> "Trace":
         """The trace of the first `slots` slots, as a run with that horizon
         records it (views; the schedule keeps its L_d wake tail)."""
         sched = self.schedule
         tail = slots + sched.bounds.max_effective_delay
-        return Trace(self.mass[:slots + 1], self.z[:slots + 1],
-                     self.phi[:slots + 1], self.rho[:slots + 1],
-                     self.kappa[:slots + 1], self.applied[:slots],
+        return Trace(self.mass[:slots + 1], self.phi[:slots + 1],
+                     self.rho[:slots + 1], self.applied[:slots],
                      ScheduleRealization(sched.topology, sched.bounds, slots,
                                          sched.wake[:tail],
-                                         sched.arrival[:slots]))
+                                         sched.arrival[:slots]),
+                     self.init_timestamp)
 
     @property
     def aug_mean(self) -> np.ndarray:
@@ -300,13 +324,12 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     depth = bounds.max_effective_delay + 1
     in_arcs = _InArcs(topology)
 
-    # Protocol state: mass = (x, y) and z per node; the absorbed totals per
+    # Protocol state: mass = (x, y) per node; the absorbed totals per
     # in-arc, laid out (width, B, receivers, d+1).
     mass = np.empty((batch, n, dim + 1))
     mass[..., :dim] = x0
     mass[..., dim] = 1.0
     x, y, y_col = mass[..., :dim], mass[..., dim], mass[..., dim:]
-    z = x0.copy()
     rho = np.zeros((in_arcs.width, batch, in_arcs.receivers.size, dim + 1))
     no_increment = np.zeros_like(rho)
     pad_row, pad_col = np.nonzero(in_arcs.table == m)
@@ -318,7 +341,7 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     flat_history = history.reshape(-1, dim + 1)
     src_rows = (np.arange(batch)[:, None] * n
                 + np.append(topology.src, 0)[in_arcs.table][:, None])
-    last_kappa = np.full((batch, n), init_timestamp, dtype=np.int64)
+    kappa = np.full((batch, 1, n), init_timestamp)   # last_wakes' row -1
     acceptance = _Acceptance(topology, in_arcs, bounds, batch,
                              init_timestamp)
 
@@ -331,19 +354,18 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         trace = Trace.allocate(ScheduleRealization(
             topology, bounds, horizon,
             np.empty((horizon + bounds.max_effective_delay, n), dtype=bool),
-            np.empty((horizon, m), dtype=np.int64)), dim)
-        trace.mass[0], trace.z[0], trace.phi[0] = mass[0], z[0], 0.0
-        trace.rho[0], trace.kappa[0] = 0.0, init_timestamp
+            np.empty((horizon, m), dtype=np.int64)), dim, init_timestamp)
+        trace.mass[0], trace.phi[0], trace.rho[0] = mass[0], 0.0, 0.0
 
-    def record_errors(first: int, z_slots: np.ndarray) -> None:
+    def record_errors(first: int, mass_slots: np.ndarray) -> None:
         """Squared error of the node-mean z at slot boundaries first,
-        first + 1, ...; z_slots is (slots, B, n, d)."""
+        first + 1, ...; mass_slots is (slots, B, n, d+1)."""
+        z_slots = mass_slots[..., :dim] / mass_slots[..., dim:]
         diff = z_slots.sum(axis=2) / n - z_star
-        e_dist[:, first:first + len(z_slots)] = np.sum(diff * diff,
-                                                       axis=2).T
+        e_dist[:, first:first + len(diff)] = np.sum(diff * diff, axis=2).T
 
     if e_dist is not None:
-        record_errors(0, z[None])
+        record_errors(0, mass[None])
 
     def realize(first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
         draws = [d_.draw_chunk(steps) for d_ in schedule_draws]
@@ -353,26 +375,18 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     done = 0
     while done < horizon:
         steps = min(chunk, horizon - done)
-        ks = np.arange(done, done + steps)
         wake_c, arrival_c = realize(done, steps)
         wake_mass = _per_slot(wake_c, dim + 1)         # (C, B, n, d+1)
-        wake_val = _per_slot(wake_c, dim)              # (C, B, n, d)
+        if trace is not None:
+            trace.schedule.wake[done:done + steps] = wake_c[0]
+            trace.schedule.arrival[done:done + steps] = arrival_c[0]
 
-        # Schedule-only work for the whole chunk. Last wake before and
-        # after every slot:
-        if update is not None or trace is not None:
-            stamps = np.maximum.accumulate(
-                np.where(wake_c, ks[None, :, None], -1), axis=1)
-            kappa_after = np.where(stamps >= 0, stamps, last_kappa[:, None])
-            kappa_before = np.concatenate(
-                [last_kappa[:, None], kappa_after[:, :-1]], axis=1)
-            last_kappa = kappa_after[:, -1]
-            if trace is not None:
-                trace.kappa[done + 1:done + steps + 1] = kappa_after[0]
-                trace.schedule.wake[done:done + steps] = wake_c[0]
-                trace.schedule.arrival[done:done + steps] = arrival_c[0]
+        # Schedule-only work for the whole chunk: the update's, which reads
+        # each node's last wake before every slot;
         if update is not None:
-            update.chunk(kappa_before, ks)
+            wake_val = _per_slot(wake_c, dim)          # (C, B, n, d)
+            kappa = last_wakes(wake_c, done, kappa[:, -1])
+            update.chunk(kappa[:, :-1], np.arange(done, done + steps))
         # the arcs that accept, and the history rows of their messages:
         if m:
             accept_c, newest_c = acceptance.advance(done, wake_c, arrival_c,
@@ -380,14 +394,13 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
             accepting = accept_c.any(axis=(1, 2, 3))
             take_rows = (newest_c % depth) * (batch * n) + src_rows
             accept_c = np.repeat(accept_c[..., None], dim + 1, axis=-1)
-        z_slots = np.empty((steps, batch, n, dim)) if e_dist is not None \
-            else None
+        mass_slots = None if e_dist is None else np.empty((steps, *mass.shape))
 
         for c in range(steps):
             k = done + c
             delta = None
             if update is not None:
-                delta = update.delta(c, k, z, wake_c[:, c])
+                delta = update.delta(c, k, x / y_col, wake_c[:, c])
             if delta is not None:
                 # the masked add runs faster on a contiguous copy of x
                 moved = np.ascontiguousarray(x)
@@ -420,20 +433,18 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                     f"non-positive push-sum weight at node {n_i} slot {k} "
                     f"(run index {runs[b_i]})",
                     run=int(runs[b_i]), slot=k, node=int(n_i))
-            np.divide(x, y_col, out=z, where=wake_val[c])
 
-            if z_slots is not None:
-                z_slots[c] = z
+            if mass_slots is not None:
+                mass_slots[c] = mass
             if trace is not None:
-                trace.mass[k + 1], trace.z[k + 1] = mass[0], z[0]
-                trace.phi[k + 1] = phi[0]
+                trace.mass[k + 1], trace.phi[k + 1] = mass[0], phi[0]
                 trace.rho[k + 1] = rho[in_arcs.row_of, 0, in_arcs.col_of]
-        if z_slots is not None:
-            record_errors(done + 1, z_slots)
+        if mass_slots is not None:
+            record_errors(done + 1, mass_slots)
         done += steps
 
     if trace is not None:
         # the wake tail that delivery classification needs
         trace.schedule.wake[horizon:] = realize(
             horizon, bounds.max_effective_delay)[0][0]
-    return RunResult(z_final=z, e_dist=e_dist, trace=trace)
+    return RunResult(z_final=x / y_col, e_dist=e_dist, trace=trace)

@@ -79,6 +79,9 @@ class ObjectiveSpec:
         _check_kind(self, "objective")
         if self.points_per_node < 1:
             raise ConfigurationError("objective.points_per_node: must be >= 1")
+        if self.points_per_node % 2:
+            # half of each node's points carry each label
+            raise ConfigurationError("objective.points_per_node: must be even")
         if not self.cost_scale > 0.0:
             raise ConfigurationError("objective.cost_scale: must be positive")
 

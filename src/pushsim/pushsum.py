@@ -17,7 +17,6 @@ the two in sync by changing this one first.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,17 +176,13 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
     out_deg = topology.out_degree()
     channel = Channel()
 
-    out = _engine.Trace.allocate(schedule, dim)
+    out = _engine.Trace.allocate(schedule, dim, init_timestamp)
 
     def snapshot(idx: int) -> None:
-        # x/y, phi_x/phi_y and rho_x/rho_y are views into the trace arrays
+        # x/y, phi_x/phi_y and rho_x/rho_y are views; z and kappa derived
         for i, st in enumerate(nodes):
-            out.x[idx, i] = st.x
-            out.y[idx, i] = st.y
-            out.z[idx, i] = st.z
-            out.phi_x[idx, i] = st.phi_x
-            out.phi_y[idx, i] = st.phi_y
-            out.kappa[idx, i] = st.kappa
+            out.x[idx, i], out.y[idx, i] = st.x, st.y
+            out.phi_x[idx, i], out.phi_y[idx, i] = st.phi_x, st.phi_y
         for a, (_, dst) in enumerate(topology.arcs):
             out.rho_x[idx, a] = nodes[dst].rho_x[a]
             out.rho_y[idx, a] = nodes[dst].rho_y[a]
@@ -249,19 +244,14 @@ def dump_state_trace(trace, path: str | Path) -> None:
     Floats are rendered with 17 significant digits (round-trip exact).
     """
     K1, n, dim = trace.x.shape
-    header = ["slot", "node", "kappa", "y", "phi_y"]
-    header += [f"x{c}" for c in range(dim)]
-    header += [f"z{c}" for c in range(dim)]
-    header += [f"phi_x{c}" for c in range(dim)]
+    header = ["slot", "node", "kappa", "y", "phi_y"] + [
+        f"{name}{c}" for name in ("x", "z", "phi_x") for c in range(dim)]
+    ints = np.stack([*np.indices((K1, n)), trace.kappa], axis=-1)
+    floats = np.concatenate([trace.y[..., None], trace.phi_y[..., None],
+                             trace.x, trace.z, trace.phi_x], axis=-1)
+    row = "%d,%d,%d" + ",%.17g" * floats.shape[-1] + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(K1):
-            for i in range(n):
-                row = [k, i, int(trace.kappa[k, i]),
-                       format(trace.y[k, i], ".17g"),
-                       format(trace.phi_y[k, i], ".17g")]
-                row += [format(v, ".17g") for v in trace.x[k, i]]
-                row += [format(v, ".17g") for v in trace.z[k, i]]
-                row += [format(v, ".17g") for v in trace.phi_x[k, i]]
-                w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % (*i, *f) for i, f in zip(
+            ints.reshape(-1, 3).tolist(),
+            floats.reshape(K1 * n, -1).tolist()))

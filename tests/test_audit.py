@@ -479,7 +479,7 @@ def test_mass_matrices_match_entrywise_reference():
     slots = 0
     for trace in reference_traces():
         sched = trace.schedule
-        level = build_delivery_indicators(sched, int(trace.kappa[0, 0]))
+        level = build_delivery_indicators(sched, trace.init_timestamp)
         l_d = sched.bounds.max_effective_delay
         lay = AugmentedLayout(sched.topology, l_d)
         got = build_mass_matrix(lay, sched.wake[:sched.horizon], level)

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, aggregation, persistence, replay."""
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 import xml.etree.ElementTree as ET
@@ -149,15 +150,17 @@ def test_ratio_checkpoints_validated(tmp_path):
 
 @pytest.mark.parametrize("section, value", [
     ("objective", {"kind": "svm", "points_per_node": 0}),
+    ("objective", {"kind": "svm", "points_per_node": 7}),
     ("objective", {"kind": "svm", "cost_scale": -5.0}),
     ("objective", {"kind": "svm", "cost_scale": 0.0}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 0.0}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 1.5}),
-], ids=["no-points", "negative-cost", "zero-cost", "edge-prob-0",
+], ids=["no-points", "odd-points", "negative-cost", "zero-cost", "edge-prob-0",
         "edge-prob-above-1"])
 def test_config_rejects_out_of_range_section_values(section, value):
-    # these failed with a bare ZeroDivisionError, ran on a hinge term of
-    # negative weight, or drew 10,000 random graphs before giving up
+    # these failed with a bare ZeroDivisionError, failed in build_problem
+    # after creating the output directory, ran on a hinge term of negative
+    # weight, or drew 10,000 random graphs before giving up
     key = next(k for k in value if k not in ("kind", "n"))
     with pytest.raises(ConfigurationError, match=rf"^{section}\.{key}: "):
         config(**{section: value})
@@ -728,6 +731,31 @@ def test_cli_replay_subcommand(tmp_path):
     victim = out / "run_0000.csv"
     victim.write_text(victim.read_text().replace(",", ",0", 1))
     assert cli_main(["replay", "--out", str(out)]) == 1
+
+
+# SHA-256 of output files as version 0.4.0 writes them. A change that
+# moves one of these bits bumps __version__ and updates the digest.
+PINNED_OUTPUTS = [
+    (["raps", "--config", "verify_faulty_small.json", "--horizon", "200"], {
+        "raps_trace.csv": "42c65c62271f894b5d51ad2c82f41bcc"
+                          "4e9db1746dbe31e26f2d08eac1dabc14",
+        "consensus.csv": "b2989f1e5282305651411d8c8c02a265"
+                         "d9eb9808167a80ebc1daf9ebf54e77d1"}),
+    (["rasgp", "--config", "quad_async_cycle10.json", "--runs", "2",
+      "--horizon", "200"], {
+        "run_0000.csv": "4b5c3e903b3921a5f9d6d8696453c61d"
+                        "613ff5dc544a63002ce21861891f9686"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", PINNED_OUTPUTS,
+                         ids=["raps", "rasgp"])
+def test_cli_outputs_keep_their_bits(argv, digests, tmp_path):
+    argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+    for name, digest in digests.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
 
 
 def test_bundled_configs_parse_and_build():

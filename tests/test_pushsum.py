@@ -1,10 +1,12 @@
 """Running-sum protocol core: push arithmetic, stale discard, consensus."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from pushsim.engine import run_protocol
-from pushsim.faultnet import FaultBounds
+from pushsim.engine import Trace, last_wakes, run_protocol
+from pushsim.faultnet import NOT_SENT, FaultBounds, ScheduleRealization
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.pushsum import (InFlightMessage, Injection, dump_state_trace,
                              init_node, process_inbox,
@@ -71,6 +73,9 @@ def test_two_node_consensus_reaches_mean():
     x0 = np.array([[0.0], [10.0]])
     res = run_protocol(topo, SYNC, x0, 200, 3)
     assert np.max(np.abs(res.z_final - 5.0)) < 1e-9
+    # a run of no slots still scores its start
+    res = run_protocol(topo, SYNC, x0, 0, 3, z_star=np.zeros(1))
+    assert res.e_dist.tolist() == [[25.0]]
 
 
 def test_faulty_consensus_on_random_strongly_connected():
@@ -91,9 +96,10 @@ def test_coordinates_evolve_independently():
 
 def assert_same_trace(trace, ref, case=None):
     """Every field of two traces, the recorded schedule included."""
-    for name in ("mass", "z", "phi", "rho", "kappa", "applied"):
+    for name in ("mass", "phi", "rho", "applied"):
         assert np.array_equal(getattr(trace, name), getattr(ref, name)), \
             (case, name)
+    assert trace.init_timestamp == ref.init_timestamp, case
     for name in ("wake", "arrival"):
         assert np.array_equal(getattr(trace.schedule, name),
                               getattr(ref.schedule, name)), (case, name)
@@ -176,18 +182,104 @@ def test_ratio_estimates_stay_finite_under_faults():
     assert np.all(np.isfinite(res.trace.z))
 
 
+class SpyUpdate:
+    """A wake-time update that changes nothing and records what the engine
+    passes it: each slot's last wakes and estimates of run 0."""
+
+    def __init__(self):
+        self.slots, self.kappa_before, self.z = [], [], []
+
+    def chunk(self, kappa_before, slots):
+        self.kappa_before += list(kappa_before[0])
+
+    def delta(self, c, k, z, wake):
+        self.slots.append(k)
+        self.z.append(z[0].copy())
+        return None
+
+
+def test_update_sees_the_traces_last_wakes_and_estimates():
+    # the trace derives kappa and z, the engine computes what it passes an
+    # update chunk by chunk: the two must agree at every slot
+    masked = build_cycle(5, bidirectional=True)
+    mask = np.random.default_rng(2).random((90, masked.m)) < 0.7
+    mask[::3] = True
+    cycle = build_cycle(4, bidirectional=True)
+    cases = [(cycle, SYNC, None, 0), (cycle, ASYNC, None, -1),
+             (masked, FaultBounds(3, 0, 3, wake_prob=0.5), mask, 0)]
+    for n, p, seed in ((6, 0.4, 3), (8, 0.6, 4), (12, 0.9, 5)):
+        topo = build_random_strongly_connected(
+            n, p, stream(seed, 0, Role.TOPOLOGY))
+        cases += [(topo, bounds, None, -1) for bounds in (SYNC, ASYNC)]
+    for topo, bounds, arc_mask, init_ts in cases:
+        x0 = np.arange(2.0 * topo.n).reshape(topo.n, 2)
+        for chunk in (1, 7, 128):
+            spy = SpyUpdate()
+            trace = run_protocol(topo, bounds, x0, 90, 14, mask=arc_mask,
+                                 init_timestamp=init_ts, update=spy,
+                                 record_trace=True, chunk=chunk).trace
+            case = (topo.n, bounds, chunk)
+            assert spy.slots == list(range(90)), case
+            assert len(spy.kappa_before) == 90, case
+            kappa, z = trace.kappa, trace.z
+            for k in range(90):
+                assert np.array_equal(spy.kappa_before[k], kappa[k]), \
+                    (case, k)
+                assert np.array_equal(spy.z[k], z[k]), (case, k)
+
+
+def test_last_wakes_on_a_hand_built_table():
+    # node 2 never wakes and keeps the initial timestamp throughout
+    wake = np.array([[1, 0, 0],
+                     [0, 1, 0],
+                     [0, 0, 0],
+                     [1, 1, 0]], dtype=bool)
+    for init in (-1, 0):
+        want = np.array([[init, init, init],
+                         [0, init, init],
+                         [0, 1, init],
+                         [0, 1, init],
+                         [3, 3, init]])
+        assert np.array_equal(last_wakes(wake, 0, np.full(3, init)), want)
+        # a later window starts from each node's last wake before it
+        assert np.array_equal(last_wakes(wake[2:], 2, want[2]), want[2:])
+        # SYNC's wake tail is one slot, which kappa does not read
+        schedule = ScheduleRealization(build_cycle(3), SYNC, 4,
+                                       np.vstack([wake, wake[:1]]),
+                                       np.full((4, 3), NOT_SENT))
+        assert np.array_equal(Trace.allocate(schedule, 1, init).kappa, want)
+    # a batch of runs: each scans along its own slot axis
+    got = last_wakes(np.stack([wake, wake[::-1]]), 5,
+                     np.array([[4, 4, 4], [-1, -1, -1]]))
+    assert np.array_equal(got, [[[4, 4, 4], [5, 4, 4], [5, 6, 4],
+                                 [5, 6, 4], [8, 8, 4]],
+                                [[-1, -1, -1], [5, 5, -1], [5, 5, -1],
+                                 [5, 7, -1], [8, 7, -1]]])
+
+
 def test_dump_state_trace_round_trip(tmp_path):
-    topo = build_cycle(2, bidirectional=True)
-    x0 = np.array([[1.0], [2.0]])
-    res = run_protocol(topo, SYNC, x0, 10, 4, record_trace=True)
+    topo = build_cycle(3, bidirectional=True)
+    x0 = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
+    trace = run_protocol(topo, ASYNC, x0, 40, 4, record_trace=True).trace
     path = tmp_path / "trace.csv"
-    dump_state_trace(res.trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "slot,node,kappa,y,phi_y,x0,z0,phi_x0"
-    assert len(lines) == 1 + 11 * 2          # one row per (slot, node)
-    first = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert first["slot"] == "0" and float(first["x0"]) == 1.0
-    assert float(first["y"]) == 1.0
+    dump_state_trace(trace, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["slot", "node", "kappa", "y", "phi_y", "x0", "x1",
+                       "z0", "z1", "phi_x0", "phi_x1"]
+    table = np.array(rows[1:], dtype=float)
+    assert table.shape == (41 * 3, 11)        # one row per (slot, node)
+    col = {name: table[:, j].reshape(41, 3) for j, name in
+           enumerate(rows[0])}
+    assert np.array_equal(col["slot"], np.repeat(np.arange(41)[:, None], 3,
+                                                 axis=1))
+    assert np.array_equal(col["node"], np.tile(np.arange(3), (41, 1)))
+    assert np.array_equal(col["kappa"], trace.kappa)
+    for name in ("y", "phi_y"):
+        assert np.array_equal(col[name], getattr(trace, name)), name
+    for name in ("x", "z", "phi_x"):
+        got = np.stack([col[f"{name}{c}"] for c in range(2)], axis=-1)
+        assert np.array_equal(got, getattr(trace, name)), name
 
 
 CHUNKS = (1, 2, 3, 7, 128, 512)
