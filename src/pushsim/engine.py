@@ -33,19 +33,21 @@ never on the iterates:
 
 1. with an update, each node's last wake before every slot, which
    ``update.chunk`` receives;
-2. the acceptance schedule. Per arc and slot, ``newest`` is the send slot
-   of the newest message that has arrived: arrivals on an arc are FIFO, so
-   it is a running max over messages placed by arrival slot, and messages
-   still in flight carry into the next chunk. An arc accepts at slot k when
-   its receiver wakes and ``newest`` exceeds its value at the receiver's
-   previous wake. An accepted message is at most ``L_d`` slots old.
+2. the acceptance schedule, in arc order. Per arc and slot, ``newest`` is
+   the send slot of the newest message that has arrived: arrivals on an
+   arc are FIFO, so it is a running max over messages placed by arrival
+   slot, and messages still in flight carry into the next chunk. An arc
+   accepts at slot k when its receiver wakes and ``newest`` exceeds its
+   value at the receiver's previous wake. An accepted message is at most
+   ``L_d`` slots old. Only the accept mask and the history rows the slot
+   loop takes are laid out per in-arc.
 
 The slot loop keeps only the data flow. Within one slot:
 
 3. waking nodes apply their update and push: the outgoing share is
    credited to the running sent totals, and the local mass shrinks to its
    own share. The post-push totals go into a history keyed by send slot,
-   ``L_d + 1`` slots deep;
+   at least ``L_d + 1`` slots deep;
 4. arcs that accept read their message's totals from that history with one
    flat ``take``. The applied increment is the running-sum difference
    against what the arc absorbed before, summed over in-arcs in dst-sorted
@@ -53,6 +55,18 @@ The slot loop keeps only the data flow. Within one slot:
 
 No slot step touches a sleeping node's x and y, so the engine keeps no
 estimates: z = x / y is computed where it is read.
+
+Speed rule. The chunk pass and the error series avoid three numpy paths
+that were slow on this engine's data, measured on a shared 2-core host:
+
+- coin-flip masks: ``np.where`` 602 us on a random 128k mask, 94 us on a
+  predictable one; a ``where=`` add of one slot 7.9 us, 1.85 us unmasked;
+- ``np.maximum.accumulate`` down (128, 1000) int64: 424 us, 174 us as a
+  row loop;
+- the node sum over axis 2: 1.31 ms a chunk, 0.50 ms as a loop, same bits.
+
+So selects are integer arithmetic, and sleeping nodes divide by 1.0 and
+add -0.0, exact for every double.
 
 Messages consist of running sums, so accepting only the newest arrived
 message per arc is equivalent to processing the whole inbox: any older
@@ -73,7 +87,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, InconsistentScheduleError,
                      ProtocolViolationError)
-from .faultnet import (DEFAULT_CHUNK, NOT_SENT, FaultBounds, RealizerState,
+from .faultnet import (DEFAULT_CHUNK, FaultBounds, RealizerState,
                        ScheduleDraws, ScheduleRealization, realize_chunk,
                        validate_mask)
 from .graph import Topology
@@ -87,12 +101,38 @@ def last_wakes(wake: np.ndarray, first_slot: int,
     """(..., C+1, n) each node's last wake before every slot boundary of a
     (..., C, n) wake table whose rows are slots first_slot, first_slot + 1,
     ...; prior (..., n), row 0, stands until a node's first wake in the
-    table: its last wake before first_slot, or the initial timestamp."""
-    slots = np.arange(first_slot, first_slot + wake.shape[-2])[:, None]
-    stamps = np.maximum.accumulate(np.where(wake, slots, -1), axis=-2)
-    prior = prior[..., None, :]
-    return np.concatenate([prior, np.where(stamps >= 0, stamps, prior)],
-                          axis=-2)
+    table: its last wake before first_slot, or the initial timestamp.
+
+    Scans slot-major memory; the result is a view of it."""
+    rows = np.moveaxis(wake, -2, 0)
+    slots = np.arange(first_slot + 1, first_slot + 1 + rows.shape[0])
+    # each wake stamped with its slot + 1, every other entry with 0
+    stamps = np.zeros((rows.shape[0] + 1,) + rows.shape[1:], dtype=np.int64)
+    np.multiply(rows, slots.reshape((-1,) + (1,) * (rows.ndim - 1)),
+                out=stamps[1:])
+    _running_max(stamps)
+    # stamp 0 (no wake yet, a run of leading rows) becomes prior, any other
+    # stamp its slot
+    unset = stamps == 0
+    stamps -= 1
+    np.copyto(stamps, prior, where=unset)
+    return np.moveaxis(stamps, 0, -2)
+
+
+# Rows at least this long scan faster one ``np.maximum`` call per row than
+# in one ``np.maximum.accumulate`` call along the leading axis; shorter
+# rows, as in a single run, the other way round. Measured at 129 rows of
+# int64: 5 entries 3 us against 136 us, 1050 entries 402 us against 151 us.
+_ROW_SCAN_MIN = 256
+
+
+def _running_max(rows: np.ndarray) -> None:
+    """Running maximum along axis 0, in place."""
+    if rows[0].size < _ROW_SCAN_MIN:
+        np.maximum.accumulate(rows, axis=0, out=rows)
+        return
+    for c in range(1, rows.shape[0]):
+        np.maximum(rows[c - 1], rows[c], out=rows[c])
 
 
 @dataclass
@@ -200,7 +240,7 @@ class _InArcs:
     """
 
     def __init__(self, topology: Topology):
-        m = topology.m
+        self.m = m = topology.m
         self.receivers, degree = np.unique(topology.dst, return_counts=True)
         self.all_nodes = self.receivers.size == topology.n
         self.width = int(degree.max(initial=0))
@@ -214,28 +254,31 @@ class _InArcs:
         self.col_of = np.empty(m, dtype=np.int64)
         self.row_of[order], self.col_of[order] = row, col
 
-    def lay_out(self, per_arc: np.ndarray, pad) -> np.ndarray:
-        """(B, C, m) -> contiguous (C, width, B, receivers)."""
-        fill = np.full(per_arc.shape[:2] + (1,), pad, dtype=per_arc.dtype)
-        padded = np.concatenate([per_arc, fill], axis=2)[:, :, self.table]
-        return np.ascontiguousarray(padded.transpose(1, 2, 0, 3))
+    def cells(self, batch: int) -> np.ndarray:
+        """(width, B, receivers) flat position of each table cell in a
+        (B, m + 1) per-arc row; the padding points at column m."""
+        return (np.arange(batch)[:, None] * (self.m + 1)
+                + self.table[:, None, :])
 
-    def total(self, inc: np.ndarray) -> np.ndarray:
+    def total(self, inc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-receiver sums of (width, B, receivers, ...) increments whose
-        padding holds -0.0, the exact identity of addition.
+        padding holds -0.0, the exact identity of addition, into `out`.
 
         Adds left to right in dst-sorted arc order, which is arc-id order
         within a receiver, as ``pushsum.process_inbox`` does.
         """
-        acc = inc[0]
-        for j in range(1, self.width):
-            acc = acc + inc[j]
-        return acc
+        if self.width == 1:
+            return inc[0]
+        np.add(inc[0], inc[1], out=out)
+        for j in range(2, self.width):
+            np.add(out, inc[j], out=out)
+        return out
 
 
 class _Acceptance:
-    """Which arc accepts which message at which slot, chunk by chunk, in
-    the in-arc layout.
+    """Which arc accepts which message at which slot, chunk by chunk, in arc
+    order: per-arc arrays are (C, B, m + 1), and column m is a phantom arc
+    that no message reaches, so it never accepts.
 
     Per arc, ``newest`` is the send slot of the newest arrived message and
     ``seen`` its value at the receiver's last wake; both start at the
@@ -243,58 +286,89 @@ class _Acceptance:
     arriving in the next ``L_del`` slots, by arrival slot.
     """
 
-    def __init__(self, topology: Topology, in_arcs: _InArcs,
-                 bounds: FaultBounds, batch: int, init_timestamp: int):
-        self.topology, self.in_arcs = topology, in_arcs
+    def __init__(self, topology: Topology, bounds: FaultBounds, batch: int,
+                 init_timestamp: int, chunk: int):
+        m = topology.m
+        self.topology = topology
         self.max_age = bounds.max_effective_delay
         self.span = bounds.max_transmission_delay
-        shape = (in_arcs.width, batch, in_arcs.receivers.size)
-        self.newest = np.full(shape, init_timestamp, dtype=np.int64)
+        self.dst = np.append(topology.dst, 0)
+        self.newest = np.full((batch, m + 1), init_timestamp, dtype=np.int64)
         self.seen = self.newest.copy()
-        self.in_flight = np.full((self.span,) + shape, _NO_MESSAGE,
+        self.in_flight = np.full((self.span, batch, m + 1), _NO_MESSAGE,
                                  dtype=np.int64)
+        # Send slots by arrival slot, (chunk + span, B, m + 1) behind a
+        # scratch cell 0, and each arc's position within a row of it.
+        self.cell = batch * (m + 1)
+        self.arriving = np.empty(1 + (chunk + self.span) * self.cell,
+                                 dtype=np.int64)
+        self.offset = 1 + np.arange(batch)[:, None] * (m + 1) + np.arange(m)
+        self.place = np.empty((chunk, batch, m), dtype=np.int64)
+        self.seen_rows = np.empty((chunk + 1, batch, m + 1), dtype=np.int64)
 
     def advance(self, first_slot: int, wake: np.ndarray, arrival: np.ndarray,
                 runs) -> tuple[np.ndarray, np.ndarray]:
-        """(accept, newest), both (C, width, B, receivers), for one realized
-        chunk: wake (B, C, n) and arrival (B, C, m)."""
-        arrival = self.in_arcs.lay_out(arrival, NOT_SENT)
-        steps, cell = arrival.shape[0], arrival[0].size
-        # send slots placed by arrival slot
-        arriving = np.full((steps + self.span,) + arrival.shape[1:],
-                           _NO_MESSAGE, dtype=np.int64)
-        arriving[:self.span] = self.in_flight
-        sends = np.flatnonzero(arrival >= 0)
-        sent = first_slot + sends // cell
-        arriving.reshape(-1)[sends + (arrival.reshape(-1)[sends] - sent)
-                             * cell] = sent
-        self.in_flight = arriving[steps:].copy()
-        arriving[0] = np.maximum(arriving[0], self.newest)
-        newest = np.maximum.accumulate(arriving[:steps], axis=0)
-        wake_dst = wake.swapaxes(0, 1)[:, None][..., self.in_arcs.receivers]
-        seen = np.where(wake_dst, newest, _NO_MESSAGE)
-        seen[0] = np.maximum(seen[0], self.seen)
-        seen = np.maximum.accumulate(seen, axis=0)
-        accept = wake_dst & (newest > np.concatenate([self.seen[None],
-                                                      seen[:-1]]))
-        self.newest, self.seen = newest[-1], seen[-1]
-        slots = np.arange(first_slot, first_slot + steps)[:, None, None, None]
+        """(accept, newest), both (C, B, m + 1), for one realized chunk:
+        wake (C, B, n) and arrival (C, B, m). newest is a view that the
+        next chunk overwrites."""
+        steps, batch, m = arrival.shape
+        cell, span = self.cell, self.span
+        arriving = self.arriving[:1 + (steps + span) * cell]
+        arriving[1:1 + span * cell] = self.in_flight.reshape(-1)
+        arriving[1 + span * cell:] = _NO_MESSAGE
+        # A delivered send, arriving at slot t, lands in row t - first_slot;
+        # a lost or unsent one (arrival < 0) at a position <= 0, clamped to
+        # the scratch cell.
+        place = np.multiply(arrival, cell, out=self.place[:steps])
+        place += self.offset - first_slot * cell
+        np.maximum(place, 0, out=place)
+        slots = np.arange(first_slot, first_slot + steps)[:, None, None]
+        # each send's slot, in scratch that the seen scan overwrites below
+        sent = self.seen_rows.reshape(-1)[:place.size].reshape(place.shape)
+        sent[...] = slots
+        arriving[place] = sent
+        rows = arriving[1:].reshape(steps + span, batch, m + 1)
+        self.in_flight = rows[steps:].copy()
+        newest = rows[:steps]
+        np.maximum(newest[0], self.newest, out=newest[0])
+        _running_max(newest)
+        # seen: newest at the receiver's wakes. Newest never falls below the
+        # last seen value, so a sleeping receiver's entry may hold that
+        # value instead of "no message", and an arc accepts exactly when
+        # its seen value rises.
+        seen = self.seen_rows[:steps + 1]
+        seen[0] = self.seen
+        np.subtract(newest, self.seen, out=seen[1:])
+        seen[1:] *= wake.take(self.dst, axis=2)
+        seen[1:] += self.seen
+        _running_max(seen)
+        accept = seen[1:] > seen[:-1]
+        self.newest, self.seen = newest[-1].copy(), seen[-1].copy()
         stale = accept & (newest < slots - self.max_age)
         if stale.any():
-            c, j, b, r = np.argwhere(stale)[0]
-            arc = self.in_arcs.table[j, r]
+            c, b, arc = np.argwhere(stale)[0]
             raise InconsistentScheduleError(
                 f"arc {self.topology.src[arc]}->{self.topology.dst[arc]}: "
-                f"message sent at slot {newest[c, j, b, r]} accepted at "
+                f"message sent at slot {newest[c, b, arc]} accepted at "
                 f"slot {first_slot + c}, more than L_d = {self.max_age} "
                 f"slots later (run index {runs[b]})")
         return accept, newest
 
 
 def _per_slot(a: np.ndarray, cols: int) -> np.ndarray:
-    """(B, C, ...) -> (C, B, ..., cols) with the new last axis repeated, so
-    that each slot's mask or factor is one contiguous block."""
-    return np.repeat(np.moveaxis(a, 1, 0)[..., None], cols, axis=-1)
+    """(C, B, ...) -> (C, B, ..., cols) with the new last axis repeated, so
+    that each slot's mask or operand is one contiguous block."""
+    return np.stack([a] * cols, axis=-1)
+
+
+def _estimates(mass: np.ndarray) -> np.ndarray:
+    """(..., n, d) ratios x / y of a (..., n, d+1) mass array, one
+    coordinate at a time (a broadcast y column divides slower)."""
+    dim = mass.shape[-1] - 1
+    z = np.empty(mass.shape[:-1] + (dim,))
+    for j in range(dim):
+        np.divide(mass[..., j], mass[..., dim], out=z[..., j])
+    return z
 
 
 def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
@@ -320,8 +394,10 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     if mask is not None:
         validate_mask(topology, bounds, mask, horizon)
 
-    denom = (topology.out_degree() + 1).astype(float)[None, :, None]
-    depth = bounds.max_effective_delay + 1
+    out_degree = topology.out_degree().astype(float)
+    # at least L_d + 1 slots deep, and a power of two, so that a bitwise
+    # and takes send slots (-1 included) modulo depth
+    depth = 1 << bounds.max_effective_delay.bit_length()
     in_arcs = _InArcs(topology)
 
     # Protocol state: mass = (x, y) per node; the absorbed totals per
@@ -329,7 +405,7 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     mass = np.empty((batch, n, dim + 1))
     mass[..., :dim] = x0
     mass[..., dim] = 1.0
-    x, y, y_col = mass[..., :dim], mass[..., dim], mass[..., dim:]
+    y = mass[..., dim]
     rho = np.zeros((in_arcs.width, batch, in_arcs.receivers.size, dim + 1))
     no_increment = np.zeros_like(rho)
     pad_row, pad_col = np.nonzero(in_arcs.table == m)
@@ -341,9 +417,10 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     flat_history = history.reshape(-1, dim + 1)
     src_rows = (np.arange(batch)[:, None] * n
                 + np.append(topology.src, 0)[in_arcs.table][:, None])
+    cells = in_arcs.cells(batch)
     kappa = np.full((batch, 1, n), init_timestamp)   # last_wakes' row -1
-    acceptance = _Acceptance(topology, in_arcs, bounds, batch,
-                             init_timestamp)
+    acceptance = _Acceptance(topology, bounds, batch, init_timestamp,
+                             chunk)
 
     schedule_draws = [ScheduleDraws(master_seed, r, n, m) for r in runs]
     realizer = RealizerState.initial(batch, n, m)
@@ -360,72 +437,102 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     def record_errors(first: int, mass_slots: np.ndarray) -> None:
         """Squared error of the node-mean z at slot boundaries first,
         first + 1, ...; mass_slots is (slots, B, n, d+1)."""
-        z_slots = mass_slots[..., :dim] / mass_slots[..., dim:]
-        diff = z_slots.sum(axis=2) / n - z_star
+        z_slots = _estimates(mass_slots)
+        if dim == 1:
+            # numpy's own sum, whose order over a contiguous node axis is
+            # pairwise, not left to right
+            node_sum = z_slots.sum(axis=2)
+        else:
+            # left to right over nodes, the order numpy takes when nodes
+            # are not the innermost axis, but one add per node
+            node_sum = z_slots[:, :, 0].copy()
+            for i in range(1, n):
+                np.add(node_sum, z_slots[:, :, i], out=node_sum)
+        diff = node_sum / n - z_star
         e_dist[:, first:first + len(diff)] = np.sum(diff * diff, axis=2).T
 
     if e_dist is not None:
         record_errors(0, mass[None])
 
     def realize(first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        draws = [d_.draw_chunk(steps) for d_ in schedule_draws]
         return realize_chunk(bounds, topology, realizer, first, horizon,
-                             *(np.stack(u) for u in zip(*draws)), mask)
+                             *ScheduleDraws.draw_batch(schedule_draws, steps),
+                             mask)
+
+    # Buffers every chunk reuses: fresh arrays of a chunk's size cost more
+    # to allocate than to fill.
+    rows_buf = np.empty((chunk,) + cells.shape, dtype=np.int64)
+    mass_buf = None if e_dist is None else np.empty((chunk,) + mass.shape)
+    payload, diff = np.empty_like(rho), np.empty_like(rho)
+    step = np.full_like(mass, -0.0)
+    in_sum = np.empty(rho.shape[1:])
 
     done = 0
     while done < horizon:
         steps = min(chunk, horizon - done)
         wake_c, arrival_c = realize(done, steps)
-        wake_mass = _per_slot(wake_c, dim + 1)         # (C, B, n, d+1)
         if trace is not None:
             trace.schedule.wake[done:done + steps] = wake_c[0]
             trace.schedule.arrival[done:done + steps] = arrival_c[0]
+        # Slot-major copies (free when the realizer wrote slot-major), and
+        # per-slot operands from the schedule alone: a sleeping node divides
+        # by 1.0, exact for every double.
+        wake = np.ascontiguousarray(wake_c.swapaxes(0, 1))   # (C, B, n)
+        wake_mass = _per_slot(wake, dim + 1)               # (C, B, n, d+1)
+        divisor = _per_slot(1.0 + wake * out_degree, dim + 1)
 
         # Schedule-only work for the whole chunk: the update's, which reads
         # each node's last wake before every slot;
         if update is not None:
-            wake_val = _per_slot(wake_c, dim)          # (C, B, n, d)
             kappa = last_wakes(wake_c, done, kappa[:, -1])
             update.chunk(kappa[:, :-1], np.arange(done, done + steps))
-        # the arcs that accept, and the history rows of their messages:
+        # the arcs that accept, and the history rows of their messages, in
+        # the in-arc layout:
         if m:
-            accept_c, newest_c = acceptance.advance(done, wake_c, arrival_c,
-                                                    runs)
-            accepting = accept_c.any(axis=(1, 2, 3))
-            take_rows = (newest_c % depth) * (batch * n) + src_rows
-            accept_c = np.repeat(accept_c[..., None], dim + 1, axis=-1)
-        mass_slots = None if e_dist is None else np.empty((steps, *mass.shape))
+            accept, newest = acceptance.advance(
+                done, wake, np.ascontiguousarray(arrival_c.swapaxes(0, 1)),
+                runs)
+            accept = accept.reshape(steps, -1)
+            accepting = accept.any(axis=1)
+            accept_mass = _per_slot(accept.take(cells, axis=1), dim + 1)
+            take_rows = newest.reshape(steps, -1).take(
+                cells, axis=1, out=rows_buf[:steps])
+            take_rows &= depth - 1
+            take_rows *= batch * n
+            take_rows += src_rows
+        mass_slots = None if mass_buf is None else mass_buf[:steps]
 
         for c in range(steps):
             k = done + c
             delta = None
             if update is not None:
-                delta = update.delta(c, k, x / y_col, wake_c[:, c])
+                delta = update.delta(c, k, _estimates(mass), wake[c])
             if delta is not None:
-                # the masked add runs faster on a contiguous copy of x
-                moved = np.ascontiguousarray(x)
-                np.add(moved, delta, out=moved, where=wake_val[c])
-                x[...] = moved
+                # adding -0.0, in the weight column and at sleeping nodes,
+                # leaves every double as it is
+                step[..., :dim] = delta
+                mass += np.where(wake_mass[c], step, -0.0)
                 if trace is not None:
-                    trace.applied[k] = np.where(wake_val[c], delta, 0.0)[0]
+                    trace.applied[k] = np.where(wake_mass[c, ..., :dim],
+                                                delta, 0.0)[0]
 
             # Push: keep one share, add the rest to the sent totals.
             phi = history[k % depth]
-            np.copyto(phi, history[(k - 1) % depth])
-            np.divide(mass, denom, out=mass, where=wake_mass[c])
-            np.add(phi, mass, out=phi, where=wake_mass[c])
+            np.divide(mass, divisor[c], out=mass)
+            np.add(history[(k - 1) % depth],
+                   np.where(wake_mass[c], mass, -0.0), out=phi)
 
             # Receive: difference the accepted totals against the absorbed.
             if m and accepting[c]:
-                accept = accept_c[c]
-                payload = flat_history.take(take_rows[c], axis=0)
-                inc = np.subtract(payload, rho, out=no_increment.copy(),
-                                  where=accept)
+                flat_history.take(take_rows[c], axis=0, out=payload,
+                                  mode="clip")
+                np.subtract(payload, rho, out=diff)
+                inc = np.where(accept_mass[c], diff, no_increment)
                 if in_arcs.all_nodes:
-                    mass += in_arcs.total(inc)
+                    mass += in_arcs.total(inc, in_sum)
                 else:
-                    mass[:, in_arcs.receivers] += in_arcs.total(inc)
-                np.copyto(rho, payload, where=accept)
+                    mass[:, in_arcs.receivers] += in_arcs.total(inc, in_sum)
+                np.copyto(rho, payload, where=accept_mass[c])
 
             if not y.min() > 0.0:
                 b_i, n_i = np.argwhere(~(y > 0.0))[0]
@@ -447,4 +554,4 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         # the wake tail that delivery classification needs
         trace.schedule.wake[horizon:] = realize(
             horizon, bounds.max_effective_delay)[0][0]
-    return RunResult(z_final=x / y_col, e_dist=e_dist, trace=trace)
+    return RunResult(z_final=_estimates(mass), e_dist=e_dist, trace=trace)

@@ -164,6 +164,18 @@ class ScheduleDraws:
         delay_u = self._delay.random((slots, self.m))
         return wake_u, loss_u, delay_u
 
+    @staticmethod
+    def draw_batch(draws: list["ScheduleDraws"], slots: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every run's draw_chunk, stacked (B, C, ...) as it is drawn."""
+        n, m = draws[0].n, draws[0].m
+        tables = tuple(np.empty((len(draws), slots, cols))
+                       for cols in (n, m, m))
+        for b, run in enumerate(draws):
+            for gen, table in zip((run._wake, run._loss, run._delay), tables):
+                gen.random(out=table[b])
+        return tables
+
 
 def realize_chunk(bounds: FaultBounds, topology: Topology,
                   state: RealizerState, first_slot: int, horizon: int,
@@ -176,50 +188,74 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
     wake_u is (B, C, n); loss_u and delay_u are (B, C, m). Sends only occur
     for slots < horizon (the wake process continues past it). mask, if
     given, is (>= horizon, m) live-arc flags indexed by absolute slot.
-    Returns (wake (B, C, n) bool, arrival (B, C, m) int64).
+    Returns (wake (B, C, n) bool, arrival (B, C, m) int64), as views of
+    slot-major memory, which the engine's per-slot reads want.
 
     A batch of one run is realized by the whole-chunk scans of
     `_realize_run`, a larger batch by the slot loop below (the module
     docstring says why both exist).
     """
-    batch, chunk, _ = wake_u.shape
+    batch, chunk, n = wake_u.shape
     src_idx = topology.src
     gap, lf = bounds.max_wake_gap, bounds.max_consecutive_losses
-    # Outcomes that depend on the draws alone, for the whole chunk; the
+    # Outcomes that depend on the draws alone, for the whole chunk, in
+    # slot-major memory (C, B, ...) and returned as (B, C, ...) views; the
     # streak recursions below stay slot by slot. Sends occur only before
     # the horizon.
-    wake_out = wake_u < bounds.wake_prob
+    wake = np.empty((chunk, batch, n), dtype=bool)
+    np.less(wake_u.swapaxes(0, 1), bounds.wake_prob, out=wake)
     sends = max(0, min(chunk, horizon - first_slot)) if topology.m else 0
-    arrival_out = np.full((batch, chunk, topology.m), NOT_SENT,
-                          dtype=np.int64)
-    lossy = loss_u[:, :sends] < bounds.loss_prob
-    raw = (np.arange(first_slot, first_slot + sends)[None, :, None]
-           + rngmod.uniform_delay(delay_u[:, :sends],
-                                  bounds.max_transmission_delay))
+    lossy = loss_u[:, :sends].swapaxes(0, 1) < bounds.loss_prob
     live = (None if mask is None else
             mask[first_slot:first_slot + sends].astype(bool, copy=False))
+    delays = rngmod.uniform_delay(delay_u[:, :sends].swapaxes(0, 1),
+                                  bounds.max_transmission_delay)
+    slots = np.arange(first_slot, first_slot + sends)[:, None, None]
+    arrival = np.full((chunk, batch, topology.m), NOT_SENT, dtype=np.int64)
+    out = wake.swapaxes(0, 1), arrival.swapaxes(0, 1)
     if batch == 1:
-        _realize_run(bounds, src_idx, state, wake_out[0], lossy[0], raw[0],
-                     live, arrival_out[0])
-        return wake_out, arrival_out
+        _realize_run(bounds, src_idx, state, wake[:, 0], lossy[:, 0],
+                     (slots + delays)[:, 0], live, arrival[:, 0])
+        return out
+    # Each send's raw arrival goes where its final entry will be.
+    head = np.add(delays, slots, out=arrival[:sends])
+    # A node is forced awake once it has slept L_u - 1 slots, i.e. when its
+    # last wake is L_u or more slots back. Stamps are last wake + L_u, so
+    # the carried state (a wake at slot -1 - slots_asleep) stays >= 0 and a
+    # running max records each wake.
+    stamp = gap - 1 - state.slots_asleep
+    forced = np.empty_like(stamp, dtype=bool)
+    woke = np.empty_like(stamp)
     for c in range(chunk):
-        wake = wake_out[:, c, :]
-        wake |= state.slots_asleep >= gap - 1
-        state.slots_asleep = np.where(wake, 0, state.slots_asleep + 1)
-        if c >= sends:
-            continue
-        attempted = wake[:, src_idx]
-        if live is not None:
-            attempted &= live[c]
-        lost = attempted & (state.fail_streak < lf) & lossy[:, c, :]
-        delivered = attempted ^ lost
-        arrival = np.maximum(raw[:, c, :], state.last_arrival + 1)
-        state.fail_streak = np.where(delivered, 0, state.fail_streak + lost)
-        state.last_arrival = np.where(delivered, arrival, state.last_arrival)
-        out = arrival_out[:, c, :]
-        out[attempted] = LOST
-        np.copyto(out, arrival, where=delivered)
-    return wake_out, arrival_out
+        np.less_equal(stamp, c, out=forced)
+        wake[c] |= forced
+        np.multiply(wake[c], c + gap, out=woke)
+        np.maximum(stamp, woke, out=stamp)
+    state.slots_asleep = chunk - 1 + gap - stamp
+    if sends == 0:
+        return out
+    attempted = wake[:sends].take(src_idx, axis=2)
+    if live is not None:
+        attempted &= live[:, None, :]
+    # Per slot, only the streaks and the FIFO clamp; the arrival table is
+    # composed afterwards from the attempts, the deliveries and each
+    # send's clamped arrival.
+    lossy &= attempted
+    delivered = np.empty_like(attempted)
+    streak, last = state.fail_streak, state.last_arrival
+    for c in range(sends):
+        lost = lossy[c] & (streak < lf)
+        np.logical_xor(attempted[c], lost, out=delivered[c])
+        np.maximum(head[c], last + 1, out=head[c])
+        streak = np.where(delivered[c], 0, streak + lost)
+        last = np.where(delivered[c], head[c], last)
+    state.fail_streak, state.last_arrival = streak, last
+    # NOT_SENT + 1 = LOST where attempted, and the arrival where delivered
+    head -= LOST
+    head *= delivered
+    head += attempted
+    head += NOT_SENT
+    return out
 
 
 def _realize_run(bounds: FaultBounds, src_idx: np.ndarray,

@@ -382,20 +382,44 @@ def reduce_metrics(e_dist_raw: np.ndarray, e_c_raw: np.ndarray,
 # ---------------------------------------------------------------------------
 # File emission.
 
-def _write_csv(path: Path, header: str, k, *columns) -> None:
+def _write_csv(path: Path, header: str, k, *columns, held=()) -> None:
     """Header, then one row per slot: the integer k and each column with
-    17 significant digits (round-trip exact), formatted in one operation."""
+    17 significant digits (round-trip exact), formatted in one operation.
+
+    A column in `held` holds each value for runs of rows; each run is
+    formatted once, and runs are told apart by bit pattern, since -0.0 and
+    0.0 compare equal but print differently."""
     width = 1 + len(columns)
     cells = [None] * (len(k) * width)
     cells[0::width] = [int(v) for v in k]
+    row = "%d"
     for j, column in enumerate(columns, start=1):
-        cells[j::width] = np.asarray(column, dtype=float).tolist()
-    row = "%d" + ",%.17g" * len(columns) + "\n"
-    path.write_text(header + "\n" + row * len(k) % tuple(cells))
+        column = np.asarray(column, dtype=float)
+        if j - 1 in held:
+            cells[j::width] = _format_runs(column)
+            row += ",%s"
+        else:
+            cells[j::width] = column.tolist()
+            row += ",%.17g"
+    path.write_text(header + "\n" + (row + "\n") * len(k) % tuple(cells))
+
+
+def _format_runs(column: np.ndarray) -> list[str]:
+    """Each entry of a float column with 17 significant digits, formatting
+    every run of bit-identical entries once."""
+    bits = column.view(np.int64)
+    new_run = np.ones(len(bits), dtype=bool)
+    new_run[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(new_run)
+    texts = ("%.17g\n" * len(starts) % tuple(column[starts].tolist())).split()
+    counts = np.diff(np.append(starts, len(column)))
+    return np.repeat(np.array(texts, dtype=object), counts).tolist()
 
 
 def _write_raw(path: Path, e_dist: np.ndarray, e_c: np.ndarray) -> None:
-    _write_csv(path, "k,E_dist,E_c", range(e_dist.shape[0]), e_dist, e_c)
+    # the baseline holds its iterate between updates
+    _write_csv(path, "k,E_dist,E_c", range(e_dist.shape[0]), e_dist, e_c,
+               held=(1,))
 
 
 def read_raw(path: Path) -> tuple[np.ndarray, np.ndarray]:

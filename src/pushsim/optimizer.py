@@ -74,27 +74,31 @@ class GradientStep:
                         for r in self.runs]
 
     def chunk(self, kappa_before: np.ndarray, slots: np.ndarray) -> None:
-        beta = self.ledger.compensated_step_batch(kappa_before,
-                                                  slots[None, :, None])
-        dim = self.objective.dim
-        self.neg_beta = _engine._per_slot(-beta, dim)     # (C, B, n, d)
-        shape = (slots.size, kappa_before.shape[2], dim)
-        self.eps = self.noise.from_uniforms(
-            np.stack([g.random(shape) for g in self.streams]))
+        beta = self.ledger.compensated_step_batch(
+            kappa_before.swapaxes(0, 1), slots[:, None, None])
+        self.neg_beta = -beta[..., None]                  # (C, B, n, 1)
+        u = np.empty((len(self.streams), slots.size, kappa_before.shape[2],
+                      self.objective.dim))
+        for g, rows in zip(self.streams, u):
+            g.random(out=rows)
+        self.eps = self.noise.from_uniforms(u)
 
     def delta(self, c: int, k: int, z: np.ndarray,
               wake: np.ndarray) -> np.ndarray:
-        ghat = self.objective.batch_local_gradients(z) + self.eps[:, c]
-        finite = np.isfinite(ghat)
-        if not finite.all():
-            bad = wake & ~np.all(finite, axis=2)
+        ghat = self.objective.batch_local_gradients(z)
+        ghat += self.eps[:, c]
+        # a sum of finite values may still overflow, so a non-finite sum
+        # only calls for the element-wise check
+        if not np.isfinite(ghat.sum()):
+            bad = wake & ~np.all(np.isfinite(ghat), axis=2)
             if bad.any():
                 b_i, n_i = np.argwhere(bad)[0]
                 run = int(self.runs[b_i])
                 raise ProtocolViolationError(
                     f"non-finite gradient at node {n_i} slot {k} "
                     f"(run index {run})", run=run, slot=k, node=int(n_i))
-        return self.neg_beta[c] * ghat
+        ghat *= self.neg_beta[c]
+        return ghat
 
 
 def run_gradient_push(topology: Topology, bounds: FaultBounds,

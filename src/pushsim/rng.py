@@ -67,11 +67,16 @@ def stream(master_seed: int, run: int = 0, role: Role | int = 0,
 
 def uniform_box(u: np.ndarray, half_width: float) -> np.ndarray:
     """Map [0,1) uniforms to the box [-half_width, half_width)."""
-    return (2.0 * half_width) * u - half_width
+    box = (2.0 * half_width) * u
+    box -= half_width
+    return box
 
 
 def uniform_delay(u: np.ndarray, max_delay: int) -> np.ndarray:
     """Map [0,1) uniforms to integer delays uniform on {1, ..., max_delay}."""
-    d = np.floor(u * max_delay).astype(np.int64) + 1
+    # Truncation is the floor for u >= 0, and the clip maps every other
+    # input to the same delay either way.
+    d = np.asarray(u * max_delay).astype(np.int64)
+    d += 1
     # u == 1.0 never happens; clip guards against pathological inputs only.
-    return np.clip(d, 1, max_delay)
+    return np.clip(d, 1, max_delay, out=d)

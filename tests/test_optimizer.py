@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from pushsim.errors import ConfigurationError, ProtocolViolationError
 from pushsim.faultnet import FaultBounds
-from pushsim.graph import build_cycle
+from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.objectives import (NoiseModel, QuadraticObjective,
                                 SvmObjective, box_noise_model,
                                 generate_quadratic, generate_svm_dataset)
 from pushsim.optimizer import (OPTIMIZER_INIT_TIMESTAMP, GradientStep,
                                StepSizeLedger, run_gradient_push)
 from pushsim.engine import run_protocol
+from pushsim.rng import Role, stream
 
 SYNC = FaultBounds(1, 0, 1)
 ASYNC = FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3)
@@ -194,21 +195,30 @@ def test_nonfinite_gradient_is_reported_with_location():
 
 @pytest.mark.parametrize("kind", ["quadratic", "svm"])
 def test_runs_are_bit_identical_whatever_batch_they_run_in(kind):
-    topo = build_cycle(4, bidirectional=True)
-    if kind == "quadratic":
-        obj = generate_quadratic(4, 2, master_seed=8)
-        z_star = obj.optimum()
-    else:
-        features, labels = generate_svm_dataset(4, 8, points_per_node=10)
-        obj = SvmObjective(features, labels)
-        z_star = np.zeros(obj.dim)
-    noise = box_noise_model(4.0, obj.dim)
-    led = StepSizeLedger(numerator=4.0, mu=obj.mu_total, horizon=300)
-    runs = (5, 0, 3, 11)
-    batch = run_gradient_push(topo, ASYNC, obj, noise, led, 300, 21,
-                              runs=runs, z_star=z_star)
-    for i, r in enumerate(runs):
-        alone = run_gradient_push(topo, ASYNC, obj, noise, led, 300, 21,
-                                  runs=(r,), z_star=z_star)
-        assert np.array_equal(batch.e_dist[i], alone.e_dist[0])
-        assert np.array_equal(batch.z_final[i], alone.z_final[0])
+    # a cycle, and a random graph whose in-arc table is padded (in-degrees
+    # 3, 1, 3, 3, 4, 3), at chunk sizes that split the horizon differently
+    padded = build_random_strongly_connected(6, 0.4,
+                                             stream(3, 0, Role.TOPOLOGY))
+    for topo in (build_cycle(4, bidirectional=True), padded):
+        n = topo.n
+        if kind == "quadratic":
+            obj = generate_quadratic(n, 2, master_seed=8)
+            z_star = obj.optimum()
+        else:
+            features, labels = generate_svm_dataset(n, 8, points_per_node=10)
+            obj = SvmObjective(features, labels)
+            z_star = np.zeros(obj.dim)
+        noise = box_noise_model(4.0, obj.dim)
+        led = StepSizeLedger(numerator=n, mu=obj.mu_total, horizon=300)
+        runs = (5, 0, 3, 11)
+        for chunk in (1, 7, 128):
+            batch = run_gradient_push(topo, ASYNC, obj, noise, led, 300, 21,
+                                      runs=runs, z_star=z_star, chunk=chunk)
+            for i, r in enumerate(runs):
+                alone = run_gradient_push(topo, ASYNC, obj, noise, led, 300,
+                                          21, runs=(r,), z_star=z_star,
+                                          chunk=128)
+                case = (n, chunk, r)
+                assert np.array_equal(batch.e_dist[i], alone.e_dist[0]), case
+                assert np.array_equal(batch.z_final[i],
+                                      alone.z_final[0]), case

@@ -173,6 +173,40 @@ def test_engine_reference_weld_with_perturbation():
     assert np.array_equal(res.trace.aug_mean, np.array(expect))
 
 
+def test_engine_reference_weld_with_edge_values():
+    # -0.0 in x0, and injections of NaN, +-inf and -0.0 at waking and
+    # sleeping nodes alike: the engine adds at waking nodes only, as the
+    # oracle does, whatever the values
+    cycle = build_cycle(4, bidirectional=True)
+    padded = build_random_strongly_connected(6, 0.4,
+                                             stream(3, 0, Role.TOPOLOGY))
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.0])
+    for topo, bounds in ((cycle, ASYNC), (cycle, SYNC), (padded, ASYNC)):
+        n = topo.n
+        x0 = np.arange(2.0 * n).reshape(n, 2) - n
+        x0[0, 0] = x0[1, 1] = -0.0
+        table = edge[np.random.default_rng(n).integers(0, edge.size,
+                                                       (90, n, 2))]
+        # edge values every fifth slot, nothing the next, a bump otherwise
+        bump = lambda k: (table[k] if k % 5 == 0 else
+                          None if k % 5 == 1 else np.full((n, 2), 0.01))
+        with np.errstate(invalid="ignore"):
+            ref = reference_averaging_run(topo, bounds, x0, 90, 13,
+                                          perturbation=bump)
+            assert np.isnan(ref.x).any() and np.isinf(ref.phi).any()
+            for chunk in (7, 128):
+                trace = run_protocol(topo, bounds, x0, 90, 13,
+                                     update=Injection(bump),
+                                     record_trace=True, chunk=chunk).trace
+                for name in ("mass", "phi", "rho", "applied"):
+                    assert np.array_equal(getattr(trace, name),
+                                          getattr(ref, name),
+                                          equal_nan=True), (n, chunk, name)
+                assert np.array_equal(trace.schedule.wake, ref.schedule.wake)
+                assert np.array_equal(trace.schedule.arrival,
+                                      ref.schedule.arrival)
+
+
 def test_ratio_estimates_stay_finite_under_faults():
     # y mass can dip but never reaches zero on a strongly connected graph
     topo = build_cycle(5, bidirectional=True)
