@@ -12,7 +12,7 @@ Augmented state layout (size n + (L_d + 1) * m):
   accepted with effective delay l enters level l and slides one level per
   slot; level 1 pours into the destination);
 - final block of m entries: per-arc excess mass (shares whose message was
-  lost, superseded, stale, or suppressed by an arc mask).
+  lost, superseded, or suppressed by an arc mask).
 
 Per slot, a waking node keeps one share of its value and emits one share per
 out-arc. The share of an accepted send enters the transit chain together
@@ -23,8 +23,7 @@ so total mass is preserved, and the weight state (started at one per real
 node) evolves under the same matrices.
 
 Effective delay of a send = (receiver's first wake at or after arrival) -
-(send slot); per (arc, processing slot) only the newest send is accepted,
-and the first accepted timestamp must strictly exceed the initial timestamp.
+(send slot); per (arc, processing slot) only the newest send is accepted.
 """
 
 from __future__ import annotations
@@ -48,19 +47,16 @@ _CONTRACTION = Context(prec=CONTRACTION_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # ---------------------------------------------------------------------------
 # Delivery table.
 
-def build_delivery_indicators(schedule: ScheduleRealization,
-                              init_timestamp: int) -> np.ndarray:
+def build_delivery_indicators(schedule: ScheduleRealization) -> np.ndarray:
     """Which send each arc accepts, and with which effective delay: a
     (K, m) int table whose entry [k, a] is the effective delay (1..L_d) of
     arc a's send at slot k if it is accepted, else 0.
 
     A delivered send is processed at the receiver's first wake at or after
     its arrival. Of the sends on one arc that share a processing slot only
-    the newest is accepted, and only if it is newer than ``init_timestamp``
-    (receivers start with that timestamp on every in-arc). The newest sends
-    of an arc's processing slots come in send order, so each is newer than
-    the one accepted before it and only the initial timestamp can make one
-    stale.
+    the newest is accepted. The newest sends of an arc's processing slots
+    come in send order, so each is newer than the one accepted before it,
+    and the first is newer than the receiver's initial timestamp, -1.
     """
     K = schedule.horizon
     topo = schedule.topology
@@ -88,9 +84,8 @@ def build_delivery_indicators(schedule: ScheduleRealization,
     # the newest send of each run of one (arc, processing slot)
     newest = np.ones(send.size, dtype=bool)
     newest[:-1] = (arc[1:] != arc[:-1]) | (proc[1:] != proc[:-1])
-    keep = newest & (send > init_timestamp)
     level = np.zeros((K, topo.m), dtype=np.int64)
-    level[send[keep], arc[keep]] = (proc - send)[keep]
+    level[send[newest], arc[newest]] = (proc - send)[newest]
     return level
 
 
@@ -227,9 +222,9 @@ def run_linear_audit(trace) -> AuditTrace:
 
     trace is an ``engine.Trace``, from the engine or the reference
     simulator. The rebuild reads nothing else: the schedule it recorded,
-    its start state ``x[0]`` and ``init_timestamp``, and its
-    ``applied`` moves, which are added to real coordinates before each
-    slot's flow. Slots where no move was applied skip the addition.
+    its start state ``x[0]`` and its ``applied`` moves, which are added to
+    real coordinates before each slot's flow. Slots where no move was
+    applied skip the addition.
 
     Each slot is one ``np.bincount`` over the stored entries in column
     order, so every row adds its terms in column order, as a CSC product
@@ -241,7 +236,7 @@ def run_linear_audit(trace) -> AuditTrace:
     n, dim = x0.shape
     layout = AugmentedLayout(schedule.topology,
                              schedule.bounds.max_effective_delay)
-    level = build_delivery_indicators(schedule, trace.init_timestamp)
+    level = build_delivery_indicators(schedule)
     mats = build_mass_matrix(layout, trace.wake, level)
     size, width = layout.size, dim + 1
     # mass in the first d columns, weight in the last
@@ -578,8 +573,8 @@ def audit_trace(trace) -> AuditReport:
     cross-check the two, and return the identity report (raising on any
     failure).
 
-    The trace is the only input: its schedule, start state, initial
-    timestamp and applied moves (see ``run_linear_audit``).
+    The trace is the only input: its schedule, start state and applied
+    moves (see ``run_linear_audit``).
     """
     report = cross_validate(trace, run_linear_audit(trace))
     report.raise_on_failure()

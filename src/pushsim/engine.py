@@ -38,9 +38,10 @@ never on the iterates:
    arc are FIFO, so it is a running max over messages placed by arrival
    slot, and messages still in flight carry into the next chunk. An arc
    accepts at slot k when its receiver wakes and ``newest`` exceeds its
-   value at the receiver's previous wake. An accepted message is at most
-   ``L_d`` slots old. Only the accept mask and the history rows the slot
-   loop takes are laid out per in-arc.
+   value at the receiver's previous wake. Both start at -1, "no message
+   yet", so a slot-0 send is accepted like any other. An accepted message
+   is at most ``L_d`` slots old. Only the accept mask and the history rows
+   the slot loop takes are laid out per in-arc.
 
 The slot loop keeps only the data flow. Within one slot:
 
@@ -101,7 +102,7 @@ def last_wakes(wake: np.ndarray, first_slot: int,
     """(..., C+1, n) each node's last wake before every slot boundary of a
     (..., C, n) wake table whose rows are slots first_slot, first_slot + 1,
     ...; prior (..., n), row 0, stands until a node's first wake in the
-    table: its last wake before first_slot, or the initial timestamp.
+    table: its last wake before first_slot, or -1 (no wake yet).
 
     Scans slot-major memory; the result is a view of it."""
     rows = np.moveaxis(wake, -2, 0)
@@ -142,8 +143,7 @@ class Trace:
     Value and weight share one array, and so do the running totals;
     ``x``/``y``, ``phi_x``/``phi_y`` and ``rho_x``/``rho_y`` are views.
     Row 0 of ``mass`` is the start state. The estimates ``z`` and last
-    wakes ``kappa`` are derived, the latter from the schedule and
-    ``init_timestamp``.
+    wakes ``kappa`` are derived, the latter from the schedule.
     """
 
     mass: np.ndarray     # (K+1, n, d+1)  x, then y in the last column
@@ -151,17 +151,15 @@ class Trace:
     rho: np.ndarray      # (K+1, m, d+1)  absorbed totals, canonical arc order
     applied: np.ndarray  # (K, n, d) value deltas applied at wake
     schedule: ScheduleRealization   # wake (K + L_d, n), arrival (K, m)
-    init_timestamp: int
 
     @classmethod
-    def allocate(cls, schedule: ScheduleRealization, dim: int,
-                 init_timestamp: int) -> "Trace":
+    def allocate(cls, schedule: ScheduleRealization, dim: int) -> "Trace":
         """Unfilled arrays for a d = `dim` run over `schedule`'s horizon and
         topology; ``applied`` starts at zero, as sleeping nodes apply
         nothing."""
         K, n, m = schedule.horizon, schedule.topology.n, schedule.topology.m
         return cls(*(np.empty((K + 1, rows, dim + 1)) for rows in (n, n, m)),
-                   np.zeros((K, n, dim)), schedule, init_timestamp)
+                   np.zeros((K, n, dim)), schedule)
 
     @property
     def wake(self) -> np.ndarray:
@@ -175,9 +173,9 @@ class Trace:
 
     @property
     def kappa(self) -> np.ndarray:
-        """(K+1, n) each node's last wake before every slot boundary."""
-        return last_wakes(self.wake, 0, np.full(self.schedule.topology.n,
-                                                self.init_timestamp))
+        """(K+1, n) each node's last wake before every slot boundary, -1
+        before its first."""
+        return last_wakes(self.wake, 0, np.full(self.schedule.topology.n, -1))
 
     def head(self, slots: int) -> "Trace":
         """The trace of the first `slots` slots, as a run with that horizon
@@ -188,8 +186,7 @@ class Trace:
                      self.rho[:slots + 1], self.applied[:slots],
                      ScheduleRealization(sched.topology, sched.bounds, slots,
                                          sched.wake[:tail],
-                                         sched.arrival[:slots]),
-                     self.init_timestamp)
+                                         sched.arrival[:slots]))
 
     @property
     def aug_mean(self) -> np.ndarray:
@@ -232,36 +229,36 @@ class RunResult:
 
 
 class _InArcs:
-    """Every receiver's in-arcs in dst-sorted arc order, as a
-    (width, receivers) table of arc ids; short columns are padded with m.
+    """Every node's in-arcs in dst-sorted arc order, as a (width, n) table
+    of arc ids; short columns are padded with m, so a node without in-arcs
+    has a column of padding.
 
-    Per-arc arrays laid out as (width, B, receivers, ...) sum over in-arcs
-    with one elementwise add per table row.
+    Per-arc arrays laid out as (width, B, n, ...) sum over in-arcs with one
+    elementwise add per table row.
     """
 
     def __init__(self, topology: Topology):
         self.m = m = topology.m
-        self.receivers, degree = np.unique(topology.dst, return_counts=True)
-        self.all_nodes = self.receivers.size == topology.n
+        degree = np.bincount(topology.dst, minlength=topology.n)
         self.width = int(degree.max(initial=0))
         order = np.lexsort((topology.src, topology.dst))
         # table position of each dst-sorted arc, and of each arc
         row = np.arange(m) - np.repeat(np.cumsum(degree) - degree, degree)
-        col = np.repeat(np.arange(self.receivers.size), degree)
-        self.table = np.full((self.width, self.receivers.size), m)
+        col = np.repeat(np.arange(topology.n), degree)
+        self.table = np.full((self.width, topology.n), m)
         self.table[row, col] = order
         self.row_of = np.empty(m, dtype=np.int64)
         self.col_of = np.empty(m, dtype=np.int64)
         self.row_of[order], self.col_of[order] = row, col
 
     def cells(self, batch: int) -> np.ndarray:
-        """(width, B, receivers) flat position of each table cell in a
+        """(width, B, n) flat position of each table cell in a
         (B, m + 1) per-arc row; the padding points at column m."""
         return (np.arange(batch)[:, None] * (self.m + 1)
                 + self.table[:, None, :])
 
     def total(self, inc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Per-receiver sums of (width, B, receivers, ...) increments whose
+        """Per-node sums of (width, B, n, ...) increments whose
         padding holds -0.0, the exact identity of addition, into `out`.
 
         Adds left to right in dst-sorted arc order, which is arc-id order
@@ -281,19 +278,19 @@ class _Acceptance:
     that no message reaches, so it never accepts.
 
     Per arc, ``newest`` is the send slot of the newest arrived message and
-    ``seen`` its value at the receiver's last wake; both start at the
-    initial timestamp. ``in_flight`` holds the send slots of messages
+    ``seen`` its value at the receiver's last wake; both start at -1, below
+    every send slot. ``in_flight`` holds the send slots of messages
     arriving in the next ``L_del`` slots, by arrival slot.
     """
 
     def __init__(self, topology: Topology, bounds: FaultBounds, batch: int,
-                 init_timestamp: int, chunk: int):
+                 chunk: int):
         m = topology.m
         self.topology = topology
         self.max_age = bounds.max_effective_delay
         self.span = bounds.max_transmission_delay
         self.dst = np.append(topology.dst, 0)
-        self.newest = np.full((batch, m + 1), init_timestamp, dtype=np.int64)
+        self.newest = np.full((batch, m + 1), -1, dtype=np.int64)
         self.seen = self.newest.copy()
         self.in_flight = np.full((self.span, batch, m + 1), _NO_MESSAGE,
                                  dtype=np.int64)
@@ -373,8 +370,7 @@ def _estimates(mass: np.ndarray) -> np.ndarray:
 
 def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                  horizon: int, master_seed: int, runs: tuple[int, ...] = (0,),
-                 init_timestamp: int = 0, update=None,
-                 mask: np.ndarray | None = None,
+                 update=None, mask: np.ndarray | None = None,
                  z_star: np.ndarray | None = None,
                  record_trace: bool = False,
                  chunk: int = DEFAULT_CHUNK) -> RunResult:
@@ -401,15 +397,12 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     in_arcs = _InArcs(topology)
 
     # Protocol state: mass = (x, y) per node; the absorbed totals per
-    # in-arc, laid out (width, B, receivers, d+1).
+    # in-arc, laid out (width, B, n, d+1).
     mass = np.empty((batch, n, dim + 1))
     mass[..., :dim] = x0
     mass[..., dim] = 1.0
     y = mass[..., dim]
-    rho = np.zeros((in_arcs.width, batch, in_arcs.receivers.size, dim + 1))
-    no_increment = np.zeros_like(rho)
-    pad_row, pad_col = np.nonzero(in_arcs.table == m)
-    no_increment[pad_row, :, pad_col] = -0.0
+    rho = np.zeros((in_arcs.width, batch, n, dim + 1))
     # Post-push running totals keyed by send slot modulo depth; the cell of
     # slot -1 holds the initial zeros. Row (cell * B + b) * n + i of the
     # flat view holds node i of run b.
@@ -418,9 +411,8 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     src_rows = (np.arange(batch)[:, None] * n
                 + np.append(topology.src, 0)[in_arcs.table][:, None])
     cells = in_arcs.cells(batch)
-    kappa = np.full((batch, 1, n), init_timestamp)   # last_wakes' row -1
-    acceptance = _Acceptance(topology, bounds, batch, init_timestamp,
-                             chunk)
+    kappa = np.full((batch, 1, n), -1)   # no wake before slot 0
+    acceptance = _Acceptance(topology, bounds, batch, chunk)
 
     schedule_draws = [ScheduleDraws(master_seed, r, n, m) for r in runs]
     realizer = RealizerState.initial(batch, n, m)
@@ -431,7 +423,7 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         trace = Trace.allocate(ScheduleRealization(
             topology, bounds, horizon,
             np.empty((horizon + bounds.max_effective_delay, n), dtype=bool),
-            np.empty((horizon, m), dtype=np.int64)), dim, init_timestamp)
+            np.empty((horizon, m), dtype=np.int64)), dim)
         trace.mass[0], trace.phi[0], trace.rho[0] = mass[0], 0.0, 0.0
 
     def record_errors(first: int, mass_slots: np.ndarray) -> None:
@@ -523,15 +515,14 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                    np.where(wake_mass[c], mass, -0.0), out=phi)
 
             # Receive: difference the accepted totals against the absorbed.
+            # An in-arc that does not accept adds -0.0, as padding does, so
+            # a node's x keeps its bits, the sign of a zero included.
             if m and accepting[c]:
                 flat_history.take(take_rows[c], axis=0, out=payload,
                                   mode="clip")
                 np.subtract(payload, rho, out=diff)
-                inc = np.where(accept_mass[c], diff, no_increment)
-                if in_arcs.all_nodes:
-                    mass += in_arcs.total(inc, in_sum)
-                else:
-                    mass[:, in_arcs.receivers] += in_arcs.total(inc, in_sum)
+                inc = np.where(accept_mass[c], diff, -0.0)
+                mass += in_arcs.total(inc, in_sum)
                 np.copyto(rho, payload, where=accept_mass[c])
 
             if not y.min() > 0.0:

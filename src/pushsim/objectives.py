@@ -26,6 +26,8 @@ import numpy as np
 from . import rng as rngmod
 from .errors import ConfigurationError, ReferenceSolverError
 
+QUADRATIC_MU_RANGE = (0.5, 1.5)
+QUADRATIC_CENTER_HALFWIDTH = 3.0
 SVM_POINTS_PER_NODE = 50
 SVM_PENALTY_NUMERATOR = 500.0
 SVM_CENTERS = ((1.0, 1.0), (3.0, 3.0))
@@ -236,19 +238,19 @@ def box_noise_model(box_width: float, dim: int,
 # ---------------------------------------------------------------------------
 # Problem generators.
 
-def generate_quadratic(n: int, dim: int, master_seed: int,
-                       mu_range: tuple[float, float] = (0.5, 1.5),
-                       center_halfwidth: float = 3.0) -> QuadraticObjective:
-    """Heterogeneous quadratic drawn from the dataset stream.
+def generate_quadratic(n: int, dim: int,
+                       master_seed: int) -> QuadraticObjective:
+    """Heterogeneous quadratic drawn from the dataset stream: weights
+    uniform on QUADRATIC_MU_RANGE, centers uniform on the box of
+    half-width QUADRATIC_CENTER_HALFWIDTH.
 
     Consumption order: n weight uniforms, then n*dim center uniforms.
     """
     g = rngmod.stream(master_seed, 0, rngmod.Role.DATASET)
-    lo, hi = mu_range
-    if not 0 < lo <= hi:
-        raise ConfigurationError("mu_range must satisfy 0 < lo <= hi")
+    lo, hi = QUADRATIC_MU_RANGE
     mu = lo + (hi - lo) * g.random(n)
-    centers = rngmod.uniform_box(g.random((n, dim)), center_halfwidth)
+    centers = rngmod.uniform_box(g.random((n, dim)),
+                                 QUADRATIC_CENTER_HALFWIDTH)
     return QuadraticObjective(mu, centers)
 
 

@@ -3,8 +3,7 @@
 An optimizing node behaves like an averaging node except that, on wake, it
 first moves its value by the accumulated step sizes of every slot it slept
 through (its *compensated* step) times a noisy local gradient evaluated at
-its current estimate; then it pushes as usual. Timestamps start at -1 in
-this mode so a slot-0 broadcast is accepted.
+its current estimate; then it pushes as usual.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from .errors import ConfigurationError, ProtocolViolationError
 from .faultnet import FaultBounds
 from .graph import Topology
 from .objectives import NoiseModel
-
-OPTIMIZER_INIT_TIMESTAMP = -1
 
 
 class StepSizeLedger:
@@ -119,6 +116,5 @@ def run_gradient_push(topology: Topology, bounds: FaultBounds,
     runs = tuple(runs)
     return _engine.run_protocol(
         topology, bounds, x0, horizon, master_seed, runs=runs,
-        init_timestamp=OPTIMIZER_INIT_TIMESTAMP,
         update=GradientStep(objective, noise, ledger, master_seed, runs),
         z_star=z_star, record_trace=record_trace, mask=mask, chunk=chunk)

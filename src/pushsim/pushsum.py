@@ -75,7 +75,8 @@ class PushSumNodeState:
 
     rho_x / rho_y / kappa_in are keyed by in-arc id: the running totals
     already absorbed from that arc and the timestamp of the newest absorbed
-    message. kappa is the node's own last wake slot.
+    message. kappa is the node's own last wake slot. Every timestamp starts
+    at -1, "no wake, no message yet".
     """
 
     x: np.ndarray
@@ -89,15 +90,14 @@ class PushSumNodeState:
     kappa_in: dict[int, int]
 
 
-def init_node(x0: np.ndarray, in_arcs: list[int],
-              init_timestamp: int) -> PushSumNodeState:
+def init_node(x0: np.ndarray, in_arcs: list[int]) -> PushSumNodeState:
     x0 = np.asarray(x0, dtype=float)
     return PushSumNodeState(
         x=x0.copy(), y=1.0, z=x0.copy(),
-        phi_x=np.zeros_like(x0), phi_y=0.0, kappa=init_timestamp,
+        phi_x=np.zeros_like(x0), phi_y=0.0, kappa=-1,
         rho_x={a: np.zeros_like(x0) for a in in_arcs},
         rho_y={a: 0.0 for a in in_arcs},
-        kappa_in={a: init_timestamp for a in in_arcs})
+        kappa_in={a: -1 for a in in_arcs})
 
 
 def wake_and_push(state: PushSumNodeState, out_degree: int,
@@ -154,8 +154,7 @@ def process_inbox(state: PushSumNodeState,
 
 def reference_averaging_run(topology: Topology, bounds: FaultBounds,
                             x0: np.ndarray, horizon: int, master_seed: int,
-                            run: int = 0, init_timestamp: int = 0,
-                            perturbation=None,
+                            run: int = 0, perturbation=None,
                             mask: np.ndarray | None = None) -> _engine.Trace:
     """Message-level simulation of one run (the test oracle), recorded as an
     ``engine.Trace`` with the schedule it realized.
@@ -172,11 +171,11 @@ def reference_averaging_run(topology: Topology, bounds: FaultBounds,
     in_arcs = [[] for _ in range(n)]
     for a, (_, dst) in enumerate(topology.arcs):
         in_arcs[dst].append(a)
-    nodes = [init_node(x0[i], in_arcs[i], init_timestamp) for i in range(n)]
+    nodes = [init_node(x0[i], in_arcs[i]) for i in range(n)]
     out_deg = topology.out_degree()
     channel = Channel()
 
-    out = _engine.Trace.allocate(schedule, dim, init_timestamp)
+    out = _engine.Trace.allocate(schedule, dim)
 
     def snapshot(idx: int) -> None:
         # x/y, phi_x/phi_y and rho_x/rho_y are views; z and kappa derived
@@ -249,9 +248,9 @@ def dump_state_trace(trace, path: str | Path) -> None:
     ints = np.stack([*np.indices((K1, n)), trace.kappa], axis=-1)
     floats = np.concatenate([trace.y[..., None], trace.phi_y[..., None],
                              trace.x, trace.z, trace.phi_x], axis=-1)
-    row = "%d,%d,%d" + ",%.17g" * floats.shape[-1] + "\r\n"
+    row = "%d,%d,%d" + ",%.17g" * floats.shape[-1] + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(header) + "\n")
         fh.writelines(row % (*i, *f) for i, f in zip(
             ints.reshape(-1, 3).tolist(),
             floats.reshape(K1 * n, -1).tolist()))

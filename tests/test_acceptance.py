@@ -143,7 +143,7 @@ def test_a3_ledger_identities_and_seeded_corruption(campaign, monkeypatch):
     # the audit must flag it, first at exactly the corrupted slot.
     topo, x0 = _instance(5, 19)
     sched = realize_schedule(topo, CAMPAIGN_BOUNDS, CAMPAIGN_HORIZON, 19, 0)
-    level = build_delivery_indicators(sched, 0)
+    level = build_delivery_indicators(sched)
     arc = next(a for a in range(topo.m) if np.count_nonzero(level[:, a]) > 3)
     send = np.flatnonzero(level[:, arc])[3]
     target = int(send + level[send, arc])

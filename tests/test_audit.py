@@ -54,7 +54,7 @@ def test_two_node_sync_matrix_entries_exact():
     # slot hands them to the destination; no excess is ever parked
     topo = build_cycle(2)
     sched = realize_schedule(topo, SYNC, 4, 1, 0)
-    level = build_delivery_indicators(sched, -1)
+    level = build_delivery_indicators(sched)
     lay = AugmentedLayout(topo, sched.bounds.max_effective_delay)
     mats = build_mass_matrix(lay, sched.wake[:4], level)
     m0 = mats.dense(0)
@@ -123,7 +123,7 @@ def test_cross_validation_detects_skipped_receive_update(monkeypatch):
     # at that processing slot
     topo, x0 = small_faulty_case()
     sched = realize_schedule(topo, ASYNC, 300, 19, 0)
-    level = build_delivery_indicators(sched, 0)
+    level = build_delivery_indicators(sched)
     arc = next(a for a in range(topo.m) if np.count_nonzero(level[:, a]) > 3)
     send = np.flatnonzero(level[:, arc])[3]
     target = int(send + level[send, arc])
@@ -239,31 +239,20 @@ def test_tracking_bound_accumulates_drift():
 
 # ------------------------------------------------------ window products
 
-def test_window_positivity_depends_on_initial_timestamp():
+def test_window_positivity_holds_from_window_zero():
+    # slot-0 sends are accepted, so the very first window mixes too
     topo = build_cycle(2)
-    gap = FaultBounds(1, 0, 1).max_receipt_gap
-
-    def audit(init_ts):
-        return run_linear_audit(run_protocol(
-            topo, SYNC, np.ones((2, 1)), 30, 1, init_timestamp=init_ts,
-            record_trace=True).trace)
-
-    fresh = audit(-1)
-    ok, bad = window_positivity_check(fresh, gap)
+    audit = run_linear_audit(run_protocol(
+        topo, SYNC, np.ones((2, 1)), 30, 1, record_trace=True).trace)
+    ok, bad = window_positivity_check(audit, SYNC.max_receipt_gap)
     assert ok and bad is None
-    # slot-0 sends are stale under the averaging convention, which delays
-    # the very first window's mixing but no later one
-    stale = audit(0)
-    ok, bad = window_positivity_check(stale, gap)
-    assert not ok and bad == 0
 
 
 def test_window_positivity_async_case():
     topo = build_cycle(3, bidirectional=True)
     bounds = FaultBounds(3, 3, 3, wake_prob=0.6, loss_prob=0.3)
     audit = run_linear_audit(run_protocol(
-        topo, bounds, np.ones((3, 1)), 150, 23, init_timestamp=-1,
-        record_trace=True).trace)
+        topo, bounds, np.ones((3, 1)), 150, 23, record_trace=True).trace)
     ok, bad = window_positivity_check(audit, bounds.max_receipt_gap)
     assert ok, f"window starting at {bad} lost positivity"
 
@@ -388,14 +377,13 @@ def reference_structure(matrices, n, entry_floor):
 
 def reference_traces():
     """Engine traces of the runs the audit meets: the verify_faulty_small
-    instance, the A1 campaign bounds over n = 2..6 (initial timestamps 0
-    and -1), and a lossless run under an arc mask."""
+    instance, the A1 campaign bounds over n = 2..6, and a lossless run
+    under an arc mask."""
 
-    def trace(topo, bounds, horizon, seed, run=0, init_ts=0, mask=None):
+    def trace(topo, bounds, horizon, seed, run=0, mask=None):
         x0 = np.linspace(-2.0, 3.0, 2 * topo.n).reshape(topo.n, 2)
         return run_protocol(topo, bounds, x0, horizon, seed, runs=(run,),
-                            init_timestamp=init_ts, mask=mask,
-                            record_trace=True).trace
+                            mask=mask, record_trace=True).trace
 
     cfg = ExperimentConfig.from_file(CONFIGS / "verify_faulty_small.json")
     topo = cfg.topology.build(cfg.master_seed)
@@ -405,7 +393,7 @@ def reference_traces():
         for seed in (11, 19):
             topo = build_random_strongly_connected(
                 n, 0.5, stream(seed, role=Role.TOPOLOGY))
-            yield trace(topo, ASYNC, 150, seed, init_ts=-1 + n % 2)
+            yield trace(topo, ASYNC, 150, seed)
     topo = build_cycle(5, bidirectional=True)
     bounds = FaultBounds(3, 0, 3, wake_prob=0.5)
     mask = np.random.default_rng(0).random((160, topo.m)) < 0.7
@@ -413,7 +401,7 @@ def reference_traces():
     yield trace(topo, bounds, 150, 33, mask=mask)
 
 
-def reference_delivery_indicators(schedule, init_timestamp):
+def reference_delivery_indicators(schedule):
     """Arc by arc, send by send: the acceptance table that the array-based
     build_delivery_indicators must reproduce exactly."""
     topo = schedule.topology
@@ -423,7 +411,7 @@ def reference_delivery_indicators(schedule, init_timestamp):
         wake_slots = np.flatnonzero(schedule.wake[:, dst])
         processing = wake_slots[np.searchsorted(
             wake_slots, schedule.arrival[sends, a], side="left")]
-        last_ts = init_timestamp
+        last_ts = -1
         i = 0
         while i < sends.size:
             j = i
@@ -440,28 +428,26 @@ def reference_delivery_indicators(schedule, init_timestamp):
 def test_delivery_indicators_match_per_arc_reference():
     cases = 0
     for trace in reference_traces():
-        sched = trace.schedule
-        for init_ts in (0, -1):
-            assert np.array_equal(
-                build_delivery_indicators(sched, init_ts),
-                reference_delivery_indicators(sched, init_ts))
-            cases += 1
-    assert cases == 2 * 13
+        assert np.array_equal(
+            build_delivery_indicators(trace.schedule),
+            reference_delivery_indicators(trace.schedule))
+        cases += 1
+    assert cases == 13
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 4),
        st.integers(0, 3), st.integers(1, 4), st.floats(0.05, 1.0),
-       st.floats(0.0, 0.9), st.sampled_from((0, -1)))
+       st.floats(0.0, 0.9))
 def test_delivery_indicators_match_reference_on_any_bounds(
-        seed, n, l_u, l_f, l_del, wake_prob, loss_prob, init_ts):
+        seed, n, l_u, l_f, l_del, wake_prob, loss_prob):
     bounds = FaultBounds(l_u, l_f, l_del, wake_prob=wake_prob,
                          loss_prob=loss_prob if l_f else 0.0)
     topo = build_random_strongly_connected(n, 0.5,
                                            stream(seed, role=Role.TOPOLOGY))
     sched = realize_schedule(topo, bounds, 90, seed, 0)
-    assert np.array_equal(build_delivery_indicators(sched, init_ts),
-                          reference_delivery_indicators(sched, init_ts))
+    assert np.array_equal(build_delivery_indicators(sched),
+                          reference_delivery_indicators(sched))
 
 
 def test_exclusion_windows_flag_out_of_order_processing():
@@ -479,7 +465,7 @@ def test_mass_matrices_match_entrywise_reference():
     slots = 0
     for trace in reference_traces():
         sched = trace.schedule
-        level = build_delivery_indicators(sched, trace.init_timestamp)
+        level = build_delivery_indicators(sched)
         l_d = sched.bounds.max_effective_delay
         lay = AugmentedLayout(sched.topology, l_d)
         got = build_mass_matrix(lay, sched.wake[:sched.horizon], level)

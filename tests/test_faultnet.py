@@ -16,9 +16,9 @@ from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.rng import Role, stream
 
 
-def accepted(schedule, init_timestamp, arc):
+def accepted(schedule, arc):
     """Send slots and processing slots of the sends `arc` accepts."""
-    level = build_delivery_indicators(schedule, init_timestamp)[:, arc]
+    level = build_delivery_indicators(schedule)[:, arc]
     sends = np.flatnonzero(level)
     return sends, sends + level[sends]
 
@@ -120,7 +120,7 @@ def test_realized_schedules_respect_bounds(seed, l_u, l_f, l_del):
         assert np.all(np.diff(arr) >= 1)       # FIFO order
     # accepted processing gaps within L_s
     for a in range(topo.m):
-        gaps = np.diff(accepted(sched, 0, a)[1])
+        gaps = np.diff(accepted(sched, a)[1])
         assert gaps.size == 0 or gaps.max() <= l_s
 
 
@@ -228,20 +228,18 @@ def test_chunked_realization_is_chunk_invariant():
     assert np.array_equal(one.arrival, two.arrival)
 
 
-def test_classification_stale_initial_timestamp():
-    # with initial timestamp 0, the slot-0 send is stale; with -1 it lands
+def test_classification_accepts_slot_zero_sends():
+    # receivers start at timestamp -1, so the slot-0 send lands
     topo = build_cycle(2, bidirectional=True)
     bounds = FaultBounds(1, 0, 1)
     sched = realize_schedule(topo, bounds, 5, 1, 0)
     for a in range(topo.m):
-        assert accepted(sched, 0, a)[0][0] == 1
-        assert accepted(sched, -1, a)[0][0] == 0
+        assert accepted(sched, a)[0][0] == 0
 
 
 def test_classification_latest_send_wins():
     # hand-built schedule: two arrivals pile up before a sleepy receiver's
-    # wake and only the newest becomes the accepted delivery; a slot-0 send
-    # is fresh or stale depending on the initial timestamp
+    # wake and only the newest becomes the accepted delivery
     topo = build_cycle(2)                          # arcs (0,1),(1,0)
     bounds = FaultBounds(3, 0, 2)                  # L_d = 4
     horizon = 8
@@ -254,16 +252,12 @@ def test_classification_latest_send_wins():
     arrival[[0, 1, 3, 4], a01] = [1, 2, 5, 6]      # 1 and 2 coalesce at 2
     arrival[[0, 2, 5], a10] = [1, 3, 7]
     sched = ScheduleRealization(topo, bounds, horizon, wake, arrival)
-    sends, proc = accepted(sched, 0, a01)
+    sends, proc = accepted(sched, a01)
     assert sends.tolist() == [1, 3, 4]                    # send 0 beaten
     assert proc.tolist() == [2, 5, 8]
-    sends, proc = accepted(sched, 0, a10)
-    assert sends.tolist() == [2, 5]                       # send 0 stale
-    assert proc.tolist() == [3, 7]
-    sends, proc = accepted(sched, -1, a10)         # slot-0 send now fresh
+    sends, proc = accepted(sched, a10)
     assert sends.tolist() == [0, 2, 5]
     assert proc.tolist() == [1, 3, 7]
-    assert accepted(sched, -1, a01)[0].tolist() == [1, 3, 4]  # beaten
 
 
 def inconsistent_schedule(receiver_wakes, send, arrival_slot):
@@ -285,7 +279,7 @@ def test_classification_rejects_arrival_past_wake_table():
     with pytest.raises(InconsistentScheduleError,
                        match=r"^arc 0->1: arrival past the realized wake "
                              r"table$"):
-        build_delivery_indicators(sched, 0)
+        build_delivery_indicators(sched)
 
 
 def test_classification_rejects_effective_delay_outside_bounds():
@@ -296,7 +290,7 @@ def test_classification_rejects_effective_delay_outside_bounds():
         with pytest.raises(InconsistentScheduleError,
                            match=r"^arc 0->1: effective delay outside "
                                  r"\[1, L_d\]$"):
-            build_delivery_indicators(sched, 0)
+            build_delivery_indicators(sched)
 
 
 def test_effective_delay_bounded_by_composed_limit():
@@ -306,7 +300,7 @@ def test_effective_delay_bounded_by_composed_limit():
     l_d = bounds.max_effective_delay
     sched = realize_schedule(topo, bounds, 300, 2, 0)
     for a in range(topo.m):
-        sends, proc = accepted(sched, 0, a)
+        sends, proc = accepted(sched, a)
         lags = proc - sends
         assert lags.size == 0 or (lags.min() >= 1 and lags.max() <= l_d)
 

@@ -733,14 +733,14 @@ def test_cli_replay_subcommand(tmp_path):
     assert cli_main(["replay", "--out", str(out)]) == 1
 
 
-# SHA-256 of output files as version 0.4.0 writes them. A change that
+# SHA-256 of output files as version 0.5.0 writes them. A change that
 # moves one of these bits bumps __version__ and updates the digest.
 PINNED_OUTPUTS = [
     (["raps", "--config", "verify_faulty_small.json", "--horizon", "200"], {
-        "raps_trace.csv": "42c65c62271f894b5d51ad2c82f41bcc"
-                          "4e9db1746dbe31e26f2d08eac1dabc14",
-        "consensus.csv": "b2989f1e5282305651411d8c8c02a265"
-                         "d9eb9808167a80ebc1daf9ebf54e77d1"}),
+        "raps_trace.csv": "90ac32a146770a931741cf52f0b2b0ad"
+                          "4ec0c676e975b44ca5457e1ed75e6db4",
+        "consensus.csv": "025753caac3ee86c997afba195c2321d"
+                         "0ad3cd262e03e20121dec1bae6f3c919"}),
     (["rasgp", "--config", "quad_async_cycle10.json", "--runs", "2",
       "--horizon", "200"], {
         "run_0000.csv": "4b5c3e903b3921a5f9d6d8696453c61d"

@@ -7,7 +7,8 @@ import pytest
 
 from pushsim.engine import Trace, last_wakes, run_protocol
 from pushsim.faultnet import NOT_SENT, FaultBounds, ScheduleRealization
-from pushsim.graph import build_cycle, build_random_strongly_connected
+from pushsim.graph import (Topology, build_cycle,
+                           build_random_strongly_connected)
 from pushsim.pushsum import (InFlightMessage, Injection, dump_state_trace,
                              init_node, process_inbox,
                              reference_averaging_run, wake_and_push)
@@ -25,7 +26,7 @@ def message(arc, ts, phi_x, phi_y):
 
 
 def test_push_splits_mass_into_running_totals():
-    state = init_node(np.array([4.0]), in_arcs=[], init_timestamp=0)
+    state = init_node(np.array([4.0]), in_arcs=[])
     phi_x, phi_y = wake_and_push(state, out_degree=1, slot=0)
     assert phi_x[0] == 2.0 and phi_y == 0.5
     assert state.x[0] == 2.0 and state.y == 0.5
@@ -37,7 +38,7 @@ def test_push_splits_mass_into_running_totals():
 
 
 def test_receive_recovers_lost_mass_by_differencing():
-    state = init_node(np.array([0.0]), in_arcs=[7], init_timestamp=0)
+    state = init_node(np.array([0.0]), in_arcs=[7])
     # two sends were lost; the third carries their mass in the totals
     process_inbox(state, [message(7, ts=3, phi_x=[1.75], phi_y=0.875)], slot=4)
     assert state.x[0] == 1.75 and state.y == pytest.approx(1.875)
@@ -49,16 +50,18 @@ def test_receive_recovers_lost_mass_by_differencing():
 
 
 def test_stale_messages_are_discarded():
-    state = init_node(np.array([0.0]), in_arcs=[7], init_timestamp=0)
+    state = init_node(np.array([0.0]), in_arcs=[7])
+    assert state.kappa == state.kappa_in[7] == -1
+    # a slot-0 send is newer than the initial timestamp
     process_inbox(state, [message(7, ts=0, phi_x=[5.0], phi_y=0.5)], slot=1)
+    assert state.x[0] == 5.0 and state.y == 1.5 and state.kappa_in[7] == 0
     # timestamp not newer than the stored watermark: no state change
-    assert state.x[0] == 0.0 and state.y == 1.0 and state.kappa_in[7] == 0
-    process_inbox(state, [message(7, ts=1, phi_x=[5.0], phi_y=0.5)], slot=2)
-    assert state.x[0] == 5.0 and state.kappa_in[7] == 1
+    process_inbox(state, [message(7, ts=0, phi_x=[6.0], phi_y=0.75)], slot=2)
+    assert state.x[0] == 5.0 and state.y == 1.5 and state.kappa_in[7] == 0
 
 
 def test_coalesced_messages_use_newest_totals_only():
-    state = init_node(np.array([0.0]), in_arcs=[7], init_timestamp=-1)
+    state = init_node(np.array([0.0]), in_arcs=[7])
     batch = [message(7, ts=0, phi_x=[1.0], phi_y=0.25),
              message(7, ts=2, phi_x=[1.5], phi_y=0.375)]
     process_inbox(state, batch, slot=3)
@@ -95,11 +98,14 @@ def test_coordinates_evolve_independently():
 
 
 def assert_same_trace(trace, ref, case=None):
-    """Every field of two traces, the recorded schedule included."""
+    """Every field of two traces, the recorded schedule included, and the
+    sign of every zero in the state; NaN sign bits may differ."""
     for name in ("mass", "phi", "rho", "applied"):
-        assert np.array_equal(getattr(trace, name), getattr(ref, name)), \
-            (case, name)
-    assert trace.init_timestamp == ref.init_timestamp, case
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert np.array_equal(got, want, equal_nan=True), (case, name)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]),
+                              np.signbit(want[number])), (case, name)
     for name in ("wake", "arrival"):
         assert np.array_equal(getattr(trace.schedule, name),
                               getattr(ref.schedule, name)), (case, name)
@@ -116,6 +122,10 @@ def test_engine_matches_reference_implementation_exactly():
         topo = build_random_strongly_connected(
             n, p, stream(seed, 0, Role.TOPOLOGY))
         cases += [(topo, bounds, 60, 14, 0, 7) for bounds in (SYNC, ASYNC)]
+    # node 0 has no in-arcs: its column of the in-arc table is all padding
+    source = Topology(3, ((0, 1), (1, 2), (2, 1)))
+    cases += [(source, bounds, 60, 14, 0, chunk) for bounds in (SYNC, ASYNC)
+              for chunk in (1, 7, 128)]
     for topo, bounds, horizon, seed, run, chunk in cases:
         x0 = np.arange(2.0 * topo.n).reshape(topo.n, 2)
         ref = reference_averaging_run(topo, bounds, x0, horizon, seed,
@@ -123,6 +133,24 @@ def test_engine_matches_reference_implementation_exactly():
         res = run_protocol(topo, bounds, x0, horizon, seed, runs=(run,),
                            record_trace=True, chunk=chunk)
         assert_same_trace(res.trace, ref, (topo.n, bounds))
+
+
+def test_engine_reference_weld_keeps_the_sign_of_zero():
+    # an in-arc that does not accept adds nothing, so a -0.0 value stays
+    # -0.0 whichever runs share the batch
+    topo = build_cycle(4, bidirectional=True)
+    x0 = np.full((4, 2), -0.0)
+    ref = reference_averaging_run(topo, ASYNC, x0, 8, 5, run=2)
+    assert_same_trace(run_protocol(topo, ASYNC, x0, 8, 5, runs=(2,),
+                                   record_trace=True).trace, ref)
+    # the run holds zeros of both signs
+    assert np.signbit(ref.x[3]).sum() == 2 and not np.signbit(ref.x[4]).any()
+    for horizon in range(9):
+        z = run_protocol(topo, ASYNC, x0, horizon, 5,
+                         runs=(0, 1, 2, 3)).z_final[2]
+        assert np.array_equal(z, ref.z[horizon]), horizon
+        assert np.array_equal(np.signbit(z), np.signbit(ref.z[horizon])), \
+            horizon
 
 
 def test_zero_perturbation_is_plain_averaging():
@@ -198,13 +226,7 @@ def test_engine_reference_weld_with_edge_values():
                 trace = run_protocol(topo, bounds, x0, 90, 13,
                                      update=Injection(bump),
                                      record_trace=True, chunk=chunk).trace
-                for name in ("mass", "phi", "rho", "applied"):
-                    assert np.array_equal(getattr(trace, name),
-                                          getattr(ref, name),
-                                          equal_nan=True), (n, chunk, name)
-                assert np.array_equal(trace.schedule.wake, ref.schedule.wake)
-                assert np.array_equal(trace.schedule.arrival,
-                                      ref.schedule.arrival)
+                assert_same_trace(trace, ref, (n, chunk))
 
 
 def test_ratio_estimates_stay_finite_under_faults():
@@ -239,19 +261,19 @@ def test_update_sees_the_traces_last_wakes_and_estimates():
     mask = np.random.default_rng(2).random((90, masked.m)) < 0.7
     mask[::3] = True
     cycle = build_cycle(4, bidirectional=True)
-    cases = [(cycle, SYNC, None, 0), (cycle, ASYNC, None, -1),
-             (masked, FaultBounds(3, 0, 3, wake_prob=0.5), mask, 0)]
+    cases = [(cycle, SYNC, None), (cycle, ASYNC, None),
+             (masked, FaultBounds(3, 0, 3, wake_prob=0.5), mask)]
     for n, p, seed in ((6, 0.4, 3), (8, 0.6, 4), (12, 0.9, 5)):
         topo = build_random_strongly_connected(
             n, p, stream(seed, 0, Role.TOPOLOGY))
-        cases += [(topo, bounds, None, -1) for bounds in (SYNC, ASYNC)]
-    for topo, bounds, arc_mask, init_ts in cases:
+        cases += [(topo, bounds, None) for bounds in (SYNC, ASYNC)]
+    for topo, bounds, arc_mask in cases:
         x0 = np.arange(2.0 * topo.n).reshape(topo.n, 2)
         for chunk in (1, 7, 128):
             spy = SpyUpdate()
             trace = run_protocol(topo, bounds, x0, 90, 14, mask=arc_mask,
-                                 init_timestamp=init_ts, update=spy,
-                                 record_trace=True, chunk=chunk).trace
+                                 update=spy, record_trace=True,
+                                 chunk=chunk).trace
             case = (topo.n, bounds, chunk)
             assert spy.slots == list(range(90)), case
             assert len(spy.kappa_before) == 90, case
@@ -263,25 +285,24 @@ def test_update_sees_the_traces_last_wakes_and_estimates():
 
 
 def test_last_wakes_on_a_hand_built_table():
-    # node 2 never wakes and keeps the initial timestamp throughout
+    # node 2 never wakes and keeps the initial timestamp, -1, throughout
     wake = np.array([[1, 0, 0],
                      [0, 1, 0],
                      [0, 0, 0],
                      [1, 1, 0]], dtype=bool)
-    for init in (-1, 0):
-        want = np.array([[init, init, init],
-                         [0, init, init],
-                         [0, 1, init],
-                         [0, 1, init],
-                         [3, 3, init]])
-        assert np.array_equal(last_wakes(wake, 0, np.full(3, init)), want)
-        # a later window starts from each node's last wake before it
-        assert np.array_equal(last_wakes(wake[2:], 2, want[2]), want[2:])
-        # SYNC's wake tail is one slot, which kappa does not read
-        schedule = ScheduleRealization(build_cycle(3), SYNC, 4,
-                                       np.vstack([wake, wake[:1]]),
-                                       np.full((4, 3), NOT_SENT))
-        assert np.array_equal(Trace.allocate(schedule, 1, init).kappa, want)
+    want = np.array([[-1, -1, -1],
+                     [0, -1, -1],
+                     [0, 1, -1],
+                     [0, 1, -1],
+                     [3, 3, -1]])
+    assert np.array_equal(last_wakes(wake, 0, np.full(3, -1)), want)
+    # a later window starts from each node's last wake before it
+    assert np.array_equal(last_wakes(wake[2:], 2, want[2]), want[2:])
+    # SYNC's wake tail is one slot, which kappa does not read
+    schedule = ScheduleRealization(build_cycle(3), SYNC, 4,
+                                   np.vstack([wake, wake[:1]]),
+                                   np.full((4, 3), NOT_SENT))
+    assert np.array_equal(Trace.allocate(schedule, 1).kappa, want)
     # a batch of runs: each scans along its own slot axis
     got = last_wakes(np.stack([wake, wake[::-1]]), 5,
                      np.array([[4, 4, 4], [-1, -1, -1]]))
@@ -399,8 +420,6 @@ def test_engine_rejects_acceptance_older_than_effective_delay(monkeypatch):
 
     monkeypatch.setattr(engine, "realize_chunk", starved)
     topo = build_cycle(2, bidirectional=True)
-    # timestamps start at -1, so the slot-0 message is acceptable
     with pytest.raises(InconsistentScheduleError,
                        match="slot 0 accepted at slot 4"):
-        engine.run_protocol(topo, SYNC, np.array([[0.0], [1.0]]), 10, 3,
-                            init_timestamp=-1)
+        engine.run_protocol(topo, SYNC, np.array([[0.0], [1.0]]), 10, 3)
