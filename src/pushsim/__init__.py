@@ -1,6 +1,6 @@
 """Fault-tolerant push-sum averaging and distributed optimization toolkit."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .audit import (AuditReport, contraction_bound, cross_validate,
                     envelope_check, run_linear_audit, tracking_bound_series,

@@ -414,7 +414,8 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     kappa = np.full((batch, 1, n), -1)   # no wake before slot 0
     acceptance = _Acceptance(topology, bounds, batch, chunk)
 
-    schedule_draws = [ScheduleDraws(master_seed, r, n, m) for r in runs]
+    schedule_draws = [ScheduleDraws(master_seed, r, n, m, bounds)
+                      for r in runs]
     realizer = RealizerState.initial(batch, n, m)
 
     e_dist = np.empty((batch, horizon + 1)) if z_star is not None else None

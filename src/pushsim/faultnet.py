@@ -21,7 +21,14 @@ All randomness comes from positional draw tables (one uniform per node-slot
 for wakes; one loss uniform and one delay uniform per arc-slot), so a
 realized schedule is a pure function of (master seed, run, topology, bounds,
 horizon). Tables extend ``L_d`` slots past the protocol horizon so that the
-processing slot of every in-horizon send is defined.
+processing slot of every in-horizon send is defined. A role whose outcome
+the bounds fix is not drawn at all: ``L_u = 1`` or ``wake_prob = 1`` wakes
+every node every slot, ``loss_prob = 0`` loses nothing and ``L_del = 1``
+delays every send by one slot (``FaultBounds.fixed_wake``, ``fixed_loss``,
+``fixed_delay``). Its table reads u = 0.0, which maps to that outcome, and
+the realizer skips the streak loop it would have needed. Each role has its
+own stream, so skipping one moves no draw of another, and the schedule
+stays the same pure function of the same five inputs.
 
 A single run (``realize_schedule``, a recorded trace, the reference
 simulator) is realized in closed form, by whole-chunk scans; a batch of
@@ -82,6 +89,24 @@ class FaultBounds:
         if self.loss_prob > 0.0 and self.max_consecutive_losses == 0:
             raise ConfigurationError(
                 "loss_prob > 0 requires max_consecutive_losses >= 1")
+
+    # Outcomes the bounds alone decide, for every slot: no uniform is drawn
+    # for them (see ScheduleDraws).
+
+    @property
+    def fixed_wake(self) -> bool:
+        """Every node wakes every slot."""
+        return self.max_wake_gap == 1 or self.wake_prob == 1.0
+
+    @property
+    def fixed_loss(self) -> bool:
+        """No send is ever lost."""
+        return self.loss_prob == 0.0
+
+    @property
+    def fixed_delay(self) -> bool:
+        """Every delivered send arrives one slot after it was sent."""
+        return self.max_transmission_delay == 1
 
     @property
     def max_effective_delay(self) -> int:
@@ -149,32 +174,48 @@ class ScheduleDraws:
     slot-major order; SEND_LOSS and SEND_DELAY yield one uniform per
     (slot, arc) in slot-major order. Chunked consumption equals one bulk
     draw, so chunk size never affects realized schedules.
+
+    A role whose outcome the bounds fix (`FaultBounds.fixed_wake`,
+    `fixed_loss`, `fixed_delay`) opens no stream: its table is a read-only
+    zero-stride view of u = 0.0, which maps to that fixed outcome (0 is
+    below any wake_prob, not below a zero loss_prob, and gives delay 1).
+    Each role has its own Philox stream, so the others' draws do not move,
+    and a schedule stays a pure function of (seed, run, topology, bounds,
+    horizon).
     """
 
-    def __init__(self, master_seed: int, run: int, n: int, m: int):
+    def __init__(self, master_seed: int, run: int, n: int, m: int,
+                 bounds: FaultBounds):
         self.n, self.m = n, m
-        self._wake = rngmod.stream(master_seed, run, rngmod.Role.WAKE)
-        self._loss = rngmod.stream(master_seed, run, rngmod.Role.SEND_LOSS)
-        self._delay = rngmod.stream(master_seed, run, rngmod.Role.SEND_DELAY)
+        self._gens = tuple(
+            None if fixed else rngmod.stream(master_seed, run, role)
+            for role, fixed in ((rngmod.Role.WAKE, bounds.fixed_wake),
+                                (rngmod.Role.SEND_LOSS, bounds.fixed_loss),
+                                (rngmod.Role.SEND_DELAY, bounds.fixed_delay)))
 
     def draw_chunk(self, slots: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        wake_u = self._wake.random((slots, self.n))
-        loss_u = self._loss.random((slots, self.m))
-        delay_u = self._delay.random((slots, self.m))
-        return wake_u, loss_u, delay_u
+        return tuple(np.broadcast_to(0.0, (slots, cols)) if gen is None
+                     else gen.random((slots, cols))
+                     for gen, cols in zip(self._gens,
+                                          (self.n, self.m, self.m)))
 
     @staticmethod
     def draw_batch(draws: list["ScheduleDraws"], slots: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every run's draw_chunk, stacked (B, C, ...) as it is drawn."""
-        n, m = draws[0].n, draws[0].m
-        tables = tuple(np.empty((len(draws), slots, cols))
-                       for cols in (n, m, m))
-        for b, run in enumerate(draws):
-            for gen, table in zip((run._wake, run._loss, run._delay), tables):
-                gen.random(out=table[b])
-        return tables
+        first = draws[0]
+        tables = []
+        for role, cols in enumerate((first.n, first.m, first.m)):
+            shape = (len(draws), slots, cols)
+            if first._gens[role] is None:
+                table = np.broadcast_to(0.0, shape)
+            else:
+                table = np.empty(shape)
+                for b, run in enumerate(draws):
+                    run._gens[role].random(out=table[b])
+            tables.append(table)
+        return tuple(tables)
 
 
 def realize_chunk(bounds: FaultBounds, topology: Topology,
@@ -200,56 +241,71 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
     gap, lf = bounds.max_wake_gap, bounds.max_consecutive_losses
     # Outcomes that depend on the draws alone, for the whole chunk, in
     # slot-major memory (C, B, ...) and returned as (B, C, ...) views; the
-    # streak recursions below stay slot by slot. Sends occur only before
-    # the horizon.
+    # streak recursions below stay slot by slot, except where the bounds fix
+    # their outcome. Sends occur only before the horizon.
     wake = np.empty((chunk, batch, n), dtype=bool)
-    np.less(wake_u.swapaxes(0, 1), bounds.wake_prob, out=wake)
+    if bounds.fixed_wake:
+        wake.fill(True)
+    else:
+        np.less(wake_u.swapaxes(0, 1), bounds.wake_prob, out=wake)
     sends = max(0, min(chunk, horizon - first_slot)) if topology.m else 0
-    lossy = loss_u[:, :sends].swapaxes(0, 1) < bounds.loss_prob
     live = (None if mask is None else
             mask[first_slot:first_slot + sends].astype(bool, copy=False))
-    delays = rngmod.uniform_delay(delay_u[:, :sends].swapaxes(0, 1),
-                                  bounds.max_transmission_delay)
+    delays = (1 if bounds.fixed_delay else
+              rngmod.uniform_delay(delay_u[:, :sends].swapaxes(0, 1),
+                                   bounds.max_transmission_delay))
     slots = np.arange(first_slot, first_slot + sends)[:, None, None]
     arrival = np.full((chunk, batch, topology.m), NOT_SENT, dtype=np.int64)
     out = wake.swapaxes(0, 1), arrival.swapaxes(0, 1)
     if batch == 1:
-        _realize_run(bounds, src_idx, state, wake[:, 0], lossy[:, 0],
+        _realize_run(bounds, src_idx, state, wake[:, 0],
+                     loss_u[0, :sends] < bounds.loss_prob,
                      (slots + delays)[:, 0], live, arrival[:, 0])
         return out
     # Each send's raw arrival goes where its final entry will be.
     head = np.add(delays, slots, out=arrival[:sends])
-    # A node is forced awake once it has slept L_u - 1 slots, i.e. when its
-    # last wake is L_u or more slots back. Stamps are last wake + L_u, so
-    # the carried state (a wake at slot -1 - slots_asleep) stays >= 0 and a
-    # running max records each wake.
-    stamp = gap - 1 - state.slots_asleep
-    forced = np.empty_like(stamp, dtype=bool)
-    woke = np.empty_like(stamp)
-    for c in range(chunk):
-        np.less_equal(stamp, c, out=forced)
-        wake[c] |= forced
-        np.multiply(wake[c], c + gap, out=woke)
-        np.maximum(stamp, woke, out=stamp)
-    state.slots_asleep = chunk - 1 + gap - stamp
+    if bounds.fixed_wake:
+        state.slots_asleep = np.zeros_like(state.slots_asleep)
+    else:
+        # A node is forced awake once it has slept L_u - 1 slots, i.e. when
+        # its last wake is L_u or more slots back. Stamps are last wake +
+        # L_u, so the carried state (a wake at slot -1 - slots_asleep) stays
+        # >= 0 and a running max records each wake.
+        stamp = gap - 1 - state.slots_asleep
+        forced = np.empty_like(stamp, dtype=bool)
+        woke = np.empty_like(stamp)
+        for c in range(chunk):
+            np.less_equal(stamp, c, out=forced)
+            wake[c] |= forced
+            np.multiply(wake[c], c + gap, out=woke)
+            np.maximum(stamp, woke, out=stamp)
+        state.slots_asleep = chunk - 1 + gap - stamp
     if sends == 0:
         return out
     attempted = wake[:sends].take(src_idx, axis=2)
     if live is not None:
         attempted &= live[:, None, :]
-    # Per slot, only the streaks and the FIFO clamp; the arrival table is
-    # composed afterwards from the attempts, the deliveries and each
-    # send's clamped arrival.
-    lossy &= attempted
-    delivered = np.empty_like(attempted)
-    streak, last = state.fail_streak, state.last_arrival
-    for c in range(sends):
-        lost = lossy[c] & (streak < lf)
-        np.logical_xor(attempted[c], lost, out=delivered[c])
-        np.maximum(head[c], last + 1, out=head[c])
-        streak = np.where(delivered[c], 0, streak + lost)
-        last = np.where(delivered[c], head[c], last)
-    state.fail_streak, state.last_arrival = streak, last
+    if bounds.fixed_loss and bounds.fixed_delay:
+        # Every attempt arrives the next slot, after any earlier arrival on
+        # its arc: no streak moves and the FIFO clamp never binds.
+        delivered = attempted
+        state.last_arrival = np.where(attempted, head,
+                                      state.last_arrival).max(axis=0)
+    else:
+        # Per slot, only the streaks and the FIFO clamp; the arrival table
+        # is composed afterwards from the attempts, the deliveries and each
+        # send's clamped arrival.
+        lossy = loss_u[:, :sends].swapaxes(0, 1) < bounds.loss_prob
+        lossy &= attempted
+        delivered = np.empty_like(attempted)
+        streak, last = state.fail_streak, state.last_arrival
+        for c in range(sends):
+            lost = lossy[c] & (streak < lf)
+            np.logical_xor(attempted[c], lost, out=delivered[c])
+            np.maximum(head[c], last + 1, out=head[c])
+            streak = np.where(delivered[c], 0, streak + lost)
+            last = np.where(delivered[c], head[c], last)
+        state.fail_streak, state.last_arrival = streak, last
     # NOT_SENT + 1 = LOST where attempted, and the arrival where delivered
     head -= LOST
     head *= delivered
@@ -330,7 +386,7 @@ def realize_schedule(topology: Topology, bounds: FaultBounds, horizon: int,
     if mask is not None:
         validate_mask(topology, bounds, mask, horizon)
     extended = horizon + bounds.max_effective_delay
-    draws = ScheduleDraws(master_seed, run, topology.n, topology.m)
+    draws = ScheduleDraws(master_seed, run, topology.n, topology.m, bounds)
     state = RealizerState.initial(1, topology.n, topology.m)
     wakes, arrivals = [], []
     done = 0

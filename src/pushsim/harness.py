@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ConfigurationError("noise_width: must be positive")
         if self.step_offset < 0:
             raise ConfigurationError("step_offset: must be >= 0")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigurationError("master_seed: must be in [0, 2**64)")
 
     @staticmethod
     def from_mapping(obj: dict) -> "ExperimentConfig":

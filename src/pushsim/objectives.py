@@ -275,17 +275,16 @@ def generate_svm_dataset(n: int, master_seed: int,
 def dump_svm_dataset(features: np.ndarray, labels: np.ndarray,
                      path: str | Path) -> None:
     """Header, then one row per point: node index, both features with 17
-    significant digits and the integer label, with the csv module's CRLF
-    line ends, formatted in one operation."""
+    significant digits and the integer label, with LF line ends, formatted
+    as bytes in one operation (a str would need a second, encoded copy)."""
     n, s, _ = features.shape
     cells = [None] * (n * s * 4)
     cells[0::4] = np.repeat(np.arange(n), s).tolist()
     cells[1::4] = features[..., 0].reshape(-1).tolist()
     cells[2::4] = features[..., 1].reshape(-1).tolist()
     cells[3::4] = labels.reshape(-1).astype(int).tolist()
-    Path(path).write_text("node,feature1,feature2,label\r\n"
-                          + "%d,%.17g,%.17g,%d\r\n" * (n * s) % tuple(cells),
-                          newline="")
+    Path(path).write_bytes(b"node,feature1,feature2,label\n"
+                           + b"%d,%.17g,%.17g,%d\n" * (n * s) % tuple(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ by ``numpy.random.Philox`` with the 128-bit key::
 with ``run < 2**40``, ``role < 2**8`` and ``entity < 2**16``. Packing is
 collision-free within those ranges, which are enforced.
 
+Roles (``Role``): TOPOLOGY (random graphs), WAKE (one uniform per
+node-slot), SEND_LOSS and SEND_DELAY (one uniform per arc-slot each),
+GRAD_NOISE, BASELINE_NOISE, DATASET and INIT (initial values). The
+schedule roles WAKE, SEND_LOSS and SEND_DELAY are opened only where the
+fault bounds leave that outcome to chance (see ``faultnet.ScheduleDraws``):
+a synchronous lossless run opens none of them.
+
 Every stream emits only float64 uniforms on [0, 1) via ``Generator.random``,
 one 64-bit word per variate, filled in C (row-major) order of the requested
 shape. Consecutive calls continue the same sequence, so chunked consumption

@@ -1,11 +1,15 @@
 """Fault model: wake gaps, loss streaks, FIFO delays, delivery semantics."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pushsim import rng as rngmod
 from pushsim.audit import build_delivery_indicators
+from pushsim.engine import run_protocol
 from pushsim.errors import ConfigurationError, InconsistentScheduleError
 from pushsim.faultnet import (LOST, NOT_SENT, FaultBounds, RealizerState,
                               ScheduleDraws, ScheduleRealization,
@@ -13,7 +17,10 @@ from pushsim.faultnet import (LOST, NOT_SENT, FaultBounds, RealizerState,
                               realize_schedule, sample_send, sample_wake,
                               validate_mask)
 from pushsim.graph import build_cycle, build_random_strongly_connected
+from pushsim.harness import ExperimentConfig
 from pushsim.rng import Role, stream
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def accepted(schedule, arc):
@@ -29,6 +36,22 @@ def test_derived_bounds_examples():
                              (FaultBounds(3, 3, 3), 5, 17)):
         assert bounds.max_effective_delay == l_d
         assert bounds.max_receipt_gap == l_s
+
+
+def test_fixed_outcomes_follow_from_the_bounds():
+    # (wake, loss, delay) fixed by: L_u = 1 or wake_prob = 1; loss_prob =
+    # 0; L_del = 1
+    for bounds, fixed in (
+            (FaultBounds(1, 0, 1), (True, True, True)),
+            (FaultBounds(1, 2, 2, wake_prob=0.5, loss_prob=0.4),
+             (True, False, False)),
+            (FaultBounds(3, 2, 3, wake_prob=1.0, loss_prob=0.3),
+             (True, False, False)),
+            (FaultBounds(2, 0, 1, wake_prob=0.5), (False, True, True)),
+            (FaultBounds(3, 2, 1, wake_prob=0.5, loss_prob=0.3),
+             (False, False, True))):
+        assert (bounds.fixed_wake, bounds.fixed_loss,
+                bounds.fixed_delay) == fixed
 
 
 def test_bounds_validation():
@@ -131,7 +154,8 @@ def test_realizer_matches_scalar_reference():
     bounds = FaultBounds(3, 2, 3, wake_prob=0.45, loss_prob=0.5)
     horizon = 80
     for batch in (1, 2):
-        tables = [ScheduleDraws(31, 4 + b, topo.n, topo.m).draw_chunk(horizon)
+        tables = [ScheduleDraws(31, 4 + b, topo.n, topo.m, bounds
+                                ).draw_chunk(horizon)
                   for b in range(batch)]
         state = RealizerState.initial(batch, topo.n, topo.m)
         wake, arrival = realize_chunk(bounds, topo, state, 0, horizon,
@@ -166,6 +190,14 @@ REALIZER_REGIMES = {
                      False),
     "loss0.9-lf6": (FaultBounds(2, 6, 4, wake_prob=0.8, loss_prob=0.9),
                     False),
+    # wakes, losses or delays fixed by the bounds, alone or together
+    "lu1-loss0.4": (FaultBounds(1, 2, 2, loss_prob=0.4), False),
+    "wake1-loss0.3": (FaultBounds(3, 2, 3, wake_prob=1.0, loss_prob=0.3),
+                      False),
+    "lossless-delay1": (FaultBounds(2, 0, 1, wake_prob=0.5), False),
+    "lossless-masked-wake0.5": (FaultBounds(3, 0, 3, wake_prob=0.5), True),
+    "delay1-loss0.3": (FaultBounds(3, 2, 1, wake_prob=0.5, loss_prob=0.3),
+                       False),
 }
 
 
@@ -173,7 +205,7 @@ def realize_in_chunks(topo, bounds, horizon, runs, chunk, mask):
     """Realize `runs` as one batch over horizon + L_d slots, `chunk` slots
     per call. Returns the wake and arrival tables and, per chunk, the
     carried state."""
-    draws = [ScheduleDraws(5, r, topo.n, topo.m) for r in runs]
+    draws = [ScheduleDraws(5, r, topo.n, topo.m, bounds) for r in runs]
     state = RealizerState.initial(len(runs), topo.n, topo.m)
     wakes, arrivals, states = [], [], []
     extended = horizon + bounds.max_effective_delay
@@ -216,6 +248,96 @@ def test_single_run_scans_match_the_slot_loop(regime):
                 for one, both in zip(alone[2], batch[2]):
                     for a, b in zip(one, both):
                         assert np.array_equal(a[0], b[0])
+
+
+def scalar_schedule(topo, bounds, horizon, run, mask):
+    """Realize `run` with the scalar samplers, on uniforms drawn straight
+    from its WAKE, SEND_LOSS and SEND_DELAY streams whether or not the
+    bounds fix that role. Returns the wake and arrival tables over
+    horizon + L_d slots and the streak state after every slot."""
+    extended = horizon + bounds.max_effective_delay
+    wake_u = stream(5, run, Role.WAKE).random((extended, topo.n))
+    loss_u = stream(5, run, Role.SEND_LOSS).random((extended, topo.m))
+    delay_u = stream(5, run, Role.SEND_DELAY).random((extended, topo.m))
+    wake = np.zeros((extended, topo.n), dtype=bool)
+    arrival = np.full((extended, topo.m), NOT_SENT, dtype=np.int64)
+    # RealizerState starts every last arrival at 0, which clamps nothing
+    # since every arrival is >= 1
+    asleep = np.zeros(topo.n, dtype=np.int64)
+    streak = np.zeros(topo.m, dtype=np.int64)
+    last = np.zeros(topo.m, dtype=np.int64)
+    states = []
+    for k in range(extended):
+        for i in range(topo.n):
+            wake[k, i], asleep[i] = sample_wake(asleep[i], wake_u[k, i],
+                                                bounds)
+        for a, (src, _) in enumerate(topo.arcs):
+            if k < horizon and wake[k, src] and (mask is None or mask[k, a]):
+                arrival[k, a], streak[a], last[a] = sample_send(
+                    k, streak[a], last[a], loss_u[k, a], delay_u[k, a],
+                    bounds)
+        states.append((asleep.copy(), streak.copy(), last.copy()))
+    return wake, arrival, states
+
+
+@pytest.mark.parametrize("regime", REALIZER_REGIMES)
+def test_realizer_matches_scalar_samplers_on_raw_streams(regime):
+    # the realizer reads ScheduleDraws tables, which hold no draws for the
+    # roles the bounds fix; the scalar samplers read every role's stream.
+    # Both paths (B = 1 and 2), chunks 1, 7 and 128, horizon 150 mid-chunk;
+    # state compared after every chunk.
+    bounds, masked = REALIZER_REGIMES[regime]
+    topo = build_random_strongly_connected(5, 0.4,
+                                           stream(3, 0, Role.TOPOLOGY, 0))
+    horizon = 150
+    extended = horizon + bounds.max_effective_delay
+    mask = None
+    if masked:
+        mask = stream(3, 0, Role.TOPOLOGY, 1).random((horizon, topo.m)) < 0.7
+    runs = (7, 8)
+    reference = [scalar_schedule(topo, bounds, horizon, r, mask)
+                 for r in runs]
+    for batch in (1, 2):
+        for chunk in (1, 7, 128):
+            wake, arrival, states = realize_in_chunks(
+                topo, bounds, horizon, runs[:batch], chunk, mask)
+            ends = [min(first + chunk, extended)
+                    for first in range(0, extended, chunk)]
+            assert len(ends) == len(states)
+            for b, (ref_wake, ref_arrival, ref_states) in enumerate(
+                    reference[:batch]):
+                assert np.array_equal(wake[b], ref_wake)
+                assert np.array_equal(arrival[b], ref_arrival)
+                for end, state in zip(ends, states):
+                    for got, want in zip(state, ref_states[end - 1]):
+                        assert np.array_equal(got[b], want)
+
+
+def test_run_protocol_draws_only_what_the_bounds_leave_to_chance(
+        monkeypatch):
+    # a synchronous lossless network opens no schedule stream; quad_async's
+    # bounds open all three per run
+    opened = []
+    real_stream = rngmod.stream
+
+    def recording_stream(master_seed, run=0, role=0, entity=0):
+        opened.append((run, Role(role)))
+        return real_stream(master_seed, run, role, entity)
+
+    monkeypatch.setattr(rngmod, "stream", recording_stream)
+    schedule_roles = {Role.WAKE, Role.SEND_LOSS, Role.SEND_DELAY}
+    topo = build_cycle(4, bidirectional=True)
+    x0 = np.zeros((topo.n, 1))
+    quad_async = ExperimentConfig.from_file(
+        CONFIGS / "quad_async_cycle10.json").faults
+    for bounds, roles in ((FaultBounds(1, 0, 1), set()),
+                          (quad_async, schedule_roles)):
+        opened.clear()
+        run_protocol(topo, bounds, x0, 40, 9, runs=(0, 1, 2))
+        for run in (0, 1, 2):
+            got = [role for r, role in opened
+                   if r == run and role in schedule_roles]
+            assert sorted(got) == sorted(roles)
 
 
 def test_chunked_realization_is_chunk_invariant():

@@ -155,14 +155,19 @@ def test_ratio_checkpoints_validated(tmp_path):
     ("objective", {"kind": "svm", "cost_scale": 0.0}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 0.0}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 1.5}),
+    ("master_seed", -1),
+    ("master_seed", 2 ** 64),
 ], ids=["no-points", "odd-points", "negative-cost", "zero-cost", "edge-prob-0",
-        "edge-prob-above-1"])
+        "edge-prob-above-1", "negative-seed", "seed-2**64"])
 def test_config_rejects_out_of_range_section_values(section, value):
     # these failed with a bare ZeroDivisionError, failed in build_problem
     # after creating the output directory, ran on a hinge term of negative
-    # weight, or drew 10,000 random graphs before giving up
-    key = next(k for k in value if k not in ("kind", "n"))
-    with pytest.raises(ConfigurationError, match=rf"^{section}\.{key}: "):
+    # weight, drew 10,000 random graphs before giving up, or failed with a
+    # bare ValueError when the first stream was opened
+    where = section
+    if isinstance(value, dict):
+        where += r"\." + next(k for k in value if k not in ("kind", "n"))
+    with pytest.raises(ConfigurationError, match=rf"^{where}: "):
         config(**{section: value})
 
 
@@ -585,6 +590,17 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["rasgp", "--config", str(bad_path)]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_rejects_an_out_of_range_seed_before_writing(seed, tmp_path,
+                                                         capsys):
+    out = tmp_path / "out"
+    assert cli_main(["rasgp", "--config",
+                     str(CONFIGS / "quad_async_cycle10.json"), "--seed", seed,
+                     "--out", str(out)]) == 2
+    assert "master_seed: must be in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_a_horizon_shorter_than_a_window_before_writing(
         tmp_path, capsys):
     cfg_path = CONFIGS / "quad_async_cycle10.json"
@@ -733,8 +749,10 @@ def test_cli_replay_subcommand(tmp_path):
     assert cli_main(["replay", "--out", str(out)]) == 1
 
 
-# SHA-256 of output files as version 0.5.0 writes them. A change that
-# moves one of these bits bumps __version__ and updates the digest.
+# SHA-256 of output files as version 0.6.0 writes them. Every digest but
+# dataset.csv's is also 0.5.0's: 0.6.0 moved only that file's line ends,
+# from CRLF to LF. A change that moves one of these bits bumps __version__
+# and updates the digest.
 PINNED_OUTPUTS = [
     (["raps", "--config", "verify_faulty_small.json", "--horizon", "200"], {
         "raps_trace.csv": "90ac32a146770a931741cf52f0b2b0ad"
@@ -745,11 +763,17 @@ PINNED_OUTPUTS = [
       "--horizon", "200"], {
         "run_0000.csv": "4b5c3e903b3921a5f9d6d8696453c61d"
                         "613ff5dc544a63002ce21861891f9686"}),
+    (["rasgp", "--config", "svm_sync_cycle50.json", "--runs", "2",
+      "--horizon", "200"], {
+        "run_0000.csv": "ba4ccbdf9aa45836d20af774fedd32c4"
+                        "764e252c6417eed131d4bc11d039007b",
+        "dataset.csv": "26cbc7db825d4ead19d4f24637964b0a"
+                       "2c7b47d0063262d09a9f7de08d5040ae"}),
 ]
 
 
 @pytest.mark.parametrize("argv, digests", PINNED_OUTPUTS,
-                         ids=["raps", "rasgp"])
+                         ids=["raps", "rasgp", "rasgp-svm-sync"])
 def test_cli_outputs_keep_their_bits(argv, digests, tmp_path):
     argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
     assert cli_main(argv + ["--out", str(tmp_path)]) == 0

@@ -389,7 +389,7 @@ def test_svm_dataset_bytes_match_a_csv_writer(tmp_path):
     feats[0, 0, 0], feats[0, 1, 1], feats[1, 2, 0] = -0.0, 1e-300, 1e22
     dump_svm_dataset(feats, labs, tmp_path / "dataset.csv")
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["node", "feature1", "feature2", "label"])
         for i in range(feats.shape[0]):
             for j in range(feats.shape[1]):
