@@ -57,7 +57,25 @@ from .graph import Topology, is_strongly_connected
 NOT_SENT = -2   # source asleep, or arc masked this slot
 LOST = -1       # send attempted and lost
 
-DEFAULT_CHUNK = 128
+# Cells (run x slot x node or arc) one chunk spans: its draw, wake and
+# arrival tables and the engine's per-slot operands each hold this many
+# entries or a small multiple of it, whatever the batch (see chunk_slots).
+CHUNK_CELLS = 1 << 16
+
+
+def chunk_slots(batch: int, n: int, m: int) -> int:
+    """Slots per chunk for `batch` runs on n nodes and m arcs: the most that
+    keep a chunk within CHUNK_CELLS cells, and at least one."""
+    return max(1, CHUNK_CELLS // (batch * (n + m)))
+
+
+def resolve_chunk(chunk: int | None, batch: int, n: int, m: int) -> int:
+    """A caller's chunk length, checked; None stands for chunk_slots."""
+    if chunk is None:
+        return chunk_slots(batch, n, m)
+    if chunk < 1:
+        raise ConfigurationError("chunk: must be >= 1")
+    return chunk
 
 
 @dataclass(frozen=True)
@@ -381,8 +399,11 @@ class ScheduleRealization:
 def realize_schedule(topology: Topology, bounds: FaultBounds, horizon: int,
                      master_seed: int, run: int = 0,
                      mask: np.ndarray | None = None,
-                     chunk: int = DEFAULT_CHUNK) -> ScheduleRealization:
-    """Materialize one run's schedule (wake table extended by L_d slots)."""
+                     chunk: int | None = None) -> ScheduleRealization:
+    """Materialize one run's schedule (wake table extended by L_d slots),
+    `chunk` slots per realizer call; None picks ``chunk_slots(1, n, m)``.
+    The schedule does not depend on the chunk length."""
+    chunk = resolve_chunk(chunk, 1, topology.n, topology.m)
     if mask is not None:
         validate_mask(topology, bounds, mask, horizon)
     extended = horizon + bounds.max_effective_delay

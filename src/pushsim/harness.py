@@ -77,6 +77,8 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         _check_kind(self, "objective")
+        if self.dim < 1:
+            raise ConfigurationError("objective.dim: must be >= 1")
         if self.points_per_node < 1:
             raise ConfigurationError("objective.points_per_node: must be >= 1")
         if self.points_per_node % 2:

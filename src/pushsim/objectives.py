@@ -45,9 +45,16 @@ def smoothed_hinge(xi: np.ndarray) -> np.ndarray:
                     np.where(xi < 1.0, 0.5 * (1.0 - xi) ** 2, 0.0))
 
 
-def smoothed_hinge_derivative(xi: np.ndarray) -> np.ndarray:
-    # the three pieces in one pass; a NaN margin stays NaN
-    return np.clip(np.asarray(xi, dtype=float) - 1.0, -1.0, 0.0)
+def smoothed_hinge_derivative(xi: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    # the three pieces in one pass; a NaN margin stays NaN. The batch
+    # gradients pass out=xi, so a call holds one margin array, not three:
+    # at 100 runs each is 2 MB, and glibc's malloc gave three back to the
+    # system and faulted them in again on every baseline step of
+    # svm_sync_cycle50 (28.7 million page faults, 37 s of system time on a
+    # shared 2-core x86-64 host).
+    shifted = np.subtract(np.asarray(xi, dtype=float), 1.0, out=out)
+    return np.clip(shifted, -1.0, 0.0, out=out)
 
 
 class QuadraticObjective:
@@ -172,7 +179,7 @@ class SvmObjective:
 
     def _local_gradients(self, z: np.ndarray) -> np.ndarray:
         xi = np.matmul(z[..., None, :], self._ya_t)[..., 0, :]  # (..., n, s)
-        dh = smoothed_hinge_derivative(xi)
+        dh = smoothed_hinge_derivative(xi, out=xi)
         return (z / self.n_agents
                 + self.penalty * np.matmul(self._ya_t, dh[..., None])[..., 0])
 
@@ -180,8 +187,8 @@ class SvmObjective:
         """x is (..., d); gradient of F = sum_i f_i at each point, one
         matrix product per point."""
         x = np.asarray(x, dtype=float)
-        dh = smoothed_hinge_derivative(
-            np.matmul(x[..., None, :], self._ya_flat_t))     # (..., 1, n s)
+        xi = np.matmul(x[..., None, :], self._ya_flat_t)     # (..., 1, n s)
+        dh = smoothed_hinge_derivative(xi, out=xi)
         return x + self.penalty * np.matmul(dh, self._ya_flat)[..., 0, :]
 
     def total_value(self, x: np.ndarray) -> float:

@@ -106,7 +106,7 @@ def run_gradient_push(topology: Topology, bounds: FaultBounds,
                       z_star: np.ndarray | None = None,
                       record_trace: bool = False,
                       mask: np.ndarray | None = None,
-                      chunk: int = _engine.DEFAULT_CHUNK
+                      chunk: int | None = None
                       ) -> _engine.RunResult:
     """Batched optimizer runs. x0 defaults to all-ones (shared start)."""
     if ledger.horizon < horizon:

@@ -4,18 +4,18 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushsim import rng as rngmod
 from pushsim.audit import build_delivery_indicators
 from pushsim.engine import run_protocol
 from pushsim.errors import ConfigurationError, InconsistentScheduleError
-from pushsim.faultnet import (LOST, NOT_SENT, FaultBounds, RealizerState,
-                              ScheduleDraws, ScheduleRealization,
-                              check_window_connectivity, realize_chunk,
-                              realize_schedule, sample_send, sample_wake,
-                              validate_mask)
+from pushsim.faultnet import (CHUNK_CELLS, LOST, NOT_SENT, FaultBounds,
+                              RealizerState, ScheduleDraws,
+                              ScheduleRealization, check_window_connectivity,
+                              chunk_slots, realize_chunk, realize_schedule,
+                              sample_send, sample_wake, validate_mask)
 from pushsim.graph import build_cycle, build_random_strongly_connected
 from pushsim.harness import ExperimentConfig
 from pushsim.rng import Role, stream
@@ -345,9 +345,46 @@ def test_chunked_realization_is_chunk_invariant():
                                            stream(8, 0, Role.TOPOLOGY, 0))
     bounds = FaultBounds(3, 3, 3, wake_prob=0.5, loss_prob=0.3)
     one = realize_schedule(topo, bounds, 200, 8, 1, chunk=7)
-    two = realize_schedule(topo, bounds, 200, 8, 1, chunk=64)
-    assert np.array_equal(one.wake, two.wake)
-    assert np.array_equal(one.arrival, two.arrival)
+    for chunk in (64, None):
+        two = realize_schedule(topo, bounds, 200, 8, 1, chunk=chunk)
+        assert np.array_equal(one.wake, two.wake), chunk
+        assert np.array_equal(one.arrival, two.arrival), chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1000), st.integers(1, 200), st.integers(0, 2000))
+@example(1, 5, 12)             # one run: a whole 500-slot audit in one chunk
+@example(50, 50, 785)          # a dense graph past the budget: one slot
+@example(1, CHUNK_CELLS, 1)
+def test_chunk_slots_keeps_a_chunk_within_the_cell_budget(batch, n, m):
+    # the most slots that fit, or one slot where none fits
+    cells = batch * (n + m)
+    slots = chunk_slots(batch, n, m)
+    assert slots >= 1
+    if slots > 1:
+        assert slots * cells <= CHUNK_CELLS
+    assert (slots + 1) * cells > CHUNK_CELLS
+
+
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_chunk_lengths_below_one_are_rejected(chunk):
+    # these failed with a bare numpy ValueError (B = 1) or IndexError
+    # (B = 2) from deep in the chunk pass
+    topo = build_cycle(3, bidirectional=True)
+    bounds = FaultBounds(2, 1, 2, wake_prob=0.5, loss_prob=0.3)
+    for runs in ((0,), (0, 1)):
+        with pytest.raises(ConfigurationError, match=r"^chunk: must be >= 1$"):
+            run_protocol(topo, bounds, np.ones((3, 1)), 20, 4, runs=runs,
+                         chunk=chunk)
+    with pytest.raises(ConfigurationError, match=r"^chunk: must be >= 1$"):
+        realize_schedule(topo, bounds, 20, 4, chunk=chunk)
+
+
+def test_an_empty_batch_is_rejected():
+    # failed with a bare IndexError when the draw tables were stacked
+    with pytest.raises(ConfigurationError, match=r"^runs: at least one run"):
+        run_protocol(build_cycle(3), FaultBounds(1, 0, 1), np.ones((3, 1)),
+                     10, 1, runs=())
 
 
 def test_classification_accepts_slot_zero_sends():

@@ -153,12 +153,15 @@ def test_ratio_checkpoints_validated(tmp_path):
     ("objective", {"kind": "svm", "points_per_node": 7}),
     ("objective", {"kind": "svm", "cost_scale": -5.0}),
     ("objective", {"kind": "svm", "cost_scale": 0.0}),
+    ("objective", {"kind": "quadratic", "dim": 0}),
+    ("objective", {"kind": "quadratic", "dim": -1}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 0.0}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 1.5}),
     ("master_seed", -1),
     ("master_seed", 2 ** 64),
-], ids=["no-points", "odd-points", "negative-cost", "zero-cost", "edge-prob-0",
-        "edge-prob-above-1", "negative-seed", "seed-2**64"])
+], ids=["no-points", "odd-points", "negative-cost", "zero-cost", "zero-dim",
+        "negative-dim", "edge-prob-0", "edge-prob-above-1", "negative-seed",
+        "seed-2**64"])
 def test_config_rejects_out_of_range_section_values(section, value):
     # these failed with a bare ZeroDivisionError, failed in build_problem
     # after creating the output directory, ran on a hinge term of negative
@@ -598,6 +601,22 @@ def test_cli_rejects_an_out_of_range_seed_before_writing(seed, tmp_path,
                      str(CONFIGS / "quad_async_cycle10.json"), "--seed", seed,
                      "--out", str(out)]) == 2
     assert "master_seed: must be in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_cli_rejects_a_dimension_below_one_before_writing(dim, tmp_path,
+                                                          capsys):
+    # these exited 2 with "noise dimension must be >= 1" (dim 0) or 1 with
+    # a numpy traceback (dim -1), after creating the output directory
+    raw = json.loads((CONFIGS / "quad_async_cycle10.json").read_text())
+    raw["objective"]["dim"] = dim
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli_main(["rasgp", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert "objective.dim: must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Step-size schedule and the distributed optimizer loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,7 +210,7 @@ def test_runs_are_bit_identical_whatever_batch_they_run_in(kind):
         noise = box_noise_model(4.0, obj.dim)
         led = StepSizeLedger(numerator=n, mu=obj.mu_total, horizon=300)
         runs = (5, 0, 3, 11)
-        for chunk in (1, 7, 128):
+        for chunk in (1, 7, 128, None):
             batch = run_gradient_push(topo, ASYNC, obj, noise, led, 300, 21,
                                       runs=runs, z_star=z_star, chunk=chunk)
             for i, r in enumerate(runs):
@@ -219,3 +221,29 @@ def test_runs_are_bit_identical_whatever_batch_they_run_in(kind):
                 assert np.array_equal(batch.e_dist[i], alone.e_dist[0]), case
                 assert np.array_equal(batch.z_final[i],
                                       alone.z_final[0]), case
+
+
+@pytest.mark.parametrize("kind", ["svm_sync", "quad_async"])
+def test_a_large_batch_holds_tables_of_a_bounded_size(kind):
+    # At a fixed 128 slots per chunk, one call's traced peak grew with the
+    # batch: 101 MiB for the SVM case and 64 MiB for the quadratic one.
+    # Chunks of faultnet.chunk_slots keep both near 8 MiB.
+    if kind == "svm_sync":
+        topo, bounds, batch, horizon = (build_cycle(50, bidirectional=True),
+                                        SYNC, 100, 64)
+        obj = SvmObjective(*generate_svm_dataset(50, 2024))
+    else:
+        topo, bounds, batch, horizon = (build_cycle(10, bidirectional=True),
+                                        ASYNC, 200, 300)
+        obj = generate_quadratic(10, 2, master_seed=11)
+    noise = box_noise_model(4.0, obj.dim)
+    led = StepSizeLedger(numerator=topo.n, mu=obj.mu_total, horizon=horizon,
+                         k0=20)
+    tracemalloc.start()
+    try:
+        run_gradient_push(topo, bounds, obj, noise, led, horizon, 7,
+                          runs=range(batch), z_star=np.zeros(obj.dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak / 2 ** 20
