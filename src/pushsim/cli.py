@@ -23,9 +23,8 @@ from .audit import audit_trace, verify_run
 from .engine import run_protocol
 from .errors import ConfigurationError, PushsimError, VerificationError
 from .harness import (ExperimentConfig, ratio_study, replay,
-                      run_experiment, write_line_plot)
+                      run_experiment, write_csv, write_line_plot)
 from .optimizer import run_gradient_push
-from .pushsum import dump_state_trace
 from .rng import Role, stream, uniform_box
 
 AUDIT_SPAN_CAP = 1000   # bounds audit memory when attached to long runs
@@ -105,12 +104,11 @@ def _cmd_raps(args) -> int:
     result = run_protocol(topo, config.faults, x0, config.horizon,
                           config.master_seed, runs=(0,), record_trace=True)
     trace = result.trace
-    dump_state_trace(trace, outdir / "raps_trace.csv")
+    _write_state_trace(outdir / "raps_trace.csv", trace)
     mean = x0.mean(axis=0)
     err = np.abs(trace.z - mean[None, None, :]).max(axis=(1, 2))
-    lines = ["k,max_error"]
-    lines += [f"{k},{err[k]:.17g}" for k in range(err.shape[0])]
-    (outdir / "consensus.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "consensus.csv", "k,max_error",
+              np.arange(err.shape[0]), err)
     if args.plot:
         ks = np.arange(1, err.shape[0])
         write_line_plot(outdir / "consensus.svg",
@@ -123,6 +121,18 @@ def _cmd_raps(args) -> int:
         span = min(config.horizon, AUDIT_SPAN_CAP)
         _emit_verify(outdir, config, span, audit_trace(trace.head(span)))
     return 0
+
+
+def _write_state_trace(path: Path, trace) -> None:
+    """The recorded trace, one row per (slot, node): slot, node, kappa, y,
+    phi_y, then the x, z and phi_x coordinates."""
+    slots, n, dim = trace.x.shape
+    header = ["slot", "node", "kappa", "y", "phi_y"] + [
+        f"{name}{c}" for name in ("x", "z", "phi_x") for c in range(dim)]
+    columns = [*np.indices((slots, n)), trace.kappa, trace.y, trace.phi_y]
+    columns += [v[..., c] for v in (trace.x, trace.z, trace.phi_x)
+                for c in range(dim)]
+    write_csv(path, ",".join(header), *(v.reshape(-1) for v in columns))
 
 
 def _emit_verify(outdir: Path, config: ExperimentConfig, span: int,

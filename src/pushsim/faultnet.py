@@ -34,8 +34,14 @@ A single run (``realize_schedule``, a recorded trace, the reference
 simulator) is realized in closed form, by whole-chunk scans; a batch of
 runs by a loop over slots. Both are bit-identical to the scalar samplers
 ``sample_wake`` and ``sample_send``. Both paths exist because each wins on
-its own side: at one run the scans are about 10x faster, while at 50 runs
-and more the loop is (the scans measured 1.7-2.2x slower at 50 and 200).
+its own side. At the chunk lengths of ``chunk_slots``, one run's scans
+took a ninth of the loop's time on quad_async's 10-cycle and a sixteenth
+on audit_small's 5-node graph. The same scans over a batch took longer
+than the loop at every batch the benchmark and the gates run (time of the
+scans over the loop's): 1.48x at quad_async (B = 50), 2.02x at A6
+(B = 200), 2.36x at A8 (B = 100), 5.9x at svm_sync (B = 5, outcomes fixed
+by the bounds) and 2.30x on a dense n = 50 graph (B = 50). They won only
+at small batches with drawn outcomes: 0.72x at B = 10 and 0.18x at B = 2.
 
 This module holds the fault model and its realization only: a realized
 schedule says which nodes woke and when each send arrived or that it was
@@ -211,17 +217,11 @@ class ScheduleDraws:
                                 (rngmod.Role.SEND_LOSS, bounds.fixed_loss),
                                 (rngmod.Role.SEND_DELAY, bounds.fixed_delay)))
 
-    def draw_chunk(self, slots: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.broadcast_to(0.0, (slots, cols)) if gen is None
-                     else gen.random((slots, cols))
-                     for gen, cols in zip(self._gens,
-                                          (self.n, self.m, self.m)))
-
     @staticmethod
     def draw_batch(draws: list["ScheduleDraws"], slots: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every run's draw_chunk, stacked (B, C, ...) as it is drawn."""
+        """The next `slots` rows of every run's wake, loss and delay tables,
+        stacked (B, C, n) and (B, C, m) as they are drawn."""
         first = draws[0]
         tables = []
         for role, cols in enumerate((first.n, first.m, first.m)):
@@ -413,9 +413,8 @@ def realize_schedule(topology: Topology, bounds: FaultBounds, horizon: int,
     done = 0
     while done < extended:
         step = min(chunk, extended - done)
-        wake_u, loss_u, delay_u = draws.draw_chunk(step)
         w, a = realize_chunk(bounds, topology, state, done, horizon,
-                             wake_u[None], loss_u[None], delay_u[None], mask)
+                             *ScheduleDraws.draw_batch([draws], step), mask)
         wakes.append(w[0])
         arrivals.append(a[0])
         done += step

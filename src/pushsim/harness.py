@@ -1,4 +1,5 @@
-"""Experiment driver: configs, Monte Carlo orchestration, aggregation, CSV.
+"""Experiment driver: configs, Monte Carlo orchestration, aggregation, and
+every output file format.
 
 A single experiment runs R paired trials: the decentralized optimizer over
 the configured network and a centralized noisy-gradient baseline that shares
@@ -11,6 +12,10 @@ Aggregation shape: runs are grouped into batches; within a batch the curves
 are averaged pointwise; each batch curve is then averaged over
 non-overlapping 100-slot windows; the published value per window is the
 median across batches with a 1-standard-deviation band.
+
+File formats live here too: write_csv writes every table pushsim writes,
+the CLI's included, save_optimum writes optimum.csv, and _write_manifest
+writes manifest.json.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from .faultnet import FaultBounds
 from .graph import Topology, build_cycle, build_random_strongly_connected
 from .objectives import (SVM_PENALTY_NUMERATOR, SVM_POINTS_PER_NODE,
                          NoiseModel, OptimumCertificate, SvmObjective,
-                         box_noise_model, dump_svm_dataset,
-                         generate_quadratic, generate_svm_dataset,
-                         save_optimum, solve_reference_optimum)
+                         box_noise_model, generate_quadratic,
+                         generate_svm_dataset, solve_reference_optimum)
 from .optimizer import StepSizeLedger, run_gradient_push
 from .rng import Role, stream
 
@@ -84,8 +88,9 @@ class ObjectiveSpec:
         if self.points_per_node % 2:
             # half of each node's points carry each label
             raise ConfigurationError("objective.points_per_node: must be even")
-        if not self.cost_scale > 0.0:
-            raise ConfigurationError("objective.cost_scale: must be positive")
+        if not 0.0 < self.cost_scale < np.inf:
+            raise ConfigurationError(
+                "objective.cost_scale: must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -154,8 +159,9 @@ class ExperimentConfig:
             raise ConfigurationError("runs: must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size: must be >= 1")
-        if self.noise_width <= 0:
-            raise ConfigurationError("noise_width: must be positive")
+        if not 0.0 < self.noise_width < np.inf:
+            raise ConfigurationError(
+                "noise_width: must be positive and finite")
         if self.step_offset < 0:
             raise ConfigurationError("step_offset: must be >= 0")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -320,14 +326,14 @@ def centralized_baseline(problem: ProblemInstance, horizon: int,
 # ---------------------------------------------------------------------------
 # Aggregation pipeline (pure functions of the raw series).
 
-def batch_window_means(raw: np.ndarray, batch_size: int,
-                       window: int = AGGREGATION_WINDOW):
+def batch_window_means(raw: np.ndarray, batch_size: int):
     """Stage 1+2 of the pipeline.
 
     raw is (R, K+1) with slot 0 first. Runs are grouped into consecutive
     batches (last batch may be short), averaged pointwise, then averaged over
-    non-overlapping windows covering slots [1, W*window]. Returns
-    (k_grid (W,), means (n_batches, W)) with k_grid at right window edges.
+    non-overlapping windows of AGGREGATION_WINDOW slots covering slots
+    [1, W * AGGREGATION_WINDOW]. Returns (k_grid (W,), means (n_batches, W))
+    with k_grid at right window edges.
     """
     # the sums' last bits depend on memory order; fix it to C, the order
     # of the engine's series and of read_raw
@@ -335,26 +341,26 @@ def batch_window_means(raw: np.ndarray, batch_size: int,
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise ConfigurationError("raw series must be (runs, slots)")
     R, K1 = raw.shape
-    W = (K1 - 1) // window
+    W = (K1 - 1) // AGGREGATION_WINDOW
     if W < 1:
         raise ConfigurationError(
-            f"horizon {K1 - 1} shorter than one window ({window})")
+            f"horizon {K1 - 1} shorter than one window ({AGGREGATION_WINDOW})")
     starts = range(0, R, batch_size)
     batch_means = np.stack([raw[s:s + batch_size].mean(axis=0)
                             for s in starts])
-    trimmed = batch_means[:, 1:1 + W * window]
-    means = trimmed.reshape(batch_means.shape[0], W, window).mean(axis=2)
-    k_grid = (np.arange(W) + 1) * window
+    trimmed = batch_means[:, 1:1 + W * AGGREGATION_WINDOW]
+    means = trimmed.reshape(batch_means.shape[0], W,
+                            AGGREGATION_WINDOW).mean(axis=2)
+    k_grid = (np.arange(W) + 1) * AGGREGATION_WINDOW
     return k_grid, means
 
 
-def aggregate_series(raw: np.ndarray, batch_size: int,
-                     window: int = AGGREGATION_WINDOW):
+def aggregate_series(raw: np.ndarray, batch_size: int):
     """Median across batches with a 1-std band (ddof=1; zero for one batch).
 
     Returns (k_grid, median, std).
     """
-    k_grid, means = batch_window_means(raw, batch_size, window)
+    k_grid, means = batch_window_means(raw, batch_size)
     med = np.median(means, axis=0)
     std = means.std(axis=0, ddof=1) if means.shape[0] > 1 \
         else np.zeros(means.shape[1])
@@ -373,57 +379,56 @@ class MetricSeries:
 
 
 def reduce_metrics(e_dist_raw: np.ndarray, e_c_raw: np.ndarray,
-                   batch_size: int,
-                   window: int = AGGREGATION_WINDOW) -> MetricSeries:
+                   batch_size: int) -> MetricSeries:
     slots = np.arange(e_dist_raw.shape[1], dtype=float)
-    k, d_med, d_std = aggregate_series(e_dist_raw, batch_size, window)
-    _, c_med, c_std = aggregate_series(e_c_raw, batch_size, window)
-    _, kd_med, _ = aggregate_series(e_dist_raw * slots, batch_size, window)
-    _, kc_med, _ = aggregate_series(e_c_raw * slots, batch_size, window)
+    k, d_med, d_std = aggregate_series(e_dist_raw, batch_size)
+    _, c_med, c_std = aggregate_series(e_c_raw, batch_size)
+    _, kd_med, _ = aggregate_series(e_dist_raw * slots, batch_size)
+    _, kc_med, _ = aggregate_series(e_c_raw * slots, batch_size)
     return MetricSeries(k, d_med, d_std, c_med, c_std, kd_med, kc_med)
 
 
 # ---------------------------------------------------------------------------
 # File emission.
 
-def _write_csv(path: Path, header: str, k, *columns, held=()) -> None:
-    """Header, then one row per slot: the integer k and each column with
-    17 significant digits (round-trip exact), formatted in one operation.
+def write_csv(path: Path, header: str, *columns, held=()) -> None:
+    """Every table pushsim writes: the header, then one row per entry of
+    the columns, each line ending in LF. An integer column is written as
+    %d and any other with 17 significant digits (round-trip exact). The
+    whole file is formatted to bytes in one operation.
 
-    A column in `held` holds each value for runs of rows; each run is
-    formatted once, and runs are told apart by bit pattern, since -0.0 and
-    0.0 compare equal but print differently."""
-    width = 1 + len(columns)
-    cells = [None] * (len(k) * width)
-    cells[0::width] = [int(v) for v in k]
-    row = "%d"
-    for j, column in enumerate(columns, start=1):
-        column = np.asarray(column, dtype=float)
-        if j - 1 in held:
-            cells[j::width] = _format_runs(column)
-            row += ",%s"
-        else:
+    A column whose position is in `held` holds each value for runs of
+    rows; each run is formatted once, and runs are told apart by bit
+    pattern, since -0.0 and 0.0 compare equal but print differently."""
+    width, rows = len(columns), len(columns[0])
+    cells = [None] * (rows * width)
+    formats = []
+    for j, column in enumerate(columns):
+        column = np.asarray(column)
+        if np.issubdtype(column.dtype, np.integer):
             cells[j::width] = column.tolist()
-            row += ",%.17g"
-    path.write_text(header + "\n" + (row + "\n") * len(k) % tuple(cells))
+            formats.append(b"%d")
+        elif j in held:
+            cells[j::width] = _format_runs(column.astype(float, copy=False))
+            formats.append(b"%s")
+        else:
+            cells[j::width] = column.astype(float, copy=False).tolist()
+            formats.append(b"%.17g")
+    row = b",".join(formats) + b"\n"
+    path.write_bytes(header.encode() + b"\n" + row * rows % tuple(cells))
 
 
-def _format_runs(column: np.ndarray) -> list[str]:
+def _format_runs(column: np.ndarray) -> list[bytes]:
     """Each entry of a float column with 17 significant digits, formatting
     every run of bit-identical entries once."""
     bits = column.view(np.int64)
     new_run = np.ones(len(bits), dtype=bool)
     new_run[1:] = bits[1:] != bits[:-1]
     starts = np.flatnonzero(new_run)
-    texts = ("%.17g\n" * len(starts) % tuple(column[starts].tolist())).split()
+    texts = (b"%.17g\n" * len(starts) % tuple(column[starts].tolist())
+             ).split()
     counts = np.diff(np.append(starts, len(column)))
     return np.repeat(np.array(texts, dtype=object), counts).tolist()
-
-
-def _write_raw(path: Path, e_dist: np.ndarray, e_c: np.ndarray) -> None:
-    # the baseline holds its iterate between updates
-    _write_csv(path, "k,E_dist,E_c", range(e_dist.shape[0]), e_dist, e_c,
-               held=(1,))
 
 
 def read_raw(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -431,14 +436,14 @@ def read_raw(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return body[:, 1], body[:, 2]
 
 
-def _write_errors(path: Path, series: MetricSeries) -> None:
-    _write_csv(path, "k,E_dist,E_c,E_dist_std,E_c_std", series.k,
-               series.e_dist, series.e_c, series.e_dist_std, series.e_c_std)
-
-
-def _write_k_errors(path: Path, series: MetricSeries) -> None:
-    _write_csv(path, "k,k_E_dist,k_E_c", series.k, series.k_e_dist,
-               series.k_e_c)
+def save_optimum(cert: OptimumCertificate, path: Path) -> None:
+    """optimum.csv: one line `z` and the optimum's coordinates, then
+    `grad_norm` and `iterations` lines for its certificate, space
+    separated, floats with 17 significant digits."""
+    z = cert.z_star.tolist()
+    path.write_bytes(b"z" + b" %.17g" * len(z) % tuple(z)
+                     + b"\ngrad_norm %.17g\niterations %d\n"
+                     % (cert.grad_norm, cert.iterations))
 
 
 def write_line_plot(path: Path, curves: dict, title: str) -> None:
@@ -537,7 +542,8 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
     (optional), errors.csv, k_errors.csv, dataset/optimum files for svm,
     optional errors.svg. On failure the manifest records the failing run
     index, slot and node for replay before the error propagates. A horizon
-    shorter than one aggregation window is rejected before anything is
+    shorter than one aggregation window, or a problem that cannot be built
+    (its reference optimum not certified), is rejected before anything is
     simulated or written.
     """
     from . import __version__
@@ -546,9 +552,9 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
         raise ConfigurationError(
             f"horizon {config.horizon} shorter than one aggregation window "
             f"({AGGREGATION_WINDOW})")
+    problem = build_problem(config)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(config)
     manifest = {
         "version": __version__,
         "status": "running",
@@ -556,8 +562,12 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
     }
     _write_manifest(outdir, manifest)
     if problem.dataset is not None:
-        dump_svm_dataset(problem.dataset[0], problem.dataset[1],
-                         outdir / "dataset.csv")
+        features, labels = problem.dataset
+        n, s, _ = features.shape
+        write_csv(outdir / "dataset.csv", "node,feature1,feature2,label",
+                  np.repeat(np.arange(n), s), features[..., 0].reshape(-1),
+                  features[..., 1].reshape(-1),
+                  labels.reshape(-1).astype(int))
         save_optimum(problem.optimum, outdir / "optimum.csv")
 
     try:
@@ -572,13 +582,19 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path,
 
     raw_files = []
     if persist_raw:
+        slots = np.arange(config.horizon + 1)
         for r in range(config.runs):
             name = RAW_NAME.format(r)
-            _write_raw(outdir / name, e_dist_raw[r], e_c_raw[r])
+            # the baseline holds its iterate between updates
+            write_csv(outdir / name, "k,E_dist,E_c", slots, e_dist_raw[r],
+                      e_c_raw[r], held=(2,))
             raw_files.append(name)
     series = reduce_metrics(e_dist_raw, e_c_raw, config.batch_size)
-    _write_errors(outdir / "errors.csv", series)
-    _write_k_errors(outdir / "k_errors.csv", series)
+    write_csv(outdir / "errors.csv", "k,E_dist,E_c,E_dist_std,E_c_std",
+              series.k, series.e_dist, series.e_c, series.e_dist_std,
+              series.e_c_std)
+    write_csv(outdir / "k_errors.csv", "k,k_E_dist,k_E_c", series.k,
+              series.k_e_dist, series.k_e_c)
     if plot:
         write_line_plot(outdir / "errors.svg", {
             "E_dist": (series.k, series.e_dist),
@@ -674,9 +690,7 @@ def ratio_study(template: ExperimentConfig, sizes, checkpoints,
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        lines = ["n,k,ratio,ratio_std"]
-        for row in rows:
-            lines.append(f"{row.n},{row.k},{row.ratio:.17g},"
-                         f"{row.ratio_std:.17g}")
-        (outdir / "ratio.csv").write_text("\n".join(lines) + "\n")
+        write_csv(outdir / "ratio.csv", "n,k,ratio,ratio_std",
+                  *zip(*((row.n, row.k, row.ratio, row.ratio_std)
+                         for row in rows)))
     return rows

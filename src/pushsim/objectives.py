@@ -19,7 +19,6 @@ The smoothed hinge and its derivative:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -279,21 +278,6 @@ def generate_svm_dataset(n: int, master_seed: int,
     return features, labels
 
 
-def dump_svm_dataset(features: np.ndarray, labels: np.ndarray,
-                     path: str | Path) -> None:
-    """Header, then one row per point: node index, both features with 17
-    significant digits and the integer label, with LF line ends, formatted
-    as bytes in one operation (a str would need a second, encoded copy)."""
-    n, s, _ = features.shape
-    cells = [None] * (n * s * 4)
-    cells[0::4] = np.repeat(np.arange(n), s).tolist()
-    cells[1::4] = features[..., 0].reshape(-1).tolist()
-    cells[2::4] = features[..., 1].reshape(-1).tolist()
-    cells[3::4] = labels.reshape(-1).astype(int).tolist()
-    Path(path).write_bytes(b"node,feature1,feature2,label\n"
-                           + b"%d,%.17g,%.17g,%d\n" * (n * s) % tuple(cells))
-
-
 # ---------------------------------------------------------------------------
 # Certified reference optimum.
 
@@ -304,9 +288,7 @@ class OptimumCertificate:
     iterations: int
 
 
-def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
-                            max_iters: int = REFERENCE_MAX_ITERS
-                            ) -> OptimumCertificate:
+def solve_reference_optimum(objective) -> OptimumCertificate:
     """Deterministic optimum of F = sum_i f_i with a gradient-norm certificate.
 
     An objective whose optimum() is not None is solved in closed form.
@@ -322,7 +304,9 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
     fixed step grad / L with L = sum(lipschitz_local), a global Lipschitz
     bound of grad F, which lowers F with no line search. If that step also
     leaves x unchanged, or the gradient is not finite, the solver raises
-    at once instead of spinning to max_iters.
+    at once instead of spinning to REFERENCE_MAX_ITERS.
+
+    The certificate asks for a gradient norm at most REFERENCE_GRAD_TOL.
     """
     closed = objective.optimum()
     if closed is not None:
@@ -334,10 +318,10 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
             "nor total_hessian")
     x = np.zeros(objective.dim)
     value = objective.total_value(x)
-    for it in range(1, max_iters + 1):
+    for it in range(1, REFERENCE_MAX_ITERS + 1):
         grad = objective.batch_total_gradient(x)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= grad_tol:
+        if gnorm <= REFERENCE_GRAD_TOL:
             return OptimumCertificate(x, gnorm, it - 1)
         if not np.isfinite(gnorm):
             raise ReferenceSolverError(
@@ -352,7 +336,7 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
                 if np.array_equal(cand, x):
                     raise ReferenceSolverError(
                         f"iteration {it} left x unchanged "
-                        f"(grad norm {gnorm:.3e} > {grad_tol:.1e})")
+                        f"(grad norm {gnorm:.3e} > {REFERENCE_GRAD_TOL:.1e})")
                 cand_value = objective.total_value(cand)
                 break
             cand_value = objective.total_value(cand)
@@ -361,13 +345,5 @@ def solve_reference_optimum(objective, grad_tol: float = REFERENCE_GRAD_TOL,
             step *= 0.5
         x, value = cand, cand_value
     raise ReferenceSolverError(
-        f"no certificate after {max_iters} iterations "
-        f"(grad norm {gnorm:.3e} > {grad_tol:.1e})")
-
-
-def save_optimum(cert: OptimumCertificate, path: str | Path) -> None:
-    """Decimal vector plus a gradient-norm certificate line."""
-    lines = ["z " + " ".join(format(v, ".17g") for v in cert.z_star),
-             f"grad_norm {cert.grad_norm:.17g}",
-             f"iterations {cert.iterations}"]
-    Path(path).write_text("\n".join(lines) + "\n")
+        f"no certificate after {REFERENCE_MAX_ITERS} iterations "
+        f"(grad norm {gnorm:.3e} > {REFERENCE_GRAD_TOL:.1e})")

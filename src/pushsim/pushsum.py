@@ -18,7 +18,6 @@ the two in sync by changing this one first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -234,23 +233,3 @@ class Injection:
               wake: np.ndarray) -> np.ndarray | None:
         delta = self.perturbation(k)
         return None if delta is None else np.asarray(delta, dtype=float)
-
-
-def dump_state_trace(trace, path: str | Path) -> None:
-    """Wide CSV of a recorded trace: one row per (slot, node).
-
-    Columns: slot, node, kappa, y, phi_y, then x/z/phi_x coordinates.
-    Floats are rendered with 17 significant digits (round-trip exact).
-    """
-    K1, n, dim = trace.x.shape
-    header = ["slot", "node", "kappa", "y", "phi_y"] + [
-        f"{name}{c}" for name in ("x", "z", "phi_x") for c in range(dim)]
-    ints = np.stack([*np.indices((K1, n)), trace.kappa], axis=-1)
-    floats = np.concatenate([trace.y[..., None], trace.phi_y[..., None],
-                             trace.x, trace.z, trace.phi_x], axis=-1)
-    row = "%d,%d,%d" + ",%.17g" * floats.shape[-1] + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % (*i, *f) for i, f in zip(
-            ints.reshape(-1, 3).tolist(),
-            floats.reshape(K1 * n, -1).tolist()))

@@ -154,13 +154,13 @@ def test_realizer_matches_scalar_reference():
     bounds = FaultBounds(3, 2, 3, wake_prob=0.45, loss_prob=0.5)
     horizon = 80
     for batch in (1, 2):
-        tables = [ScheduleDraws(31, 4 + b, topo.n, topo.m, bounds
-                                ).draw_chunk(horizon)
-                  for b in range(batch)]
+        tables = ScheduleDraws.draw_batch(
+            [ScheduleDraws(31, 4 + b, topo.n, topo.m, bounds)
+             for b in range(batch)], horizon)
         state = RealizerState.initial(batch, topo.n, topo.m)
         wake, arrival = realize_chunk(bounds, topo, state, 0, horizon,
-                                      *(np.stack(u) for u in zip(*tables)))
-        for b, (wake_u, loss_u, delay_u) in enumerate(tables):
+                                      *tables)
+        for b, (wake_u, loss_u, delay_u) in enumerate(zip(*tables)):
             asleep = [0, 0]
             streak = np.zeros(topo.m, dtype=int)
             last = np.full(topo.m, -1, dtype=int)
@@ -210,10 +210,10 @@ def realize_in_chunks(topo, bounds, horizon, runs, chunk, mask):
     wakes, arrivals, states = [], [], []
     extended = horizon + bounds.max_effective_delay
     for first in range(0, extended, chunk):
-        tables = [d.draw_chunk(min(chunk, extended - first)) for d in draws]
+        tables = ScheduleDraws.draw_batch(draws,
+                                          min(chunk, extended - first))
         wake, arrival = realize_chunk(bounds, topo, state, first, horizon,
-                                      *(np.stack(u) for u in zip(*tables)),
-                                      mask)
+                                      *tables, mask)
         wakes.append(wake)
         arrivals.append(arrival)
         states.append((state.slots_asleep, state.fail_streak,

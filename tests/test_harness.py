@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, aggregation, persistence, replay."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -11,13 +12,16 @@ import pytest
 
 from pushsim import harness
 from pushsim.cli import main as cli_main
-from pushsim.errors import ConfigurationError, ProtocolViolationError
-from pushsim.faultnet import realize_schedule
+from pushsim.engine import run_protocol
+from pushsim.errors import (ConfigurationError, ProtocolViolationError,
+                            ReferenceSolverError)
+from pushsim.faultnet import FaultBounds, realize_schedule
+from pushsim.graph import build_cycle
 from pushsim.harness import (ExperimentConfig, aggregate_series,
                              batch_window_means, build_problem,
                              centralized_baseline, ratio_study, read_raw,
-                             reduce_metrics, replay, run_experiment)
-from pushsim.objectives import save_optimum
+                             reduce_metrics, replay, run_experiment,
+                             save_optimum, write_csv)
 from pushsim.optimizer import StepSizeLedger, run_gradient_push
 from pushsim.rng import Role, stream
 
@@ -153,20 +157,28 @@ def test_ratio_checkpoints_validated(tmp_path):
     ("objective", {"kind": "svm", "points_per_node": 7}),
     ("objective", {"kind": "svm", "cost_scale": -5.0}),
     ("objective", {"kind": "svm", "cost_scale": 0.0}),
+    ("objective", {"kind": "svm", "cost_scale": float("nan")}),
+    ("objective", {"kind": "svm", "cost_scale": float("inf")}),
+    ("objective", {"kind": "svm", "cost_scale": -float("inf")}),
     ("objective", {"kind": "quadratic", "dim": 0}),
     ("objective", {"kind": "quadratic", "dim": -1}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 0.0}),
     ("topology", {"kind": "random", "n": 4, "edge_prob": 1.5}),
     ("master_seed", -1),
     ("master_seed", 2 ** 64),
-], ids=["no-points", "odd-points", "negative-cost", "zero-cost", "zero-dim",
-        "negative-dim", "edge-prob-0", "edge-prob-above-1", "negative-seed",
-        "seed-2**64"])
+    ("noise_width", float("nan")),
+    ("noise_width", float("inf")),
+    ("noise_width", -float("inf")),
+], ids=["no-points", "odd-points", "negative-cost", "zero-cost", "nan-cost",
+        "inf-cost", "minus-inf-cost", "zero-dim", "negative-dim",
+        "edge-prob-0", "edge-prob-above-1", "negative-seed", "seed-2**64",
+        "nan-noise", "inf-noise", "minus-inf-noise"])
 def test_config_rejects_out_of_range_section_values(section, value):
     # these failed with a bare ZeroDivisionError, failed in build_problem
     # after creating the output directory, ran on a hinge term of negative
-    # weight, drew 10,000 random graphs before giving up, or failed with a
-    # bare ValueError when the first stream was opened
+    # weight, drew 10,000 random graphs before giving up, failed with a
+    # bare ValueError when the first stream was opened, or (non-finite
+    # noise widths and cost scales) failed mid-run on a non-finite gradient
     where = section
     if isinstance(value, dict):
         where += r"\." + next(k for k in value if k not in ("kind", "n"))
@@ -320,16 +332,19 @@ def test_csv_writers_match_row_by_row_formatting(tmp_path, k_dtype):
                                                    size - len(SPECIAL_VALUES))])
             for j in range(6)]
     path = tmp_path / "raw.csv"
-    harness._write_raw(path, cols[0], cols[1])
+    write_csv(path, "k,E_dist,E_c", np.arange(size), cols[0], cols[1],
+              held=(2,))
     assert path.read_text() == reference_raw(cols[0], cols[1])
     series = harness.MetricSeries(
         (np.arange(size) * 100 + 100).astype(k_dtype), *cols[:6])
-    harness._write_errors(path, series)
+    write_csv(path, "k,E_dist,E_c,E_dist_std,E_c_std", series.k,
+              series.e_dist, series.e_c, series.e_dist_std, series.e_c_std)
     assert path.read_text() == reference_errors(series)
-    harness._write_k_errors(path, series)
+    write_csv(path, "k,k_E_dist,k_E_c", series.k, series.k_e_dist,
+              series.k_e_c)
     assert path.read_text() == reference_k_errors(series)
     empty = np.empty(0)
-    harness._write_raw(path, empty, empty)
+    write_csv(path, "k,E_dist,E_c", np.arange(0), empty, empty, held=(2,))
     assert path.read_text() == reference_raw(empty, empty)
 
 
@@ -382,7 +397,7 @@ def test_manifest_echoes_the_config_with_every_default(tmp_path):
     assert isinstance(manifest["config"]["noise_width"], float)
 
 
-def test_experiment_series_matches_raw_files(tiny_run, tmp_path):
+def test_experiment_series_matches_raw_files(tiny_run):
     cfg, outdir, _ = tiny_run
     manifest = json.loads((outdir / "manifest.json").read_text())
     # every published number is recomputable from the raw files alone
@@ -390,13 +405,9 @@ def test_experiment_series_matches_raw_files(tiny_run, tmp_path):
     series = reduce_metrics(np.stack([e_dist for e_dist, _ in raws]),
                             np.stack([e_c for _, e_c in raws]),
                             cfg.batch_size)
-    recomputed = tmp_path / "recomputed"
-    recomputed.mkdir()
-    harness._write_errors(recomputed / "errors.csv", series)
-    harness._write_k_errors(recomputed / "k_errors.csv", series)
-    for name in ("errors.csv", "k_errors.csv"):
-        assert (recomputed / name).read_bytes() == \
-            (outdir / name).read_bytes(), name
+    assert (outdir / "errors.csv").read_text() == reference_errors(series)
+    assert (outdir / "k_errors.csv").read_text() == \
+        reference_k_errors(series)
 
 
 def test_experiment_series_are_the_optimizer_and_its_baseline(tiny_run):
@@ -490,6 +501,63 @@ def test_svm_optimum_is_solved_once_per_experiment(tmp_path, monkeypatch):
     save_optimum(real(result.problem.objective), tmp_path / "fresh.csv")
     assert ((tmp_path / "svm" / "optimum.csv").read_bytes()
             == (tmp_path / "fresh.csv").read_bytes())
+
+
+def test_failed_build_writes_nothing(tmp_path, monkeypatch):
+    # a solver failure left an empty output directory without a manifest
+    def fail(objective):
+        raise ReferenceSolverError("no certificate")
+
+    monkeypatch.setattr(harness, "solve_reference_optimum", fail)
+    cfg = config(objective={"kind": "svm", "points_per_node": 20},
+                 horizon=100, runs=2, batch_size=1)
+    outdir = tmp_path / "svm"
+    with pytest.raises(ReferenceSolverError, match="no certificate"):
+        run_experiment(cfg, outdir)
+    assert not outdir.exists()
+
+
+def svm_experiment(tmp_path):
+    cfg = config(objective={"kind": "svm", "points_per_node": 6},
+                 horizon=100, runs=1, batch_size=1)
+    return run_experiment(cfg, tmp_path / "svm")
+
+
+def test_svm_dataset_round_trip(tmp_path):
+    result = svm_experiment(tmp_path)
+    feats, labs = result.problem.dataset
+    path = result.outdir / "dataset.csv"
+    assert path.read_text().splitlines()[0] == "node,feature1,feature2,label"
+    body = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(body[:, 0], np.repeat(np.arange(3), labs.shape[1]))
+    assert np.array_equal(body[:, 1:3], feats.reshape(-1, 2))
+    assert np.array_equal(body[:, 3], labs.reshape(-1))
+
+
+def test_svm_dataset_bytes_match_a_csv_writer(tmp_path, monkeypatch):
+    real_build = harness.build_problem
+
+    def build(cfg):
+        # values whose text is easy to get wrong, in the written copy only
+        problem = real_build(cfg)
+        feats, labs = problem.dataset
+        feats = feats.copy()
+        feats[0, 0, 0], feats[0, 1, 1], feats[1, 2, 0] = -0.0, 1e-300, 1e22
+        return dataclasses.replace(problem, dataset=(feats, labs))
+
+    monkeypatch.setattr(harness, "build_problem", build)
+    result = svm_experiment(tmp_path)
+    feats, labs = result.problem.dataset
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["node", "feature1", "feature2", "label"])
+        for i in range(feats.shape[0]):
+            for j in range(feats.shape[1]):
+                w.writerow([i, format(feats[i, j, 0], ".17g"),
+                            format(feats[i, j, 1], ".17g"),
+                            int(labs[i, j])])
+    assert ((result.outdir / "dataset.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
 
 
 def test_baseline_updates_on_gap_and_is_deterministic(tiny_run):
@@ -617,6 +685,27 @@ def test_cli_rejects_a_dimension_below_one_before_writing(dim, tmp_path,
     assert cli_main(["rasgp", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
     assert "objective.dim: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config_name, section, key, value", [
+    ("quad_async_cycle10.json", None, "noise_width", float("nan")),
+    ("quad_async_cycle10.json", None, "noise_width", float("inf")),
+    ("svm_sync_cycle50.json", "objective", "cost_scale", float("inf")),
+], ids=["nan-noise", "inf-noise", "inf-cost"])
+def test_cli_rejects_a_non_finite_value_before_writing(
+        config_name, section, key, value, tmp_path, capsys):
+    # these exited 1 on a non-finite gradient, after writing a failed
+    # manifest or an empty output directory; Python's json writes and
+    # reads NaN and Infinity
+    raw = json.loads((CONFIGS / config_name).read_text())
+    (raw[section] if section else raw)[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli_main(["rasgp", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert f"{key}: must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -755,6 +844,35 @@ def test_cli_plot_writes_parseable_svg(tmp_path):
     assert len(svg_polylines(out / "ratio.svg", "error ratio")) == 3
 
 
+def test_raps_trace_round_trip(tmp_path):
+    from pushsim import cli
+
+    topo = build_cycle(3, bidirectional=True)
+    x0 = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
+    trace = run_protocol(topo, FaultBounds(3, 3, 3, wake_prob=0.5,
+                                           loss_prob=0.3),
+                         x0, 40, 4, record_trace=True).trace
+    path = tmp_path / "raps_trace.csv"
+    cli._write_state_trace(path, trace)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["slot", "node", "kappa", "y", "phi_y", "x0", "x1",
+                       "z0", "z1", "phi_x0", "phi_x1"]
+    table = np.array(rows[1:], dtype=float)
+    assert table.shape == (41 * 3, 11)        # one row per (slot, node)
+    col = {name: table[:, j].reshape(41, 3) for j, name in
+           enumerate(rows[0])}
+    assert np.array_equal(col["slot"], np.repeat(np.arange(41)[:, None], 3,
+                                                 axis=1))
+    assert np.array_equal(col["node"], np.tile(np.arange(3), (41, 1)))
+    assert np.array_equal(col["kappa"], trace.kappa)
+    for name in ("y", "phi_y"):
+        assert np.array_equal(col[name], getattr(trace, name)), name
+    for name in ("x", "z", "phi_x"):
+        got = np.stack([col[f"{name}{c}"] for c in range(2)], axis=-1)
+        assert np.array_equal(got, getattr(trace, name)), name
+
+
 def test_cli_replay_subcommand(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(dict(BASE, horizon=120, runs=2,
@@ -771,7 +889,7 @@ def test_cli_replay_subcommand(tmp_path):
 # SHA-256 of output files as version 0.6.0 writes them. Every digest but
 # dataset.csv's is also 0.5.0's: 0.6.0 moved only that file's line ends,
 # from CRLF to LF. A change that moves one of these bits bumps __version__
-# and updates the digest.
+# and updates the digest. A dict in argv is a config the test writes.
 PINNED_OUTPUTS = [
     (["raps", "--config", "verify_faulty_small.json", "--horizon", "200"], {
         "raps_trace.csv": "90ac32a146770a931741cf52f0b2b0ad"
@@ -781,23 +899,44 @@ PINNED_OUTPUTS = [
     (["rasgp", "--config", "quad_async_cycle10.json", "--runs", "2",
       "--horizon", "200"], {
         "run_0000.csv": "4b5c3e903b3921a5f9d6d8696453c61d"
-                        "613ff5dc544a63002ce21861891f9686"}),
+                        "613ff5dc544a63002ce21861891f9686",
+        "errors.csv": "f470c1ffbf526d75239c494202565036"
+                      "872cbcba2a2431c9a94b2b204255d3fc",
+        "k_errors.csv": "bea1d362207bec1649624edcbf8b0073"
+                        "7e5f7cdd4c44622383bf24c6814dd74f"}),
     (["rasgp", "--config", "svm_sync_cycle50.json", "--runs", "2",
       "--horizon", "200"], {
         "run_0000.csv": "ba4ccbdf9aa45836d20af774fedd32c4"
                         "764e252c6417eed131d4bc11d039007b",
+        "errors.csv": "4ccddfc5d5d3dc2c3f04156e89aa8981"
+                      "9caf26b80e5d899b9613894d929ddc0f",
+        "k_errors.csv": "368d4e9de33a6dc6271ea8fd7019b426"
+                        "6daea17e31cd189151523144ca8ee9fe",
         "dataset.csv": "26cbc7db825d4ead19d4f24637964b0a"
-                       "2c7b47d0063262d09a9f7de08d5040ae"}),
+                       "2c7b47d0063262d09a9f7de08d5040ae",
+        "optimum.csv": "bc7d25dae46102c313adc846ec2f30cb"
+                       "34c2716476c93fc07b5810799c3ac57b"}),
+    (["ratio", "--config", dict(BASE, horizon=200, runs=4, ratio={
+        "sizes": [3, 5], "checkpoints": [100, 200]})], {
+        "ratio.csv": "bb53c0df677a87c4145540a8616a0960"
+                     "5bb83cdbf890995fc269a48795b72199"}),
 ]
 
 
 @pytest.mark.parametrize("argv, digests", PINNED_OUTPUTS,
-                         ids=["raps", "rasgp", "rasgp-svm-sync"])
+                         ids=["raps", "rasgp", "rasgp-svm-sync", "ratio"])
 def test_cli_outputs_keep_their_bits(argv, digests, tmp_path):
-    argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
-    assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+    def resolve(arg):
+        if isinstance(arg, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(arg))
+            return str(path)
+        return str(CONFIGS / arg) if arg.endswith(".json") else arg
+
+    out = tmp_path / "out"
+    assert cli_main([resolve(a) for a in argv] + ["--out", str(out)]) == 0
     for name, digest in digests.items():
-        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == digest, name
 
 

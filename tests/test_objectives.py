@@ -1,17 +1,16 @@
 """Local objectives, gradients, noise moments, reference optima."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pushsim import objectives
 from pushsim.errors import ConfigurationError, ReferenceSolverError
+from pushsim.harness import save_optimum
 from pushsim.objectives import (NoiseModel, QuadraticObjective, SvmObjective,
-                                box_noise_model, dump_svm_dataset,
-                                generate_quadratic, generate_svm_dataset,
-                                save_optimum, smoothed_hinge,
+                                box_noise_model, generate_quadratic,
+                                generate_svm_dataset, smoothed_hinge,
                                 smoothed_hinge_derivative,
                                 solve_reference_optimum)
 
@@ -292,10 +291,12 @@ class _Stuck:
         return np.array([1e-20])
 
 
-def test_reference_solver_raises_when_an_iteration_moves_nothing():
+def test_reference_solver_raises_when_an_iteration_moves_nothing(
+        monkeypatch):
     stuck = _Stuck()
+    monkeypatch.setattr(objectives, "REFERENCE_GRAD_TOL", 1e-30)
     with pytest.raises(ReferenceSolverError, match="unchanged"):
-        solve_reference_optimum(stuck, grad_tol=1e-30)
+        solve_reference_optimum(stuck)
     assert stuck.gradient_calls == 1
 
 
@@ -372,33 +373,6 @@ def test_noise_model_validation():
 
 
 # ------------------------------------------------------------ file io
-
-def test_svm_dataset_round_trip(tmp_path):
-    feats, labs = generate_svm_dataset(4, 44)
-    path = tmp_path / "dataset.csv"
-    dump_svm_dataset(feats, labs, path)
-    assert path.read_text().splitlines()[0] == "node,feature1,feature2,label"
-    body = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(body[:, 0], np.repeat(np.arange(4), labs.shape[1]))
-    assert np.array_equal(body[:, 1:3], feats.reshape(-1, 2))
-    assert np.array_equal(body[:, 3], labs.reshape(-1))
-
-
-def test_svm_dataset_bytes_match_a_csv_writer(tmp_path):
-    feats, labs = generate_svm_dataset(6, 45)
-    feats[0, 0, 0], feats[0, 1, 1], feats[1, 2, 0] = -0.0, 1e-300, 1e22
-    dump_svm_dataset(feats, labs, tmp_path / "dataset.csv")
-    with open(tmp_path / "reference.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["node", "feature1", "feature2", "label"])
-        for i in range(feats.shape[0]):
-            for j in range(feats.shape[1]):
-                w.writerow([i, format(feats[i, j, 0], ".17g"),
-                            format(feats[i, j, 1], ".17g"),
-                            int(labs[i, j])])
-    assert ((tmp_path / "dataset.csv").read_bytes()
-            == (tmp_path / "reference.csv").read_bytes())
-
 
 def test_optimum_round_trip(tmp_path):
     q = generate_quadratic(3, 2, master_seed=2)

@@ -1,7 +1,5 @@
 """Running-sum protocol core: push arithmetic, stale discard, consensus."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,9 @@ from pushsim.engine import Trace, last_wakes, run_protocol
 from pushsim.faultnet import NOT_SENT, FaultBounds, ScheduleRealization
 from pushsim.graph import (Topology, build_cycle,
                            build_random_strongly_connected)
-from pushsim.pushsum import (InFlightMessage, Injection, dump_state_trace,
-                             init_node, process_inbox,
-                             reference_averaging_run, wake_and_push)
+from pushsim.pushsum import (InFlightMessage, Injection, init_node,
+                             process_inbox, reference_averaging_run,
+                             wake_and_push)
 from pushsim.rng import Role, stream
 
 SYNC = FaultBounds(1, 0, 1)
@@ -310,31 +308,6 @@ def test_last_wakes_on_a_hand_built_table():
                                  [5, 6, 4], [8, 8, 4]],
                                 [[-1, -1, -1], [5, 5, -1], [5, 5, -1],
                                  [5, 7, -1], [8, 7, -1]]])
-
-
-def test_dump_state_trace_round_trip(tmp_path):
-    topo = build_cycle(3, bidirectional=True)
-    x0 = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
-    trace = run_protocol(topo, ASYNC, x0, 40, 4, record_trace=True).trace
-    path = tmp_path / "trace.csv"
-    dump_state_trace(trace, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["slot", "node", "kappa", "y", "phi_y", "x0", "x1",
-                       "z0", "z1", "phi_x0", "phi_x1"]
-    table = np.array(rows[1:], dtype=float)
-    assert table.shape == (41 * 3, 11)        # one row per (slot, node)
-    col = {name: table[:, j].reshape(41, 3) for j, name in
-           enumerate(rows[0])}
-    assert np.array_equal(col["slot"], np.repeat(np.arange(41)[:, None], 3,
-                                                 axis=1))
-    assert np.array_equal(col["node"], np.tile(np.arange(3), (41, 1)))
-    assert np.array_equal(col["kappa"], trace.kappa)
-    for name in ("y", "phi_y"):
-        assert np.array_equal(col[name], getattr(trace, name)), name
-    for name in ("x", "z", "phi_x"):
-        got = np.stack([col[f"{name}{c}"] for c in range(2)], axis=-1)
-        assert np.array_equal(got, getattr(trace, name)), name
 
 
 CHUNKS = (1, 2, 3, 7, 128, 512)
