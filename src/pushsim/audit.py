@@ -24,6 +24,25 @@ node) evolves under the same matrices.
 
 Effective delay of a send = (receiver's first wake at or after arrival) -
 (send slot); per (arc, processing slot) only the newest send is accepted.
+
+A recorded run is audited in windows of W slots (``audit_trace``). Each
+window rebuilds its slots from the augmented state the previous one ended
+in, and carries on what its identities need from earlier slots: the mass
+applied so far, and per arc the processing slot of its last accepted send
+and the first send that broke its processing order. Each identity's worst
+residual and first bad slot merge across windows with a max and a min, so
+a windowed audit reports what one window over the whole run reports, bit
+for bit; the whole run is the case W = K. Whether a send is superseded
+depends on the sends of the next L_d - 1 slots, so each window's delivery
+table reads that far ahead.
+
+W is the most slots whose augmented states, S x (d + 1) cells each, fit in
+``faultnet.CHUNK_CELLS`` = 65,536 cells, and at least one. A window's
+state, matrices, scatter indices and residuals each hold a small multiple
+of that, so the audit's memory stays near a few MiB whatever the span,
+while the per-window fixed cost (a few dozen numpy calls) stays a small
+share: 283 slots on the 5-node verify_faulty_small network (S = 77,
+d = 2), 168 on a 10-node bidirectional cycle with L_d = 5 (S = 130).
 """
 
 from __future__ import annotations
@@ -35,7 +54,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, InconsistentScheduleError,
                      VerificationError)
-from .faultnet import ScheduleRealization
+from .faultnet import CHUNK_CELLS, ScheduleRealization
 from .graph import Topology
 
 CONTRACTION_DIGITS = 80
@@ -196,17 +215,51 @@ def build_mass_matrix(layout: AugmentedLayout, wake: np.ndarray,
     return SlotMatrices(layout.size, cols, rows, data)
 
 
+def audit_window(layout: AugmentedLayout, dim: int) -> int:
+    """Slots per audit window for a d = `dim` run on `layout`: the most whose
+    augmented states fit in CHUNK_CELLS cells, and at least one."""
+    return max(1, CHUNK_CELLS // (layout.size * (dim + 1)))
+
+
+@dataclass(frozen=True)
+class AuditCarry:
+    """What an audit window hands the next, which starts at slot `first`."""
+
+    first: int
+    state: np.ndarray       # (size, d+1) augmented state at boundary first
+    injected: np.ndarray    # (d,) mass applied in the slots before first
+    processed: np.ndarray   # (m,) each arc's last processing slot, -1 none
+    broken: np.ndarray      # (m,) first send that broke its order, -1 none
+
+    @classmethod
+    def initial(cls, layout: AugmentedLayout, x0: np.ndarray) -> "AuditCarry":
+        """Slot 0 of a run from x0, (n, d): weight one at every real node,
+        nothing in transit or in excess."""
+        n, dim = x0.shape
+        state = np.zeros((layout.size, dim + 1))
+        state[:n, :dim] = x0
+        state[:n, dim] = 1.0
+        none = np.full(layout.topology.m, -1, dtype=np.int64)
+        return cls(0, state, np.zeros(dim), none, none)
+
+
 @dataclass
 class AuditTrace:
-    """Augmented-state trajectory computed independently of the simulator.
+    """Augmented-state trajectory over slots first .. first + W - 1,
+    computed independently of the simulator.
 
-    Mass and weight share one state array; ``chi``/``psi`` are views.
+    Mass and weight share one state array; ``chi``/``psi`` are views. Row
+    0 is boundary `first`.
     """
 
     layout: AugmentedLayout
-    level: np.ndarray        # (K, m) delivery table
-    state: np.ndarray        # (K+1, size, d+1)  mass, then weight
-    matrices: SlotMatrices   # K slots
+    level: np.ndarray        # (W, m) delivery table
+    state: np.ndarray        # (W+1, size, d+1)  mass, then weight
+    matrices: SlotMatrices   # W slots
+    first: int
+    injected: np.ndarray     # (W+1, d) mass applied before each boundary
+    processed: np.ndarray    # (m,) as in AuditCarry, at the window's end
+    broken: np.ndarray       # (m,) as in AuditCarry, at the window's end
 
     @property
     def chi(self) -> np.ndarray:
@@ -216,9 +269,19 @@ class AuditTrace:
     def psi(self) -> np.ndarray:
         return self.state[..., -1]
 
+    @property
+    def end(self) -> AuditCarry:
+        """What the next window starts from."""
+        return AuditCarry(self.first + self.level.shape[0],
+                          self.state[-1].copy(), self.injected[-1].copy(),
+                          self.processed, self.broken)
 
-def run_linear_audit(trace) -> AuditTrace:
-    """Evolve the augmented system along a recorded run.
+
+def run_linear_audit(trace, slots: int | None = None,
+                     start: AuditCarry | None = None) -> AuditTrace:
+    """Evolve the augmented system along a recorded run: `slots` slots
+    from where `start` left off (None: from slot 0), to the horizon when
+    `slots` is None.
 
     trace is an ``engine.Trace``, from the engine or the reference
     simulator. The rebuild reads nothing else: the schedule it recorded,
@@ -231,22 +294,32 @@ def run_linear_audit(trace) -> AuditTrace:
     does.
     """
     schedule = trace.schedule
-    K = schedule.horizon
-    x0, applied = trace.x[0], trace.applied
-    n, dim = x0.shape
-    layout = AugmentedLayout(schedule.topology,
-                             schedule.bounds.max_effective_delay)
-    level = build_delivery_indicators(schedule)
-    mats = build_mass_matrix(layout, trace.wake, level)
+    l_d = schedule.bounds.max_effective_delay
+    layout = AugmentedLayout(schedule.topology, l_d)
+    if start is None:
+        start = AuditCarry.initial(layout, trace.x[0])
+    first = start.first
+    rest = schedule.horizon - first
+    slots = rest if slots is None else slots
+    view = trace.window(first, slots)
+    # a send superseded by one of the next L_d - 1 slots is not accepted
+    level = build_delivery_indicators(
+        trace.window(first, min(slots + l_d - 1, rest)).schedule)[:slots]
+    processed, broken = _exclusion_windows(level, first, start.processed,
+                                           start.broken)
+    mats = build_mass_matrix(layout, view.wake, level)
+    applied = view.applied
+    n, dim = applied.shape[1:]
     size, width = layout.size, dim + 1
     # mass in the first d columns, weight in the last
-    state = np.zeros((K + 1, size, width))
-    state[0, :n, :dim] = x0
-    state[0, :n, dim] = 1.0
+    state = np.empty((slots + 1, size, width))
+    state[0] = start.state
+    injected = np.cumsum(np.concatenate((start.injected[None],
+                                         applied.sum(axis=1))), axis=0)
     flat = (mats.rows[:, :, None] * width
-            + np.arange(width)).reshape(K, mats.cols.size * width)
+            + np.arange(width)).reshape(slots, mats.cols.size * width)
     moved = applied.any(axis=(1, 2)).tolist()
-    for k in range(K):
+    for k in range(slots):
         cur = state[k]
         if moved[k]:
             cur = cur.copy()
@@ -255,7 +328,8 @@ def run_linear_audit(trace) -> AuditTrace:
         state[k + 1] = np.bincount(flat[k], terms.reshape(-1),
                                    minlength=size * width).reshape(size,
                                                                     width)
-    return AuditTrace(layout, level, state, mats)
+    return AuditTrace(layout, level, state, mats, first, injected,
+                      processed, broken)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +361,16 @@ class AuditReport:
     def to_text(self) -> str:
         return "\n".join(self.lines()) + "\n"
 
+    def merged(self, later: "AuditReport") -> "AuditReport":
+        """This report and a later window's, identity by identity: the
+        larger residual (NaN if either is) and the first bad slot."""
+        return AuditReport([
+            IdentityCheck(a.name,
+                          float(np.maximum(a.max_residual, b.max_residual)),
+                          b.first_bad_slot if a.first_bad_slot is None
+                          else a.first_bad_slot)
+            for a, b in zip(self.checks, later.checks)])
+
     def raise_on_failure(self) -> None:
         for c in self.checks:
             if c.first_bad_slot is not None:
@@ -296,86 +380,84 @@ class AuditReport:
                 )
 
 
-def _check(name: str, residual: np.ndarray, tol: float) -> IdentityCheck:
-    """residual has slot as leading axis; reduce the rest. A NaN residual
-    fails."""
+def _check(name: str, residual: np.ndarray, tol: float,
+           first: int = 0) -> IdentityCheck:
+    """residual has slot as leading axis, its row 0 at slot `first`; reduce
+    the rest. A NaN residual fails."""
     flat = residual.reshape(residual.shape[0], -1)
     if flat.shape[1] == 0:
         return IdentityCheck(name, 0.0, None)
     per_slot = np.max(np.abs(flat), axis=1)
     worst = float(per_slot.max(initial=0.0))
     bad = np.flatnonzero(~(per_slot <= tol))
-    return IdentityCheck(name, worst, int(bad[0]) if bad.size else None)
+    return IdentityCheck(name, worst,
+                         first + int(bad[0]) if bad.size else None)
 
 
 def cross_validate(trace, audit: AuditTrace) -> AuditReport:
-    """Check every identity linking a simulator trace to the audit chain and
-    return the report; ``audit_trace`` raises on its failures.
+    """Check every identity linking a simulator trace to the audit chain
+    over the audit's window and return the report; ``audit_trace`` merges
+    the windows' reports and raises on their failures.
 
-    trace is an ``engine.Trace``, from the engine or the reference
+    trace is the whole ``engine.Trace``, from the engine or the reference
     simulator; mass conservation counts its ``applied`` moves from its
     start state ``x0 = x[0]``. The identities that compare states, ledgers
     and totals use the fixed tolerance ``1e-9 * (1 + ||x0||_1)``; the
     weight-range, weight-sum and matrix checks use their own absolute
-    tolerances.
+    tolerances. State identities read the window's boundaries, its first
+    and last included, and the delivery-order one counts every arc broken
+    up to the window's end.
     """
     topo = audit.layout.topology
     n = topo.n
     x0 = trace.x[0]
     tol = 1e-9 * (1.0 + float(np.abs(x0).sum()))
-    K = audit.chi.shape[0] - 1
+    K = audit.level.shape[0]
+    win = trace.window(audit.first, K)
     layout = audit.layout
     report = AuditReport()
 
+    def check(name: str, residual: np.ndarray, bound: float) -> None:
+        report.checks.append(_check(name, residual, bound, audit.first))
+
     # (i), (ii): real coordinates of the augmented state match the simulator.
-    report.checks.append(_check("chi-real-equals-x",
-                                audit.chi[:, :n, :] - trace.x, tol))
-    report.checks.append(_check("psi-real-equals-y",
-                                audit.psi[:, :n] - trace.y, tol))
+    check("chi-real-equals-x", audit.chi[:, :n, :] - win.x, tol)
+    check("psi-real-equals-y", audit.psi[:, :n] - win.y, tol)
 
     # (iii): per arc, the receiver's absorbed-mass increment at slot k is
     # exactly the level-1 transit mass at slot k.
     lvl1 = audit.chi[:K, layout.transit_block(1), :]
-    rho_inc = trace.rho_x[1:] - trace.rho_x[:-1]
-    report.checks.append(_check("rho-increment-equals-level1",
-                                rho_inc - lvl1, tol))
+    check("rho-increment-equals-level1",
+          win.rho_x[1:] - win.rho_x[:-1] - lvl1, tol)
     lvl1_y = audit.psi[:K, layout.transit_block(1)]
-    rho_y_inc = trace.rho_y[1:] - trace.rho_y[:-1]
-    report.checks.append(_check("rho-y-increment-equals-level1",
-                                rho_y_inc - lvl1_y, tol))
+    check("rho-y-increment-equals-level1",
+          win.rho_y[1:] - win.rho_y[:-1] - lvl1_y, tol)
 
     # (iv): sent mass splits exactly into absorbed + in-transit + excess.
     transit_sum = np.zeros_like(audit.chi[:, layout.excess_block, :])
     for lvl in range(1, layout.max_effective_delay + 1):
         transit_sum += audit.chi[:, layout.transit_block(lvl), :]
-    lhs = audit.chi[:, layout.excess_block, :] + transit_sum + trace.rho_x
-    phi_src = trace.phi_x[:, topo.src, :]
-    report.checks.append(_check("excess-plus-transit-plus-absorbed",
-                                lhs - phi_src, tol))
+    lhs = audit.chi[:, layout.excess_block, :] + transit_sum + win.rho_x
+    phi_src = win.phi_x[:, topo.src, :]
+    check("excess-plus-transit-plus-absorbed", lhs - phi_src, tol)
 
     # Sum preservation: total mass equals initial mass plus injections.
     total = audit.chi.sum(axis=1)                      # (K+1, d)
-    injected = np.zeros_like(total)
-    injected[1:] = np.cumsum(trace.applied.sum(axis=1), axis=0)
-    expect = x0.sum(axis=0)[None, :] + injected
-    report.checks.append(_check("mass-conservation", total - expect, tol))
-    report.checks.append(_check("weight-conservation",
-                                audit.psi.sum(axis=1)[:, None] - float(n),
-                                1e-9))
+    expect = x0.sum(axis=0)[None, :] + audit.injected
+    check("mass-conservation", total - expect, tol)
+    check("weight-conservation", audit.psi.sum(axis=1)[:, None] - float(n),
+          1e-9)
 
     # Weight bounds: real entries strictly positive, all entries in [0, n].
     psi_real = audit.psi[:, :n]
-    report.checks.append(_check("weight-real-positive",
-                                np.where(psi_real > 0.0, 0.0, 1.0), 0.5))
-    report.checks.append(_check("weight-range",
-                                np.maximum(np.maximum(-audit.psi, 0.0),
-                                           np.maximum(audit.psi - n, 0.0)),
-                                1e-9))
+    check("weight-real-positive", np.where(psi_real > 0.0, 0.0, 1.0), 0.5)
+    check("weight-range", np.maximum(np.maximum(-audit.psi, 0.0),
+                                     np.maximum(audit.psi - n, 0.0)), 1e-9)
 
     # Zero weight forces zero mass (exact: zeros only ever combine linearly).
     zero_psi = audit.psi == 0.0
-    masked = np.where(zero_psi[:, :, None], audit.chi, 0.0)
-    report.checks.append(_check("mass-zero-on-zero-weight", masked, 0.0))
+    check("mass-zero-on-zero-weight",
+          np.where(zero_psi[:, :, None], audit.chi, 0.0), 0.0)
 
     # Matrix structure: column sums, entry lower bound, real diagonals, read
     # off the stored entries of every slot. Column sums add each column's
@@ -384,44 +466,67 @@ def cross_validate(trace, audit: AuditTrace) -> AuditReport:
     data = audit.matrices.data
     starts = np.flatnonzero(np.diff(audit.matrices.cols, prepend=-1))
     entry_floor = 1.0 / (topo.out_degree().max(initial=0) + 1.0)
-    report.checks.append(_check(
-        "matrix-column-sums", np.add.reduceat(data, starts, axis=1) - 1.0,
-        1e-15))
-    report.checks.append(_check(
-        "matrix-entry-floor",
-        np.where(data != 0.0, np.maximum(entry_floor - data, 0.0), 0.0),
-        1e-15))
-    report.checks.append(_check(
-        "matrix-real-diagonal-positive",
-        np.where(data[:, starts[:n]] > 0.0, 0.0, 1.0), 0.0))
+    check("matrix-column-sums", np.add.reduceat(data, starts, axis=1) - 1.0,
+          1e-15)
+    check("matrix-entry-floor",
+          np.where(data != 0.0, np.maximum(entry_floor - data, 0.0), 0.0),
+          1e-15)
+    check("matrix-real-diagonal-positive",
+          np.where(data[:, starts[:n]] > 0.0, 0.0, 1.0), 0.0)
 
     # Delivery exclusions and empty-above-level structure.
-    excl, excl_bad = _exclusion_windows(audit.level)
-    report.checks.append(IdentityCheck("delivery-exclusion-windows",
-                                       excl, excl_bad))
-    above = _levels_above_accepted(audit)
-    report.checks.append(_check("no-transit-above-accepted-level",
-                                above, 0.0))
+    broken = audit.broken[audit.broken >= 0]
+    report.checks.append(IdentityCheck(
+        "delivery-exclusion-windows", float(broken.size),
+        int(broken.min()) if broken.size else None))
+    check("no-transit-above-accepted-level", _levels_above_accepted(audit),
+          0.0)
 
     # Excess recursion against simulator running sums.
     phi_inc = phi_src[1:] - phi_src[:-1]               # (K, m, d)
     u = audit.chi[:, layout.excess_block, :]
     u_expect = np.where(audit.level[:, :, None] > 0, 0.0, u[:-1] + phi_inc)
-    report.checks.append(_check("excess-recursion", u[1:] - u_expect, tol))
+    check("excess-recursion", u[1:] - u_expect, tol)
 
     return report
 
 
-def _exclusion_windows(level: np.ndarray) -> tuple[float, int | None]:
+def _exclusion_windows(level: np.ndarray, first: int = 0,
+                       processed: np.ndarray | None = None,
+                       broken: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """No two accepted sends on one arc may share a processing slot, and
-    processing order must follow send order. Returns (arcs violating,
-    earliest send slot that breaks the order)."""
+    processing order must follow send order.
+
+    level is the delivery table of slots first, first + 1, ...; processed
+    and broken are per arc, as in ``AuditCarry``, before those slots (None:
+    -1 for every arc). Returns both through the table's last slot: the
+    processing slot of each arc's last accepted send, and the first send
+    slot that was processed no later than the accepted send before it."""
+    m = level.shape[1]
+    processed = (np.full(m, -1, dtype=np.int64) if processed is None
+                 else processed.copy())
+    broken = (np.full(m, -1, dtype=np.int64) if broken is None
+              else broken.copy())
     arc, send = np.nonzero(level.T)
-    proc = send + level[send, arc]
-    bad = (arc[1:] == arc[:-1]) & (proc[1:] <= proc[:-1])
-    if not bad.any():
-        return 0.0, None
-    return float(np.unique(arc[1:][bad]).size), int(send[1:][bad].min())
+    proc = send + level[send, arc] + first
+    send += first
+    # each accepted send against the one before it on its arc
+    head = np.ones(arc.size, dtype=bool)
+    head[1:] = arc[1:] != arc[:-1]
+    prev = np.empty_like(proc)
+    prev[head] = processed[arc[head]]
+    prev[1:][~head[1:]] = proc[:-1][~head[1:]]
+    bad = np.flatnonzero(proc <= prev)
+    # sends ascend within an arc, so an arc's first bad send comes first
+    arcs, at = np.unique(arc[bad], return_index=True)
+    fresh = broken[arcs] < 0
+    broken[arcs[fresh]] = send[bad[at[fresh]]]
+    # the last accepted send of each arc
+    last = np.ones(arc.size, dtype=bool)
+    last[:-1] = head[1:]
+    processed[arc[last]] = proc[last]
+    return processed, broken
 
 
 def _levels_above_accepted(audit: AuditTrace) -> np.ndarray:
@@ -443,8 +548,6 @@ def _levels_above_accepted(audit: AuditTrace) -> np.ndarray:
     worst = np.zeros(K)
     np.maximum.at(worst, k_idx, np.where(block > 0.0, block, 0.0))
     return worst[:, None]
-
-
 # ---------------------------------------------------------------------------
 # Contraction constants and envelopes.
 
@@ -568,17 +671,46 @@ def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
     return audit_trace(result.trace)
 
 
-def audit_trace(trace) -> AuditReport:
+def audit_trace(trace, window: int | None = None) -> AuditReport:
     """Rebuild a recorded ``engine.Trace`` as the augmented linear system,
     cross-check the two, and return the identity report (raising on any
     failure).
 
     The trace is the only input: its schedule, start state and applied
-    moves (see ``run_linear_audit``).
+    moves (see ``run_linear_audit``). See ``audit_report`` for `window`.
     """
-    report = cross_validate(trace, run_linear_audit(trace))
+    report = audit_report(trace, window)
     report.raise_on_failure()
     return report
+
+
+def audit_report(trace, window: int | None = None) -> AuditReport:
+    """The identity report of a recorded ``engine.Trace``, cross-checked
+    window by window and merged; it does not depend on `window`, the
+    number of slots per window (None picks ``audit_window``)."""
+    schedule = trace.schedule
+    horizon = schedule.horizon
+    if window is None:
+        window = audit_window(AugmentedLayout(
+            schedule.topology, schedule.bounds.max_effective_delay),
+            trace.x.shape[-1])
+    if window < 1:
+        raise ConfigurationError("window: must be >= 1")
+    if horizon < 1:
+        raise ConfigurationError("audit: the trace holds no slot")
+    report, carry = None, None
+    for first in range(0, horizon, window):
+        part, carry = _audit_window(trace, min(window, horizon - first),
+                                    carry)
+        report = part if report is None else report.merged(part)
+    return report
+
+
+def _audit_window(trace, slots: int,
+                  start: AuditCarry | None) -> tuple[AuditReport, AuditCarry]:
+    """One window's report and carry; its arrays go when it returns."""
+    audit = run_linear_audit(trace, slots, start)
+    return cross_validate(trace, audit), audit.end
 
 
 # ---------------------------------------------------------------------------

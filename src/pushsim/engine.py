@@ -186,16 +186,27 @@ class Trace:
         before its first."""
         return last_wakes(self.wake, 0, np.full(self.schedule.topology.n, -1))
 
-    def head(self, slots: int) -> "Trace":
-        """The trace of the first `slots` slots, as a run with that horizon
-        records it (views; the schedule keeps its L_d wake tail)."""
+    def window(self, first: int, slots: int) -> "Trace":
+        """Slots first .. first + slots - 1 of the run, numbered from 0:
+        boundaries first .. first + slots, and a schedule of horizon `slots`
+        that keeps its L_d wake tail and whose arrival slots count from
+        `first`. Views, except the arrival table of a window that does not
+        start at slot 0. The derived ``kappa`` and ``aug_mean`` read the
+        window as a whole run, so they hold only for first = 0."""
         sched = self.schedule
-        tail = slots + sched.bounds.max_effective_delay
-        return Trace(self.mass[:slots + 1], self.phi[:slots + 1],
-                     self.rho[:slots + 1], self.applied[:slots],
+        if not 0 <= first <= first + slots <= sched.horizon:
+            raise ConfigurationError(
+                f"window of {slots} slots at slot {first} outside the "
+                f"horizon {sched.horizon}")
+        end = first + slots
+        tail = end + sched.bounds.max_effective_delay
+        arrival = sched.arrival[first:end]
+        if first:
+            arrival = np.where(arrival >= 0, arrival - first, arrival)
+        return Trace(self.mass[first:end + 1], self.phi[first:end + 1],
+                     self.rho[first:end + 1], self.applied[first:end],
                      ScheduleRealization(sched.topology, sched.bounds, slots,
-                                         sched.wake[:tail],
-                                         sched.arrival[:slots]))
+                                         sched.wake[first:tail], arrival))
 
     @property
     def aug_mean(self) -> np.ndarray:
@@ -475,6 +486,9 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     payload, diff = np.empty_like(rho), np.empty_like(rho)
     step = np.full_like(mass, -0.0)
     in_sum = np.empty(rho.shape[1:])
+    # a trace's absorbed totals in the in-arc layout, put in arc order once
+    # per chunk
+    rho_buf = None if trace is None else np.empty((chunk,) + rho[:, 0].shape)
 
     done = 0
     while done < horizon:
@@ -553,9 +567,12 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                 mass_slots[c] = mass
             if trace is not None:
                 trace.mass[k + 1], trace.phi[k + 1] = mass[0], phi[0]
-                trace.rho[k + 1] = rho[in_arcs.row_of, 0, in_arcs.col_of]
+                rho_buf[c] = rho[:, 0]
         if mass_slots is not None:
             record_errors(done + 1, mass_slots)
+        if trace is not None:
+            trace.rho[done + 1:done + steps + 1] = rho_buf[
+                :steps, in_arcs.row_of, in_arcs.col_of]
         done += steps
 
     if trace is not None:

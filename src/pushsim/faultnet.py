@@ -344,20 +344,29 @@ def _realize_run(bounds: FaultBounds, src_idx: np.ndarray,
     """
     chunk, sends = wake.shape[0], raw.shape[0]
     slots = np.arange(chunk)[:, None]
-    # A node without a Bernoulli wake is forced awake when a positive
-    # multiple of L_u slots has passed since its last Bernoulli wake; the
-    # carried state counts as a wake at slot -1 - slots_asleep.
-    carried = -1 - state.slots_asleep
-    last = np.maximum.accumulate(np.where(wake, slots, carried), axis=0)
-    since = slots - np.concatenate([carried, last[:-1]])
-    wake |= since % bounds.max_wake_gap == 0
-    state.slots_asleep = chunk - 1 - np.where(wake, slots, carried).max(
-        axis=0, keepdims=True)
+    if bounds.fixed_wake:
+        state.slots_asleep = np.zeros_like(state.slots_asleep)
+    else:
+        # A node without a Bernoulli wake is forced awake when a positive
+        # multiple of L_u slots has passed since its last Bernoulli wake;
+        # the carried state counts as a wake at slot -1 - slots_asleep.
+        carried = -1 - state.slots_asleep
+        last = np.maximum.accumulate(np.where(wake, slots, carried), axis=0)
+        since = slots - np.concatenate([carried, last[:-1]])
+        wake |= since % bounds.max_wake_gap == 0
+        state.slots_asleep = chunk - 1 - np.where(wake, slots, carried).max(
+            axis=0, keepdims=True)
     if sends == 0:
         return
     attempted = wake[:sends, src_idx]
     if live is not None:
         attempted &= live
+    if bounds.fixed_loss and bounds.fixed_delay:
+        # every attempt arrives the next slot, as in the slot loop
+        state.last_arrival = np.where(attempted, raw, state.last_arrival).max(
+            axis=0, keepdims=True)
+        np.copyto(out[:sends], raw, where=attempted)
+        return
     # Among an arc's attempts, ranked 1, 2, ...: after its last non-lossy
     # attempt (rank -fail_streak before the chunk), a lossy attempt j
     # ranks later is forced to deliver when j is a multiple of L_f + 1.

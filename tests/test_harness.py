@@ -733,7 +733,7 @@ def test_cli_verify_states_audited_span(command, tmp_path, capsys):
     assert cli_main([command, "--config", str(cfg_path), "--out", str(out),
                      "--horizon", "1200", "--verify"]) == 0
     first = (out / "verify.txt").read_text().splitlines()[0]
-    assert first == "audited slots 0-999 of 1200"
+    assert first == "audited slots 0-1199 of 1200"
     assert first in capsys.readouterr().out.splitlines()
 
 
@@ -741,7 +741,7 @@ def test_cli_verify_states_audited_span(command, tmp_path, capsys):
 def test_cli_raps_verify_audits_the_recorded_run(horizon, tmp_path,
                                                  monkeypatch):
     """One simulation of run 0; verify.txt is what an independent
-    ``verify_run`` over the audited span reports."""
+    ``verify_run`` over the whole horizon reports."""
     from pushsim import audit, cli, engine
     calls = []
 
@@ -760,17 +760,16 @@ def test_cli_raps_verify_audits_the_recorded_run(horizon, tmp_path,
     monkeypatch.undo()
     cfg = ExperimentConfig.from_file(cfg_path)
     K = int(horizon) if horizon else cfg.horizon
-    span = min(K, cli.AUDIT_SPAN_CAP)
     topo = cfg.topology.build(cfg.master_seed)
     x0 = cli._averaging_x0(cfg, topo.n, 0)
-    report = audit.verify_run(topo, cfg.faults, x0, span, cfg.master_seed)
-    expect = f"audited slots 0-{span - 1} of {K}\n" + report.to_text()
+    report = audit.verify_run(topo, cfg.faults, x0, K, cfg.master_seed)
+    expect = f"audited slots 0-{K - 1} of {K}\n" + report.to_text()
     assert (tmp_path / "verify.txt").read_text() == expect
 
 
 def test_cli_rasgp_verify_audits_run_0_of_the_experiment(tmp_path,
                                                          monkeypatch):
-    """One extra simulation, of run 0 over the audited span, with the
+    """One extra simulation, of run 0 over the whole horizon, with the
     experiment's own problem and step sizes: the audited trace's error
     series is the experiment's run-0 series, bit for bit."""
     from pushsim import cli, engine
@@ -798,13 +797,11 @@ def test_cli_rasgp_verify_audits_run_0_of_the_experiment(tmp_path,
     assert cli_main(["rasgp", "--config", str(cfg_path), "--out",
                      str(tmp_path / "out"), "--horizon", "1200",
                      "--verify"]) == 0
-    span = cli.AUDIT_SPAN_CAP
-    assert calls == [((0, 1, 2), 1200, False), ((0,), span, True)]
+    assert calls == [((0, 1, 2), 1200, False), ((0,), 1200, True)]
     (trace,), (result,) = audited, results
-    assert trace.schedule.horizon == span
+    assert trace.schedule.horizon == 1200
     diff = trace.z.sum(axis=1) / trace.z.shape[1] - result.problem.z_star
-    assert np.array_equal(np.sum(diff * diff, axis=1),
-                          result.e_dist_raw[0, :span + 1])
+    assert np.array_equal(np.sum(diff * diff, axis=1), result.e_dist_raw[0])
 
 
 @pytest.mark.parametrize("argv", [["verify", "--plot"],
