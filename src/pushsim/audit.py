@@ -491,23 +491,18 @@ def cross_validate(trace, audit: AuditTrace) -> AuditReport:
     return report
 
 
-def _exclusion_windows(level: np.ndarray, first: int = 0,
-                       processed: np.ndarray | None = None,
-                       broken: np.ndarray | None = None
+def _exclusion_windows(level: np.ndarray, first: int,
+                       processed: np.ndarray, broken: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """No two accepted sends on one arc may share a processing slot, and
     processing order must follow send order.
 
     level is the delivery table of slots first, first + 1, ...; processed
-    and broken are per arc, as in ``AuditCarry``, before those slots (None:
-    -1 for every arc). Returns both through the table's last slot: the
-    processing slot of each arc's last accepted send, and the first send
-    slot that was processed no later than the accepted send before it."""
-    m = level.shape[1]
-    processed = (np.full(m, -1, dtype=np.int64) if processed is None
-                 else processed.copy())
-    broken = (np.full(m, -1, dtype=np.int64) if broken is None
-              else broken.copy())
+    and broken are per arc, as in ``AuditCarry``, before those slots.
+    Returns both through the table's last slot: the processing slot of
+    each arc's last accepted send, and the first send slot that was
+    processed no later than the accepted send before it."""
+    processed, broken = processed.copy(), broken.copy()
     arc, send = np.nonzero(level.T)
     proc = send + level[send, arc] + first
     send += first

@@ -453,8 +453,9 @@ def test_delivery_indicators_match_reference_on_any_bounds(
 
 def test_exclusion_windows_flag_out_of_order_processing():
     level = np.zeros((20, 2), dtype=np.int64)
+    none = np.full(2, -1)
     level[[2, 10], 0] = [1, 3]            # processed at 3 and 13: in order
-    processed, broken = _exclusion_windows(level)
+    processed, broken = _exclusion_windows(level, 0, none, none)
     assert processed.tolist() == [13, -1] and broken.tolist() == [-1, -1]
     level[11, 0] = 1                      # processed at 12, before 13
     level[[15, 16], 0] = [3, 1]           # processed at 18, then 17
@@ -462,10 +463,11 @@ def test_exclusion_windows_flag_out_of_order_processing():
     # arc 0 breaks first at send slot 11, arc 1 at 6; their last accepted
     # sends are processed at 17 and 7
     want = [[17, 7], [11, 6]]
-    assert [v.tolist() for v in _exclusion_windows(level)] == want
+    assert [v.tolist() for v in _exclusion_windows(level, 0, none, none)] \
+        == want
     # carried across a cut anywhere, the scan compares the same pairs
     for cut in range(21):
-        carried = _exclusion_windows(level[:cut])
+        carried = _exclusion_windows(level[:cut], 0, none, none)
         assert [v.tolist() for v in _exclusion_windows(
             level[cut:], cut, *carried)] == want
 
@@ -689,14 +691,20 @@ def test_windowed_audit_carries_a_broken_delivery_order():
     # on both sides of a window edge, are reported by every window length
     trace = next(reference_traces())
     level = build_delivery_indicators(trace.schedule)
-    arc = int(np.argmax(np.count_nonzero(level, axis=0)))
-    send = np.flatnonzero(level[:, arc])[3:5]
+    # consecutive accepted sends on one arc, the later sent before the
+    # earlier is processed: process the later one at the same slot
+    arc, send = next(
+        (a, pair) for a in range(level.shape[1])
+        for pair in zip(np.flatnonzero(level[:, a])[:-1],
+                        np.flatnonzero(level[:, a])[1:])
+        if pair[1] < pair[0] + level[pair[0], a])
     lying = level.copy()
     lying[send[1], arc] = send[0] + level[send[0], arc] - send[1]
-    want = _exclusion_windows(lying)
+    none = np.full(level.shape[1], -1)
+    want = _exclusion_windows(lying, 0, none, none)
     assert want[1][arc] == send[1]
     for cut in (send[1], send[1] - 1, send[0] + 1):
-        carried = _exclusion_windows(lying[:cut])
+        carried = _exclusion_windows(lying[:cut], 0, none, none)
         got = _exclusion_windows(lying[cut:], int(cut), *carried)
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
