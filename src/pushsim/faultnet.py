@@ -26,9 +26,10 @@ the bounds fix is not drawn at all: ``L_u = 1`` or ``wake_prob = 1`` wakes
 every node every slot, ``loss_prob = 0`` loses nothing and ``L_del = 1``
 delays every send by one slot (``FaultBounds.fixed_wake``, ``fixed_loss``,
 ``fixed_delay``). Its table reads u = 0.0, which maps to that outcome, and
-the realizer skips the streak loop it would have needed. Each role has its
-own stream, so skipping one moves no draw of another, and the schedule
-stays the same pure function of the same five inputs.
+both realizer paths below skip the streak loop or scan it would have
+needed. Each role has its own stream, so skipping one moves no draw of
+another, and the schedule stays the same pure function of the same five
+inputs.
 
 A single run (``realize_schedule``, a recorded trace, the reference
 simulator) is realized in closed form, by whole-chunk scans; a batch of

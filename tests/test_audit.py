@@ -686,29 +686,6 @@ def test_windowed_audit_matches_the_whole_span_on_non_finite_runs(value):
                if c.first_bad_slot is not None) == 5
 
 
-def test_windowed_audit_carries_a_broken_delivery_order():
-    # two accepted sends on one arc processed out of order, at send slots
-    # on both sides of a window edge, are reported by every window length
-    trace = next(reference_traces())
-    level = build_delivery_indicators(trace.schedule)
-    # consecutive accepted sends on one arc, the later sent before the
-    # earlier is processed: process the later one at the same slot
-    arc, send = next(
-        (a, pair) for a in range(level.shape[1])
-        for pair in zip(np.flatnonzero(level[:, a])[:-1],
-                        np.flatnonzero(level[:, a])[1:])
-        if pair[1] < pair[0] + level[pair[0], a])
-    lying = level.copy()
-    lying[send[1], arc] = send[0] + level[send[0], arc] - send[1]
-    none = np.full(level.shape[1], -1)
-    want = _exclusion_windows(lying, 0, none, none)
-    assert want[1][arc] == send[1]
-    for cut in (send[1], send[1] - 1, send[0] + 1):
-        carried = _exclusion_windows(lying[:cut], 0, none, none)
-        got = _exclusion_windows(lying[cut:], int(cut), *carried)
-        assert [g.tolist() for g in got] == [w.tolist() for w in want]
-
-
 def test_audit_window_keeps_the_state_within_the_cell_budget():
     cfg = ExperimentConfig.from_file(CONFIGS / "verify_faulty_small.json")
     topo = cfg.topology.build(cfg.master_seed)
