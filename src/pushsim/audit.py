@@ -543,6 +543,8 @@ def _levels_above_accepted(audit: AuditTrace) -> np.ndarray:
     worst = np.zeros(K)
     np.maximum.at(worst, k_idx, np.where(block > 0.0, block, 0.0))
     return worst[:, None]
+
+
 # ---------------------------------------------------------------------------
 # Contraction constants and envelopes.
 
@@ -666,15 +668,15 @@ def verify_run(topology: Topology, bounds, x0: np.ndarray, horizon: int,
     return audit_trace(result.trace)
 
 
-def audit_trace(trace, window: int | None = None) -> AuditReport:
+def audit_trace(trace) -> AuditReport:
     """Rebuild a recorded ``engine.Trace`` as the augmented linear system,
     cross-check the two, and return the identity report (raising on any
     failure).
 
     The trace is the only input: its schedule, start state and applied
-    moves (see ``run_linear_audit``). See ``audit_report`` for `window`.
+    moves (see ``run_linear_audit``).
     """
-    report = audit_report(trace, window)
+    report = audit_report(trace)
     report.raise_on_failure()
     return report
 
@@ -695,17 +697,12 @@ def audit_report(trace, window: int | None = None) -> AuditReport:
         raise ConfigurationError("audit: the trace holds no slot")
     report, carry = None, None
     for first in range(0, horizon, window):
-        part, carry = _audit_window(trace, min(window, horizon - first),
-                                    carry)
+        audit = run_linear_audit(trace, min(window, horizon - first), carry)
+        part, carry = cross_validate(trace, audit), audit.end
+        # free this window's arrays before the next window builds its own
+        del audit
         report = part if report is None else report.merged(part)
     return report
-
-
-def _audit_window(trace, slots: int,
-                  start: AuditCarry | None) -> tuple[AuditReport, AuditCarry]:
-    """One window's report and carry; its arrays go when it returns."""
-    audit = run_linear_audit(trace, slots, start)
-    return cross_validate(trace, audit), audit.end
 
 
 # ---------------------------------------------------------------------------
