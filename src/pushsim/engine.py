@@ -18,9 +18,9 @@ with two methods:
   sleep-compensated steps and its gradient noise;
 - ``update.delta(c, k, z, wake)`` is called at slot ``k``, the ``c``-th of
   the chunk, with the estimates ``z`` ``(B, n, d)`` and the waking nodes
-  ``wake`` ``(B, n)``. It returns the value change that waking nodes apply
-  before they push, shaped ``(B, n, d)`` or ``(n, d)``, or ``None`` for no
-  change.
+  ``wake`` ``(B, n)``, both rows of chunk tables that later chunks refill.
+  It returns the value change that waking nodes apply before they push,
+  shaped ``(B, n, d)`` or ``(n, d)``, or ``None`` for no change.
 
 The engine adds the change to waking nodes only and records it, zeroed at
 sleeping nodes, in ``Trace.applied``. ``optimizer.GradientStep`` and
@@ -31,12 +31,23 @@ Slots are processed in chunks of ``faultnet.chunk_slots(B, n, m)`` slots
 unless the caller fixes the length: the most that keep B runs of n nodes
 and m arcs within ``faultnet.CHUNK_CELLS`` = 65,536 cells, and at least
 one. A chunk's tables (draws, schedule, acceptance, per-slot operands,
-gradient noise) grow as C x B x (n + m), so this holds them to a few times
-65,536 entries whatever the batch, while the per-chunk fixed cost (a few
-dozen numpy calls, one Philox call per run and role) stays a near-constant
-share of the work: 43 slots at B = 50 on a 10-node bidirectional cycle, 10
-at B = 200, and a whole 500-slot run at B = 1. Results do not depend on
-the length. Each chunk starts with one vectorized pass over its realized
+estimates, the update's steps and noise) grow as C x B x (n + m), so this
+holds them to a few times 65,536 entries whatever the batch, while the
+per-chunk fixed cost (a few dozen numpy calls, one Philox call per run and
+role) stays a near-constant share of the work: 43 slots at B = 50 on a
+10-node bidirectional cycle, 10 at B = 200, and a whole 500-slot run at
+B = 1. Results do not depend on the length.
+
+A call holds one generation of chunk tables: each, but for the last
+wakes handed to ``update.chunk``, is allocated once, at the first chunk's
+length, and refilled in place by every chunk after it, instead of being
+built fresh while the last chunk's tables are still alive. At the benchmark's op shapes this took one ``run_gradient_push``
+call's traced peak from 5.48 to 4.49 MiB (svm_sync, B = 5, H = 500) and
+from 6.12 to 5.42 MiB (quad_async, B = 50, H = 1,000), and its minor page
+faults from 1,585 to 1,121 and from about 2,570 to 1,294 (shared
+2-core x86-64 host, numpy 2.4).
+
+Each chunk starts with one vectorized pass over its realized
 schedule, which depends on wakes, losses and delays but never on the
 iterates:
 
@@ -64,7 +75,11 @@ The slot loop keeps only the data flow. Within one slot:
    arc order, so lost or superseded messages are recovered automatically.
 
 No slot step touches a sleeping node's x and y, so the engine keeps no
-estimates: z = x / y is computed where it is read.
+estimates between slots. When the update or the error series reads them,
+z = x / y is computed once per slot boundary, into a (C + 1, B, n, d)
+chunk table: ``update.delta`` reads it row by row, the error series
+reduces it once per chunk, and row 0 carries the previous chunk's last
+boundary.
 
 Speed rule. The chunk pass and the error series avoid three numpy paths
 that were slow on this engine's data, measured on a shared 2-core host:
@@ -322,12 +337,13 @@ class _Acceptance:
         self.offset = 1 + np.arange(batch)[:, None] * (m + 1) + np.arange(m)
         self.place = np.empty((chunk, batch, m), dtype=np.int64)
         self.seen_rows = np.empty((chunk + 1, batch, m + 1), dtype=np.int64)
+        self.accept = np.empty((chunk, batch, m + 1), dtype=bool)
 
     def advance(self, first_slot: int, wake: np.ndarray, arrival: np.ndarray,
                 runs) -> tuple[np.ndarray, np.ndarray]:
         """(accept, newest), both (C, B, m + 1), for one realized chunk:
-        wake (C, B, n) and arrival (C, B, m). newest is a view that the
-        next chunk overwrites."""
+        wake (C, B, n) and arrival (C, B, m). Both are views that the next
+        chunk overwrites."""
         steps, batch, m = arrival.shape
         cell, span = self.cell, self.span
         arriving = self.arriving[:1 + (steps + span) * cell]
@@ -359,7 +375,7 @@ class _Acceptance:
         seen[1:] *= wake.take(self.dst, axis=2)
         seen[1:] += self.seen
         _running_max(seen)
-        accept = seen[1:] > seen[:-1]
+        accept = np.greater(seen[1:], seen[:-1], out=self.accept[:steps])
         self.newest, self.seen = newest[-1].copy(), seen[-1].copy()
         stale = accept & (newest < slots - self.max_age)
         if stale.any():
@@ -372,17 +388,24 @@ class _Acceptance:
         return accept, newest
 
 
-def _per_slot(a: np.ndarray, cols: int) -> np.ndarray:
-    """(C, B, ...) -> (C, B, ..., cols) with the new last axis repeated, so
-    that each slot's mask or operand is one contiguous block."""
-    return np.stack([a] * cols, axis=-1)
+def _per_slot(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill (C, B, ..., cols) `out` with (C, B, ...) `a` repeated along the
+    last axis, so that each slot's mask or operand is one contiguous block.
+    One strided copy per column: a broadcast onto the short last axis took
+    4x as long at quad_async's chunk shape."""
+    for j in range(out.shape[-1]):
+        out[..., j] = a
+    return out
 
 
-def _estimates(mass: np.ndarray) -> np.ndarray:
-    """(..., n, d) ratios x / y of a (..., n, d+1) mass array, one
-    coordinate at a time (a broadcast y column divides slower)."""
+def _estimates(mass: np.ndarray, z: np.ndarray | None = None
+               ) -> np.ndarray:
+    """(..., n, d) ratios x / y of a (..., n, d+1) mass array, into `z` if
+    given, one coordinate at a time (a broadcast y column divides
+    slower)."""
     dim = mass.shape[-1] - 1
-    z = np.empty(mass.shape[:-1] + (dim,))
+    if z is None:
+        z = np.empty(mass.shape[:-1] + (dim,))
     for j in range(dim):
         np.divide(mass[..., j], mass[..., dim], out=z[..., j])
     return z
@@ -454,10 +477,9 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
             np.empty((horizon, m), dtype=np.int64)), dim)
         trace.mass[0], trace.phi[0], trace.rho[0] = mass[0], 0.0, 0.0
 
-    def record_errors(first: int, mass_slots: np.ndarray) -> None:
+    def record_errors(first: int, z_slots: np.ndarray) -> None:
         """Squared error of the node-mean z at slot boundaries first,
-        first + 1, ...; mass_slots is (slots, B, n, d+1)."""
-        z_slots = _estimates(mass_slots)
+        first + 1, ...; z_slots is (slots, B, n, d)."""
         if dim == 1:
             # numpy's own sum, whose order over a contiguous node axis is
             # pairwise, not left to right
@@ -471,24 +493,40 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         diff = node_sum / n - z_star
         e_dist[:, first:first + len(diff)] = np.sum(diff * diff, axis=2).T
 
-    if e_dist is not None:
-        record_errors(0, mass[None])
-
-    def realize(first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        return realize_chunk(bounds, topology, realizer, first, horizon,
-                             *ScheduleDraws.draw_batch(schedule_draws, steps),
-                             mask)
-
-    # Buffers every chunk reuses: fresh arrays of a chunk's size cost more
-    # to allocate than to fill.
+    # Chunk tables, allocated once per call and refilled by every chunk:
+    # fresh ones cost more to allocate than to fill, and would be built
+    # while the last chunk's are still alive. The schedule's buffers also
+    # hold the L_d slots of a trace's wake tail.
+    rows = max(chunk, bounds.max_effective_delay)
+    draw_bufs = ScheduleDraws.buffers(schedule_draws, rows)
+    schedule_bufs = (np.empty((rows, batch, n), dtype=bool),
+                     np.empty((rows, batch, m), dtype=np.int64))
+    wake_mass_buf = np.empty((chunk, batch, n, dim + 1), dtype=bool)
+    divisor_buf = np.empty((chunk, batch, n, dim + 1))
+    accept_mass_buf = np.empty((chunk,) + rho.shape, dtype=bool)
     rows_buf = np.empty((chunk,) + cells.shape, dtype=np.int64)
-    mass_buf = None if e_dist is None else np.empty((chunk,) + mass.shape)
     payload, diff = np.empty_like(rho), np.empty_like(rho)
     step = np.full_like(mass, -0.0)
     in_sum = np.empty(rho.shape[1:])
     # a trace's absorbed totals in the in-arc layout, put in arc order once
     # per chunk
     rho_buf = None if trace is None else np.empty((chunk,) + rho[:, 0].shape)
+    # The estimates at the chunk's slot boundaries, computed once for both
+    # readers, the update and the error series; row 0 holds the previous
+    # chunk's last boundary.
+    z = (None if update is None and e_dist is None else
+         np.empty((chunk + 1, batch, n, dim)))
+
+    if z is not None:
+        _estimates(mass, z[0])
+    if e_dist is not None:
+        record_errors(0, z[:1])
+
+    def realize(first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        return realize_chunk(bounds, topology, realizer, first, horizon,
+                             *ScheduleDraws.draw_batch(schedule_draws, steps,
+                                                       draw_bufs),
+                             mask, schedule_bufs)
 
     done = 0
     while done < horizon:
@@ -497,12 +535,12 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         if trace is not None:
             trace.schedule.wake[done:done + steps] = wake_c[0]
             trace.schedule.arrival[done:done + steps] = arrival_c[0]
-        # Slot-major copies (free when the realizer wrote slot-major), and
-        # per-slot operands from the schedule alone: a sleeping node divides
-        # by 1.0, exact for every double.
+        # Slot-major views (the realizer writes slot-major), and per-slot
+        # operands from the schedule alone: a sleeping node divides by 1.0,
+        # exact for every double.
         wake = np.ascontiguousarray(wake_c.swapaxes(0, 1))   # (C, B, n)
-        wake_mass = _per_slot(wake, dim + 1)               # (C, B, n, d+1)
-        divisor = _per_slot(1.0 + wake * out_degree, dim + 1)
+        wake_mass = _per_slot(wake, wake_mass_buf[:steps])  # (C, B, n, d+1)
+        divisor = _per_slot(1.0 + wake * out_degree, divisor_buf[:steps])
 
         # Schedule-only work for the whole chunk: the update's, which reads
         # each node's last wake before every slot;
@@ -517,19 +555,19 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                 runs)
             accept = accept.reshape(steps, -1)
             accepting = accept.any(axis=1)
-            accept_mass = _per_slot(accept.take(cells, axis=1), dim + 1)
+            accept_mass = _per_slot(accept.take(cells, axis=1),
+                                    accept_mass_buf[:steps])
             take_rows = newest.reshape(steps, -1).take(
                 cells, axis=1, out=rows_buf[:steps])
             take_rows &= depth - 1
             take_rows *= batch * n
             take_rows += src_rows
-        mass_slots = None if mass_buf is None else mass_buf[:steps]
 
         for c in range(steps):
             k = done + c
             delta = None
             if update is not None:
-                delta = update.delta(c, k, _estimates(mass), wake[c])
+                delta = update.delta(c, k, z[c], wake[c])
             if delta is not None:
                 # adding -0.0, in the weight column and at sleeping nodes,
                 # leaves every double as it is
@@ -563,13 +601,15 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
                     f"(run index {runs[b_i]})",
                     run=int(runs[b_i]), slot=k, node=int(n_i))
 
-            if mass_slots is not None:
-                mass_slots[c] = mass
+            if z is not None:
+                _estimates(mass, z[c + 1])
             if trace is not None:
                 trace.mass[k + 1], trace.phi[k + 1] = mass[0], phi[0]
                 rho_buf[c] = rho[:, 0]
-        if mass_slots is not None:
-            record_errors(done + 1, mass_slots)
+        if e_dist is not None:
+            record_errors(done + 1, z[1:steps + 1])
+        if z is not None:
+            z[0] = z[steps]
         if trace is not None:
             trace.rho[done + 1:done + steps + 1] = rho_buf[
                 :steps, in_arcs.row_of, in_arcs.col_of]

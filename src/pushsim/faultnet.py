@@ -219,10 +219,23 @@ class ScheduleDraws:
                                 (rngmod.Role.SEND_DELAY, bounds.fixed_delay)))
 
     @staticmethod
-    def draw_batch(draws: list["ScheduleDraws"], slots: int
+    def buffers(draws: list["ScheduleDraws"], slots: int
+                ) -> tuple[np.ndarray | None, ...]:
+        """Flat buffers for draw_batch's `out`, with room for `slots` rows
+        of every drawn role's table; None for a role the bounds fix."""
+        first = draws[0]
+        return tuple(None if gen is None else
+                     np.empty(len(draws) * slots * cols)
+                     for gen, cols in zip(first._gens,
+                                          (first.n, first.m, first.m)))
+
+    @staticmethod
+    def draw_batch(draws: list["ScheduleDraws"], slots: int,
+                   out: tuple[np.ndarray | None, ...] | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next `slots` rows of every run's wake, loss and delay tables,
-        stacked (B, C, n) and (B, C, m) as they are drawn."""
+        stacked (B, C, n) and (B, C, m) as they are drawn: fresh arrays, or
+        views of the buffers `out` from ``buffers``."""
         first = draws[0]
         tables = []
         for role, cols in enumerate((first.n, first.m, first.m)):
@@ -230,7 +243,8 @@ class ScheduleDraws:
             if first._gens[role] is None:
                 table = np.broadcast_to(0.0, shape)
             else:
-                table = np.empty(shape)
+                table = (np.empty(shape) if out is None else
+                         out[role][:len(draws) * slots * cols].reshape(shape))
                 for b, run in enumerate(draws):
                     run._gens[role].random(out=table[b])
             tables.append(table)
@@ -241,7 +255,8 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
                   state: RealizerState, first_slot: int, horizon: int,
                   wake_u: np.ndarray, loss_u: np.ndarray,
                   delay_u: np.ndarray,
-                  mask: np.ndarray | None = None
+                  mask: np.ndarray | None = None,
+                  out: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Realize slots [first_slot, first_slot + C) for a batch of runs.
 
@@ -249,7 +264,9 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
     for slots < horizon (the wake process continues past it). mask, if
     given, is (>= horizon, m) live-arc flags indexed by absolute slot.
     Returns (wake (B, C, n) bool, arrival (B, C, m) int64), as views of
-    slot-major memory, which the engine's per-slot reads want.
+    slot-major memory, which the engine's per-slot reads want: fresh
+    arrays, or the first C rows of `out`, slot-major buffers
+    (>= C, B, n) bool and (>= C, B, m) int64.
 
     A batch of one run is realized by the whole-chunk scans of
     `_realize_run`, a larger batch by the slot loop below (the module
@@ -262,7 +279,11 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
     # slot-major memory (C, B, ...) and returned as (B, C, ...) views; the
     # streak recursions below stay slot by slot, except where the bounds fix
     # their outcome. Sends occur only before the horizon.
-    wake = np.empty((chunk, batch, n), dtype=bool)
+    if out is None:
+        out = (np.empty((chunk, batch, n), dtype=bool),
+               np.empty((chunk, batch, topology.m), dtype=np.int64))
+    wake, arrival = out[0][:chunk], out[1][:chunk]
+    arrival.fill(NOT_SENT)
     if bounds.fixed_wake:
         wake.fill(True)
     else:
@@ -270,19 +291,23 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
     sends = max(0, min(chunk, horizon - first_slot)) if topology.m else 0
     live = (None if mask is None else
             mask[first_slot:first_slot + sends].astype(bool, copy=False))
-    delays = (1 if bounds.fixed_delay else
-              rngmod.uniform_delay(delay_u[:, :sends].swapaxes(0, 1),
-                                   bounds.max_transmission_delay))
     slots = np.arange(first_slot, first_slot + sends)[:, None, None]
-    arrival = np.full((chunk, batch, topology.m), NOT_SENT, dtype=np.int64)
-    out = wake.swapaxes(0, 1), arrival.swapaxes(0, 1)
+    # Each send's raw arrival: in the slot loop, where its final entry will
+    # be.
+    head = (np.empty((sends, batch, topology.m), dtype=np.int64)
+            if batch == 1 else arrival[:sends])
+    if bounds.fixed_delay:
+        head.fill(1)
+    else:
+        rngmod.uniform_delay(delay_u[:, :sends].swapaxes(0, 1),
+                             bounds.max_transmission_delay, out=head)
+    head += slots
+    result = wake.swapaxes(0, 1), arrival.swapaxes(0, 1)
     if batch == 1:
         _realize_run(bounds, src_idx, state, wake[:, 0],
-                     loss_u[0, :sends] < bounds.loss_prob,
-                     (slots + delays)[:, 0], live, arrival[:, 0])
-        return out
-    # Each send's raw arrival goes where its final entry will be.
-    head = np.add(delays, slots, out=arrival[:sends])
+                     loss_u[0, :sends] < bounds.loss_prob, head[:, 0], live,
+                     arrival[:, 0])
+        return result
     if bounds.fixed_wake:
         state.slots_asleep = np.zeros_like(state.slots_asleep)
     else:
@@ -300,7 +325,7 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
             np.maximum(stamp, woke, out=stamp)
         state.slots_asleep = chunk - 1 + gap - stamp
     if sends == 0:
-        return out
+        return result
     attempted = wake[:sends].take(src_idx, axis=2)
     if live is not None:
         attempted &= live[:, None, :]
@@ -308,8 +333,8 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
         # Every attempt arrives the next slot, after any earlier arrival on
         # its arc: no streak moves and the FIFO clamp never binds.
         delivered = attempted
-        state.last_arrival = np.where(attempted, head,
-                                      state.last_arrival).max(axis=0)
+        state.last_arrival = np.maximum(
+            state.last_arrival, head.max(axis=0, where=attempted, initial=-1))
     else:
         # Per slot, only the streaks and the FIFO clamp; the arrival table
         # is composed afterwards from the attempts, the deliveries and each
@@ -330,7 +355,7 @@ def realize_chunk(bounds: FaultBounds, topology: Topology,
     head *= delivered
     head += attempted
     head += NOT_SENT
-    return out
+    return result
 
 
 def _realize_run(bounds: FaultBounds, src_idx: np.ndarray,

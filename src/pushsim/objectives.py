@@ -66,6 +66,11 @@ class QuadraticObjective:
             raise ConfigurationError("quadratic weights must be positive")
         if self.centers.shape[0] != self.mu.shape[0]:
             raise ConfigurationError("one center per agent required")
+        # constants of the total gradient, which the centralized baseline
+        # evaluates every step
+        self.mu_total = float(np.sum(self.mu))
+        self._weighted_centers = np.sum(self.mu[:, None] * self.centers,
+                                        axis=0)
 
     @property
     def n_agents(self) -> int:
@@ -74,10 +79,6 @@ class QuadraticObjective:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
-
-    @property
-    def mu_total(self) -> float:
-        return float(np.sum(self.mu))
 
     @property
     def lipschitz_local(self) -> np.ndarray:
@@ -96,16 +97,14 @@ class QuadraticObjective:
 
     def batch_total_gradient(self, x: np.ndarray) -> np.ndarray:
         """x is (..., d); gradient of F = sum_i f_i at each point."""
-        return self.mu_total * x - np.sum(self.mu[:, None] * self.centers,
-                                          axis=0)
+        return self.mu_total * x - self._weighted_centers
 
     def total_value(self, x: np.ndarray) -> float:
         diff = x - self.centers
         return float(0.5 * np.sum(self.mu * np.sum(diff * diff, axis=1)))
 
     def optimum(self) -> np.ndarray:
-        return (np.sum(self.mu[:, None] * self.centers, axis=0)
-                / self.mu_total)
+        return self._weighted_centers / self.mu_total
 
 
 class SvmObjective:
@@ -227,8 +226,9 @@ class NoiseModel:
         """E ||eps||^2 = d * half_width^2 / 3."""
         return self.dim * self.half_width ** 2 / 3.0
 
-    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return rngmod.uniform_box(u, self.half_width)
+    def from_uniforms(self, u: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        return rngmod.uniform_box(u, self.half_width, out=out)
 
 
 def box_noise_model(box_width: float, dim: int,

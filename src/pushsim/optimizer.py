@@ -48,10 +48,12 @@ class StepSizeLedger:
         return float(self.prefix[k + 1] - self.prefix[last_wake + 1])
 
     def compensated_step_batch(self, last_wake: np.ndarray,
-                               k: int | np.ndarray) -> np.ndarray:
-        """compensated_step elementwise; k broadcasts against last_wake, so
-        one call covers many slots."""
-        return self.prefix[k + 1] - self.prefix[last_wake + 1]
+                               k: int | np.ndarray,
+                               out: np.ndarray | None = None) -> np.ndarray:
+        """compensated_step elementwise, into `out` if given; k broadcasts
+        against last_wake, so one call covers many slots."""
+        return np.subtract(self.prefix[k + 1], self.prefix[last_wake + 1],
+                           out=out)
 
 
 class GradientStep:
@@ -60,7 +62,8 @@ class GradientStep:
     A waking node moves its value by minus its compensated step times a
     noisy local gradient at its current estimate. Per chunk, one ledger call
     gives every compensated step and one noise-map call every gradient
-    noise; the uniforms come from each run's GRAD_NOISE stream.
+    noise; the uniforms come from each run's GRAD_NOISE stream. Both fill
+    tables sized by the first chunk, the longest, and refilled by the rest.
     """
 
     def __init__(self, objective, noise: NoiseModel,
@@ -69,16 +72,22 @@ class GradientStep:
         self.runs = tuple(runs)
         self.streams = [rng.stream(master_seed, r, rng.Role.GRAD_NOISE)
                         for r in self.runs]
+        self._neg_beta = self._eps = None
 
     def chunk(self, kappa_before: np.ndarray, slots: np.ndarray) -> None:
-        beta = self.ledger.compensated_step_batch(
-            kappa_before.swapaxes(0, 1), slots[:, None, None])
-        self.neg_beta = -beta[..., None]                  # (C, B, n, 1)
-        u = np.empty((len(self.streams), slots.size, kappa_before.shape[2],
-                      self.objective.dim))
-        for g, rows in zip(self.streams, u):
+        batch, steps, n = kappa_before.shape
+        if self._eps is None or self._eps.shape[1] < steps:
+            self._neg_beta = np.empty((steps, batch, n, 1))
+            self._eps = np.empty((batch, steps, n, self.objective.dim))
+        neg_beta = self.neg_beta = self._neg_beta[:steps]   # (C, B, n, 1)
+        self.ledger.compensated_step_batch(
+            kappa_before.swapaxes(0, 1), slots[:, None, None],
+            out=neg_beta[..., 0])
+        np.negative(neg_beta, out=neg_beta)
+        eps = self.eps = self._eps[:, :steps]               # (B, C, n, d)
+        for g, rows in zip(self.streams, eps):
             g.random(out=rows)
-        self.eps = self.noise.from_uniforms(u)
+        self.noise.from_uniforms(eps, out=eps)
 
     def delta(self, c: int, k: int, z: np.ndarray,
               wake: np.ndarray) -> np.ndarray:

@@ -72,18 +72,25 @@ def stream(master_seed: int, run: int = 0, role: Role | int = 0,
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform_box(u: np.ndarray, half_width: float) -> np.ndarray:
-    """Map [0,1) uniforms to the box [-half_width, half_width)."""
-    box = (2.0 * half_width) * u
+def uniform_box(u: np.ndarray, half_width: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Map [0,1) uniforms to the box [-half_width, half_width), into `out`
+    if given (which may be u itself)."""
+    box = np.multiply(2.0 * half_width, u, out=out)
     box -= half_width
     return box
 
 
-def uniform_delay(u: np.ndarray, max_delay: int) -> np.ndarray:
-    """Map [0,1) uniforms to integer delays uniform on {1, ..., max_delay}."""
-    # Truncation is the floor for u >= 0, and the clip maps every other
-    # input to the same delay either way.
-    d = np.asarray(u * max_delay).astype(np.int64)
+def uniform_delay(u: np.ndarray, max_delay: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Map [0,1) uniforms to integer delays uniform on {1, ..., max_delay},
+    into the int64 array `out` if given."""
+    # The product is a double, truncated as it is stored. Truncation is the
+    # floor for u >= 0, and the clip maps every other input to the same
+    # delay either way.
+    if out is None:
+        out = np.empty(np.shape(u), dtype=np.int64)
+    d = np.multiply(u, max_delay, out=out, casting="unsafe")
     d += 1
     # u == 1.0 never happens; clip guards against pathological inputs only.
     return np.clip(d, 1, max_delay, out=d)

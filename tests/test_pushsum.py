@@ -313,6 +313,20 @@ def test_last_wakes_on_a_hand_built_table():
 CHUNKS = (1, 2, 3, 7, 128, 512)
 
 
+def node_mean_error(z, z_star):
+    """(K+1,) squared error of the node mean of a trace's z (K+1, n, d),
+    summed as the engine sums it: numpy's sum for d = 1, left to right over
+    nodes otherwise."""
+    if z.shape[2] == 1:
+        node_sum = z.sum(axis=1)
+    else:
+        node_sum = z[:, 0].copy()
+        for i in range(1, z.shape[1]):
+            node_sum += z[:, i]
+    diff = node_sum / z.shape[1] - z_star
+    return np.sum(diff * diff, axis=1)
+
+
 def test_engine_results_do_not_depend_on_chunk_size():
     # in-flight arrivals, last wakes and accepted send slots carry across
     # chunk boundaries; every chunking must give the same bits
@@ -327,6 +341,7 @@ def test_engine_results_do_not_depend_on_chunk_size():
     mask = np.random.default_rng(0).random((300, masked.m)) < 0.7
     mask[::3] = True
     lossless = FaultBounds(3, 0, 3, wake_prob=0.5)
+    mask_star, plain_star = np.full(1, 0.5), np.array([3.5, -1.0])
     assert ASYNC.max_transmission_delay == 3
 
     def outputs(chunk):
@@ -336,14 +351,26 @@ def test_engine_results_do_not_depend_on_chunk_size():
         pert = run_protocol(topo, ASYNC, x0, 300, 13,
                             update=Injection(lambda k: bump),
                             record_trace=True, chunk=chunk)
+        # plain averaging runs score their estimates with no update to read
+        # them, in d = 1 and d = 2
         mask_run = run_protocol(masked, lossless, np.ones((5, 1)), 300, 33,
-                                mask=mask, record_trace=True, chunk=chunk)
+                                mask=mask, z_star=mask_star,
+                                record_trace=True, chunk=chunk)
+        plain = run_protocol(topo, ASYNC, x0, 300, 17, z_star=plain_star,
+                             record_trace=True, chunk=chunk)
         out = {"opt.e_dist": opt.e_dist, "opt.z_final": opt.z_final,
                "pert.aug_mean": pert.trace.aug_mean}
-        for name, res in (("pert", pert), ("mask", mask_run)):
+        for name, res in (("pert", pert), ("mask", mask_run),
+                          ("plain", plain)):
             for field in ("x", "y", "z", "phi_x", "phi_y", "rho_x", "rho_y",
                           "kappa", "wake", "applied"):
                 out[f"{name}.{field}"] = getattr(res.trace, field)
+        for name, res, star in (("mask", mask_run, mask_star),
+                                ("plain", plain, plain_star)):
+            assert np.array_equal(res.e_dist[0],
+                                  node_mean_error(res.trace.z, star)), \
+                (chunk, name)
+            out[f"{name}.e_dist"] = res.e_dist
         return out
 
     want = outputs(CHUNKS[-1])
