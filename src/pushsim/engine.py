@@ -14,8 +14,10 @@ with two methods:
 - ``update.chunk(kappa_before, slots)`` is called once per chunk, before
   its slot loop. ``slots`` holds the chunk's slot numbers, shape ``(C,)``,
   and ``kappa_before`` each node's last wake before every one of them,
-  shape ``(B, C, n)``. Schedule-only work goes here, such as the optimizer's
-  sleep-compensated steps and its gradient noise;
+  shape ``(B, C, n)``, a view of a chunk table that later chunks refill,
+  so an update that keeps its rows copies them. Schedule-only work goes
+  here, such as the optimizer's sleep-compensated steps and its gradient
+  noise;
 - ``update.delta(c, k, z, wake)`` is called at slot ``k``, the ``c``-th of
   the chunk, with the estimates ``z`` ``(B, n, d)`` and the waking nodes
   ``wake`` ``(B, n)``, both rows of chunk tables that later chunks refill.
@@ -38,14 +40,16 @@ role) stays a near-constant share of the work: 43 slots at B = 50 on a
 10-node bidirectional cycle, 10 at B = 200, and a whole 500-slot run at
 B = 1. Results do not depend on the length.
 
-A call holds one generation of chunk tables: each, but for the last
-wakes handed to ``update.chunk``, is allocated once, at the first chunk's
-length, and refilled in place by every chunk after it, instead of being
-built fresh while the last chunk's tables are still alive. At the benchmark's op shapes this took one ``run_gradient_push``
-call's traced peak from 5.48 to 4.49 MiB (svm_sync, B = 5, H = 500) and
-from 6.12 to 5.42 MiB (quad_async, B = 50, H = 1,000), and its minor page
-faults from 1,585 to 1,121 and from about 2,570 to 1,294 (shared
-2-core x86-64 host, numpy 2.4).
+A call holds one generation of chunk tables: each is allocated once, at
+the first chunk's length, and refilled in place by every chunk after it,
+instead of being built fresh while the last chunk's tables are still
+alive, and the acceptance pass works in the realized arrival table it is
+handed. At the benchmark's op shapes one ``run_gradient_push`` call's
+traced peak went from 5.48 to 3.83 MiB (svm_sync, B = 5, H = 500) and
+from 6.12 to 4.74 MiB (quad_async, B = 50, H = 1,000): 4.49 and 5.42 MiB
+came from refilling the draws, schedule, operands and the update's steps
+and noise, the rest from the in-place acceptance pass and the refilled
+last wakes and compensated steps (shared 2-core x86-64 host, numpy 2.4).
 
 Each chunk starts with one vectorized pass over its realized
 schedule, which depends on wakes, losses and delays but never on the
@@ -60,8 +64,13 @@ iterates:
    accepts at slot k when its receiver wakes and ``newest`` exceeds its
    value at the receiver's previous wake. Both start at -1, "no message
    yet", so a slot-0 send is accepted like any other. An accepted message
-   is at most ``L_d`` slots old. Only the accept mask and the history rows
-   the slot loop takes are laid out per in-arc.
+   is at most ``L_d`` slots old. The pass works in place: each send's
+   placement is computed over the realized arrival table, which a trace
+   has already copied and nothing reads afterwards, and the running max of
+   ``newest`` becomes ``seen``, its value at the receiver's last wake,
+   which equals ``newest`` wherever an arc accepts. The history rows the
+   slot loop takes are read from ``seen``; only they and the accept mask
+   are laid out per in-arc.
 
 The slot loop keeps only the data flow. Within one slot:
 
@@ -121,27 +130,29 @@ from .graph import Topology
 _NO_MESSAGE = np.iinfo(np.int64).min
 
 
-def last_wakes(wake: np.ndarray, first_slot: int,
-               prior: np.ndarray) -> np.ndarray:
+def last_wakes(wake: np.ndarray, first_slot: int, prior: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """(..., C+1, n) each node's last wake before every slot boundary of a
     (..., C, n) wake table whose rows are slots first_slot, first_slot + 1,
     ...; prior (..., n), row 0, stands until a node's first wake in the
     table: its last wake before first_slot, or -1 (no wake yet).
 
-    Scans slot-major memory; the result is a view of it."""
+    Scans slot-major memory, `out` (C+1, ..., n) int64 if given, else a
+    fresh table; the result is a view of it. `prior` may be a row of the
+    last call's `out`."""
     rows = np.moveaxis(wake, -2, 0)
     slots = np.arange(first_slot + 1, first_slot + 1 + rows.shape[0])
-    # each wake stamped with its slot + 1, every other entry with 0
-    stamps = np.zeros((rows.shape[0] + 1,) + rows.shape[1:], dtype=np.int64)
+    if out is None:
+        out = np.empty((rows.shape[0] + 1,) + rows.shape[1:], dtype=np.int64)
+    # each wake stamped with its slot + 1, every other entry with 0, behind
+    # prior + 1, which is below every stamp of a wake in the table; the
+    # running max less 1 is then the last wake or prior
+    np.add(prior, 1, out=out[0])
     np.multiply(rows, slots.reshape((-1,) + (1,) * (rows.ndim - 1)),
-                out=stamps[1:])
-    _running_max(stamps)
-    # stamp 0 (no wake yet, a run of leading rows) becomes prior, any other
-    # stamp its slot
-    unset = stamps == 0
-    stamps -= 1
-    np.copyto(stamps, prior, where=unset)
-    return np.moveaxis(stamps, 0, -2)
+                out=out[1:])
+    _running_max(out)
+    out -= 1
+    return np.moveaxis(out, 0, -2)
 
 
 # Rows at least this long scan faster one ``np.maximum`` call per row than
@@ -335,15 +346,14 @@ class _Acceptance:
         self.arriving = np.empty(1 + (chunk + self.span) * self.cell,
                                  dtype=np.int64)
         self.offset = 1 + np.arange(batch)[:, None] * (m + 1) + np.arange(m)
-        self.place = np.empty((chunk, batch, m), dtype=np.int64)
-        self.seen_rows = np.empty((chunk + 1, batch, m + 1), dtype=np.int64)
         self.accept = np.empty((chunk, batch, m + 1), dtype=bool)
 
     def advance(self, first_slot: int, wake: np.ndarray, arrival: np.ndarray,
                 runs) -> tuple[np.ndarray, np.ndarray]:
-        """(accept, newest), both (C, B, m + 1), for one realized chunk:
-        wake (C, B, n) and arrival (C, B, m). Both are views that the next
-        chunk overwrites."""
+        """(accept, seen), both (C, B, m + 1), for one realized chunk: wake
+        (C, B, n) and arrival (C, B, m), which this overwrites. ``seen`` is
+        the send slot of the message an arc accepts wherever it accepts.
+        Both results are views that the next chunk overwrites."""
         steps, batch, m = arrival.shape
         cell, span = self.cell, self.span
         arriving = self.arriving[:1 + (steps + span) * cell]
@@ -351,41 +361,44 @@ class _Acceptance:
         arriving[1 + span * cell:] = _NO_MESSAGE
         # A delivered send, arriving at slot t, lands in row t - first_slot;
         # a lost or unsent one (arrival < 0) at a position <= 0, clamped to
-        # the scratch cell.
-        place = np.multiply(arrival, cell, out=self.place[:steps])
+        # the scratch cell. The arrival table becomes the placement.
+        place = arrival
+        place *= cell
         place += self.offset - first_slot * cell
         np.maximum(place, 0, out=place)
         slots = np.arange(first_slot, first_slot + steps)[:, None, None]
-        # each send's slot, in scratch that the seen scan overwrites below
-        sent = self.seen_rows.reshape(-1)[:place.size].reshape(place.shape)
-        sent[...] = slots
-        arriving[place] = sent
+        arriving[place] = slots
         rows = arriving[1:].reshape(steps + span, batch, m + 1)
-        self.in_flight = rows[steps:].copy()
+        self.in_flight[...] = rows[steps:]
         newest = rows[:steps]
         np.maximum(newest[0], self.newest, out=newest[0])
         _running_max(newest)
-        # seen: newest at the receiver's wakes. Newest never falls below the
-        # last seen value, so a sleeping receiver's entry may hold that
-        # value instead of "no message", and an arc accepts exactly when
+        self.newest[...] = newest[-1]
+        # seen, in place of newest: newest at the receiver's wakes. Newest
+        # never falls below the last seen value, so a sleeping receiver's
+        # entry may hold that value instead of "no message", every entry is
+        # at least the last chunk's seen, and an arc accepts exactly when
         # its seen value rises.
-        seen = self.seen_rows[:steps + 1]
-        seen[0] = self.seen
-        np.subtract(newest, self.seen, out=seen[1:])
-        seen[1:] *= wake.take(self.dst, axis=2)
-        seen[1:] += self.seen
+        seen = newest
+        woke = wake.take(self.dst, axis=2, out=self.accept[:steps],
+                         mode="clip")
+        seen -= self.seen
+        seen *= woke
+        seen += self.seen
         _running_max(seen)
-        accept = np.greater(seen[1:], seen[:-1], out=self.accept[:steps])
-        self.newest, self.seen = newest[-1].copy(), seen[-1].copy()
-        stale = accept & (newest < slots - self.max_age)
+        accept = woke
+        np.greater(seen[1:], seen[:-1], out=accept[1:])
+        np.greater(seen[0], self.seen, out=accept[0])
+        self.seen[...] = seen[-1]
+        stale = accept & (seen < slots - self.max_age)
         if stale.any():
             c, b, arc = np.argwhere(stale)[0]
             raise InconsistentScheduleError(
                 f"arc {self.topology.src[arc]}->{self.topology.dst[arc]}: "
-                f"message sent at slot {newest[c, b, arc]} accepted at "
+                f"message sent at slot {seen[c, b, arc]} accepted at "
                 f"slot {first_slot + c}, more than L_d = {self.max_age} "
                 f"slots later (run index {runs[b]})")
-        return accept, newest
+        return accept, seen
 
 
 def _per_slot(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -511,6 +524,10 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
     # a trace's absorbed totals in the in-arc layout, put in arc order once
     # per chunk
     rho_buf = None if trace is None else np.empty((chunk,) + rho[:, 0].shape)
+    # the last wakes before the chunk's slot boundaries, slot-major; row 0
+    # is the previous chunk's last row
+    kappa_buf = (None if update is None else
+                 np.empty((chunk + 1, batch, n), dtype=np.int64))
     # The estimates at the chunk's slot boundaries, computed once for both
     # readers, the update and the error series; row 0 holds the previous
     # chunk's last boundary.
@@ -545,20 +562,23 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         # Schedule-only work for the whole chunk: the update's, which reads
         # each node's last wake before every slot;
         if update is not None:
-            kappa = last_wakes(wake_c, done, kappa[:, -1])
+            kappa = last_wakes(wake_c, done, kappa[:, -1],
+                               kappa_buf[:steps + 1])
             update.chunk(kappa[:, :-1], np.arange(done, done + steps))
         # the arcs that accept, and the history rows of their messages, in
         # the in-arc layout:
         if m:
-            accept, newest = acceptance.advance(
+            accept, seen = acceptance.advance(
                 done, wake, np.ascontiguousarray(arrival_c.swapaxes(0, 1)),
                 runs)
             accept = accept.reshape(steps, -1)
             accepting = accept.any(axis=1)
             accept_mass = _per_slot(accept.take(cells, axis=1),
                                     accept_mass_buf[:steps])
-            take_rows = newest.reshape(steps, -1).take(
-                cells, axis=1, out=rows_buf[:steps])
+            # every index is in range; with ``out``, the default mode would
+            # also take into a temporary copy of it
+            take_rows = seen.reshape(steps, -1).take(
+                cells, axis=1, out=rows_buf[:steps], mode="clip")
             take_rows &= depth - 1
             take_rows *= batch * n
             take_rows += src_rows

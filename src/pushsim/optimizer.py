@@ -42,6 +42,9 @@ class StepSizeLedger:
             [[0.0], self.numerator / (self.mu * (ks + self.k0))])
         # prefix[j] = sum of alpha(t) for t < j; prefix[0] = 0
         self.prefix = np.concatenate([[0.0], np.cumsum(alphas)])
+        # rotated left by one: ahead[j] = prefix[j + 1], and ahead[-1] =
+        # prefix[0], the prefix before a last wake of -1
+        self.ahead = np.roll(self.prefix, -1)
 
     def compensated_step(self, last_wake: int, k: int) -> float:
         """Sum of alpha(t) for t in (last_wake, k]; last_wake may be -1."""
@@ -51,9 +54,12 @@ class StepSizeLedger:
                                k: int | np.ndarray,
                                out: np.ndarray | None = None) -> np.ndarray:
         """compensated_step elementwise, into `out` if given; k broadcasts
-        against last_wake, so one call covers many slots."""
-        return np.subtract(self.prefix[k + 1], self.prefix[last_wake + 1],
-                           out=out)
+        against last_wake, so one call covers many slots.
+
+        The prefixes are gathered straight into `out`: last wakes lie in
+        [-1, horizon), and -1 wraps to prefix[0]."""
+        out = np.take(self.ahead, last_wake, out=out, mode="wrap")
+        return np.subtract(self.ahead[k], out, out=out)
 
 
 class GradientStep:

@@ -255,9 +255,10 @@ def test_a_large_batch_holds_tables_of_a_bounded_size(kind):
 # One call's traced peak at the benchmark's op shapes (svm_sync B = 5,
 # quad_async B = 50), in MiB, measured with Python 3.11 and numpy 2.4: with
 # every chunk's tables built while the last chunk's were alive it read 5.48
-# and 6.12; with one generation of tables refilled in place, 4.49 and 5.42.
-# The bounds allow 5% over the latter.
-OP_SHAPE_PEAK_MIB = {"svm_sync": 4.49 * 1.05, "quad_async": 5.42 * 1.05}
+# and 6.12; with one generation of tables refilled in place, 4.49 and 5.42;
+# with the acceptance pass run in place and the last wakes and compensated
+# steps refilled too, 3.83 and 4.74. The bounds allow 5% over the latter.
+OP_SHAPE_PEAK_MIB = {"svm_sync": 3.83 * 1.05, "quad_async": 4.74 * 1.05}
 
 
 @pytest.mark.parametrize("kind", ["svm_sync", "quad_async"])
@@ -289,3 +290,65 @@ def test_a_call_holds_one_generation_of_chunk_tables(kind):
     series = batch * (horizons[1] - horizons[0]) * 8
     assert peaks[1] - peaks[0] <= series + 0.05 * peaks[0], peaks
     assert peaks[0] < OP_SHAPE_PEAK_MIB[kind] * 2 ** 20, peaks[0] / 2 ** 20
+
+
+def test_schedule_pass_refills_its_tables(monkeypatch):
+    # The last wakes, the compensated steps and the acceptance pass work in
+    # tables allocated once per call. From 50 to 400 slots per chunk, a
+    # call's traced peak grows by numpy's fixed ufunc buffers at most for
+    # the first two, and by the stale check's two bool masks for the third;
+    # one fresh int64 table would add 700 kB per node or 1.4 MB per arc.
+    from pushsim import engine
+    topo = build_cycle(50, bidirectional=True)
+    obj = generate_quadratic(50, 2, master_seed=3)
+    led = StepSizeLedger(numerator=topo.n, mu=obj.mu_total, horizon=800)
+    batch, grown = 5, 400 - 50
+    per_arc = grown * batch * (topo.m + 1) * 8
+    bounds = {"last_wakes": 16 * 2 ** 10, "steps": 16 * 2 ** 10,
+              "acceptance": per_arc // 2}
+    peaks = {}
+
+    def traced(fn, name):
+        def call(*args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            peaks[name] = max(peaks.get(name, 0),
+                              tracemalloc.get_traced_memory()[1] - base)
+            return result
+        return call
+
+    monkeypatch.setattr(engine, "last_wakes",
+                        traced(engine.last_wakes, "last_wakes"))
+    monkeypatch.setattr(StepSizeLedger, "compensated_step_batch",
+                        traced(StepSizeLedger.compensated_step_batch,
+                               "steps"))
+    monkeypatch.setattr(engine._Acceptance, "advance",
+                        traced(engine._Acceptance.advance, "acceptance"))
+    by_chunk = []
+    for chunk in (50, 400):
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            run_gradient_push(topo, ASYNC, obj, NoiseModel(0.0, 2), led, 800,
+                              7, runs=range(batch), chunk=chunk)
+        finally:
+            tracemalloc.stop()
+        by_chunk.append(dict(peaks))
+    for name, bound in bounds.items():
+        assert by_chunk[1][name] - by_chunk[0][name] < bound, by_chunk
+
+
+def test_compensated_step_batch_matches_the_scalar_steps():
+    led = StepSizeLedger(numerator=7.0, mu=0.3, horizon=40, k0=5)
+    rng = np.random.default_rng(4)
+    slots = np.arange(40)[:, None]
+    last = np.minimum(rng.integers(-1, 40, (40, 6)), slots)
+    last[:, 0] = -1
+    want = np.array([[led.compensated_step(a, k) for a in row]
+                     for k, row in zip(range(40), last)])
+    out = np.empty((40, 6))
+    assert led.compensated_step_batch(last, slots, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(led.compensated_step_batch(last, slots), want)
+    assert np.array_equal(led.compensated_step_batch(last[7], 7), want[7])

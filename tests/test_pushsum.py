@@ -238,13 +238,14 @@ def test_ratio_estimates_stay_finite_under_faults():
 
 class SpyUpdate:
     """A wake-time update that changes nothing and records what the engine
-    passes it: each slot's last wakes and estimates of run 0."""
+    passes it: each slot's last wakes and estimates of run 0, copied, as
+    both are rows of tables that later chunks overwrite."""
 
     def __init__(self):
         self.slots, self.kappa_before, self.z = [], [], []
 
     def chunk(self, kappa_before, slots):
-        self.kappa_before += list(kappa_before[0])
+        self.kappa_before += list(kappa_before[0].copy())
 
     def delta(self, c, k, z, wake):
         self.slots.append(k)
@@ -296,6 +297,12 @@ def test_last_wakes_on_a_hand_built_table():
     assert np.array_equal(last_wakes(wake, 0, np.full(3, -1)), want)
     # a later window starts from each node's last wake before it
     assert np.array_equal(last_wakes(wake[2:], 2, want[2]), want[2:])
+    # into a buffer, each window's prior its last row from the window before
+    out = np.empty((3, 3), dtype=np.int64)
+    first = last_wakes(wake[:2], 0, np.full(3, -1), out)
+    assert np.shares_memory(first, out)
+    assert np.array_equal(first, want[:3])
+    assert np.array_equal(last_wakes(wake[2:], 2, first[-1], out), want[2:])
     # SYNC's wake tail is one slot, which kappa does not read
     schedule = ScheduleRealization(build_cycle(3), SYNC, 4,
                                    np.vstack([wake, wake[:1]]),
