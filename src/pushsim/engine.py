@@ -45,11 +45,13 @@ the first chunk's length, and refilled in place by every chunk after it,
 instead of being built fresh while the last chunk's tables are still
 alive, and the acceptance pass works in the realized arrival table it is
 handed. At the benchmark's op shapes one ``run_gradient_push`` call's
-traced peak went from 5.48 to 3.83 MiB (svm_sync, B = 5, H = 500) and
-from 6.12 to 4.74 MiB (quad_async, B = 50, H = 1,000): 4.49 and 5.42 MiB
+traced peak went from 5.48 to 3.66 MiB (svm_sync, B = 5, H = 500) and
+from 6.12 to 4.65 MiB (quad_async, B = 50, H = 1,000): 4.49 and 5.42 MiB
 came from refilling the draws, schedule, operands and the update's steps
-and noise, the rest from the in-place acceptance pass and the refilled
-last wakes and compensated steps (shared 2-core x86-64 host, numpy 2.4).
+and noise, 3.83 and 4.74 MiB from the in-place acceptance pass and the
+refilled last wakes and compensated steps, and the rest from building the
+stale check's mask in a held table and the divisor in its own (shared
+2-core x86-64 host, numpy 2.4).
 
 Each chunk starts with one vectorized pass over its realized
 schedule, which depends on wakes, losses and delays but never on the
@@ -347,6 +349,7 @@ class _Acceptance:
                                  dtype=np.int64)
         self.offset = 1 + np.arange(batch)[:, None] * (m + 1) + np.arange(m)
         self.accept = np.empty((chunk, batch, m + 1), dtype=bool)
+        self.stale = np.empty_like(self.accept)
 
     def advance(self, first_slot: int, wake: np.ndarray, arrival: np.ndarray,
                 runs) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +393,8 @@ class _Acceptance:
         np.greater(seen[1:], seen[:-1], out=accept[1:])
         np.greater(seen[0], self.seen, out=accept[0])
         self.seen[...] = seen[-1]
-        stale = accept & (seen < slots - self.max_age)
+        stale = np.less(seen, slots - self.max_age, out=self.stale[:steps])
+        stale &= accept
         if stale.any():
             c, b, arc = np.argwhere(stale)[0]
             raise InconsistentScheduleError(
@@ -557,7 +561,14 @@ def run_protocol(topology: Topology, bounds: FaultBounds, x0: np.ndarray,
         # exact for every double.
         wake = np.ascontiguousarray(wake_c.swapaxes(0, 1))   # (C, B, n)
         wake_mass = _per_slot(wake, wake_mass_buf[:steps])  # (C, B, n, d+1)
-        divisor = _per_slot(1.0 + wake * out_degree, divisor_buf[:steps])
+        # The divisor is built in column 0 and copied across by a ufunc: an
+        # assignment between columns of one buffer copies through a
+        # temporary, since their memory bounds overlap.
+        divisor = divisor_buf[:steps]
+        np.multiply(wake, out_degree, out=divisor[..., 0])
+        divisor[..., 0] += 1.0
+        for j in range(1, dim + 1):
+            np.positive(divisor[..., 0], out=divisor[..., j])
 
         # Schedule-only work for the whole chunk: the update's, which reads
         # each node's last wake before every slot;

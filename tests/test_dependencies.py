@@ -2,6 +2,7 @@
 scipy or mpmath."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,30 @@ def test_importing_pushsim_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_experiments_and_ratio_studies_load_no_masked_arrays(tmp_path):
+    # np.median's NaN check imports numpy.ma, 1.3 MiB resident, on a
+    # process's first median; harness.batch_median takes its steps without it
+    config = {"name": "one-window", "topology": {"kind": "cycle", "n": 3},
+              "faults": {"max_wake_gap": 2, "max_consecutive_losses": 1,
+                         "max_transmission_delay": 2, "wake_prob": 0.6,
+                         "loss_prob": 0.2},
+              "objective": {"kind": "quadratic", "dim": 2},
+              "noise_width": 4.0, "horizon": 100, "runs": 4,
+              "batch_size": 2, "master_seed": 5, "step_offset": 5}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys\n"
+            "from pushsim.harness import (ExperimentConfig, ratio_study,\n"
+            "                             run_experiment)\n"
+            "cfg = ExperimentConfig.from_file(sys.argv[1] + '/config.json')\n"
+            "run_experiment(cfg, sys.argv[1] + '/out')\n"
+            "ratio_study(cfg, [2, 3], [100])\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def unused_imports(path: Path) -> list[str]:

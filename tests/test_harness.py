@@ -18,7 +18,7 @@ from pushsim.errors import (ConfigurationError, ProtocolViolationError,
 from pushsim.faultnet import FaultBounds, realize_schedule
 from pushsim.graph import build_cycle
 from pushsim.harness import (ExperimentConfig, aggregate_series,
-                             batch_window_means, build_problem,
+                             batch_median, batch_window_means, build_problem,
                              centralized_baseline, ratio_study, read_raw,
                              reduce_metrics, replay, run_experiment,
                              save_optimum, write_csv)
@@ -243,6 +243,27 @@ def test_window_means_average_within_batch_and_window():
     med, std = aggregate_series(raw, 2)[1:]
     assert np.allclose(med, 2.0)
     assert np.allclose(std, np.std([1.0, 3.0], ddof=1))
+
+
+@pytest.mark.parametrize("batches", [1, 2, 3, 10, 11])
+def test_batch_median_equals_numpy_median_bit_for_bit(batches):
+    rng = np.random.default_rng(batches)
+    values = rng.standard_normal((batches, 9))
+    values[:, 1] = 0.5                              # all tied
+    values[:, 2] = np.round(values[:, 2])           # some tied
+    values[0, 3] = np.nan
+    values[-1, 4] = -np.nan                         # sign bit set
+    values[:, 5] = np.inf
+    values[0, 6], values[-1, 6] = np.inf, -np.inf
+    values[:, 7] = rng.choice([0.0, -0.0], batches)
+    values[batches // 2, 8] = np.nan
+    with np.errstate(invalid="ignore"):      # inf + -inf at two batches
+        want = np.median(values, axis=0)
+        got = batch_median(values)
+        columns = [(batch_median(c), np.median(c)) for c in values.T]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for med, ref in columns:
+        assert np.float64(med).view(np.int64) == np.float64(ref).view(np.int64)
 
 
 def test_window_grid_drops_partial_tail():
